@@ -12,10 +12,12 @@ from typing import NamedTuple, Optional
 
 from .density import DensityFunction
 from .errors import InconsistentTypeError, UnrecognizedCuspError
-from .symalg.field import sgcd, sderiv, sdeg, snorm
+from .symalg.field import sdeg
 from .symalg.forms import (
     FamilyPair,
     SForm,
+    _integer_polys,
+    _nonminimal,
     _repeated_factor_gcd,
     extract_cusp_quartic,
 )
@@ -50,51 +52,21 @@ def _constant_form_coeffs(form: SForm) -> Optional[list[Fraction]]:
         return None
 
 
-def _limit_spoly(form: SForm) -> list[Fraction]:
-    coeffs = form.limit0_coeffs()
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 def _is_squarefree_quartic_limit(quartic: SForm) -> bool:
     """True when the limit of the quartic has degree exactly 4 and no repeated
     root (equivalently: four distinct finite roots)."""
-    limit = _limit_spoly(quartic)
-    if len(limit) != 5:
+    limit = SForm(4, quartic.limit0_coeffs())
+    if limit.s_degree() != 4:
         return False
-    return sdeg(sgcd(limit, sderiv(limit))) < 1
-
-
-def _constant_pair_minimal(g8: list[Fraction], g12: list[Fraction]) -> bool:
-    """Minimality of a constant pair, at every point of P^1 including infinity."""
-
-    def affine_ok(a: list[Fraction], b: list[Fraction]) -> bool:
-        if not a and not b:
-            return False
-        if not a:
-            return sdeg(_repeated_factor_gcd(b, 6)) < 1
-        if not b:
-            return sdeg(_repeated_factor_gcd(a, 4)) < 1
-        g4 = _repeated_factor_gcd(a, 4)
-        if sdeg(g4) < 1:
-            return True
-        g6 = _repeated_factor_gcd(b, 6)
-        if sdeg(g6) < 1:
-            return True
-        return sdeg(sgcd(g4, g6)) < 1
-
-    def pad_invert(p: list[Fraction], deg: int) -> list[Fraction]:
-        full = list(p) + [Fraction(0)] * (deg + 1 - len(p))
-        return snorm(list(reversed(full)))
-
-    return affine_ok(g8, g12) and affine_ok(pad_invert(g8, 8), pad_invert(g12, 12))
+    _, [(poly, _, _)] = _integer_polys(limit)
+    return sdeg(_repeated_factor_gcd(poly, 2)) < 1
 
 
 def cusp_type(f: FamilyPair) -> CuspKind:
     """Classify the t = 0 limit of a normalized pair. Never raises: inputs the
     decision tree cannot place come back as UNRECOGNIZED."""
-    if not f.discriminant24():
+    delta = f.discriminant24()
+    if not delta:
         quartic = None
         try:
             quartic = extract_cusp_quartic(f)
@@ -109,40 +81,20 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     if c8 is None or c12 is None:
         return CuspKind.UNRECOGNIZED
 
-    lim8 = snorm(list(c8))
-    lim12 = snorm(list(c12))
-    delta_limit = _limit_delta(lim8, lim12)
-    if delta_limit and _constant_pair_minimal(lim8, lim12):
+    lim8 = SForm(8, c8)
+    lim12 = SForm(12, c12)
+    # every valuation is >= 0 here, so t -> 0 commutes with the discriminant
+    if any(delta.limit0_coeffs()) and not _nonminimal(lim8, lim12):
         return CuspKind.NO_DEGENERATION
 
-    mono8 = len(lim8) == 5 and all(not c for c in lim8[:4])
-    mono12 = len(lim12) == 7 and all(not c for c in lim12[:6])
+    mono8 = lim8.s_valuation() == lim8.s_degree() == 4
+    mono12 = lim12.s_valuation() == lim12.s_degree() == 6
     if mono8 and mono12:
-        c1, c2 = lim8[4], lim12[6]
+        c1, c2 = c8[4], c12[6]
         if c1 ** 3 == 27 * c2 ** 2:
             return CuspKind.MAXIMAL
         return CuspKind.SEGMENT
     return CuspKind.UNRECOGNIZED
-
-
-def _limit_delta(g8: list[Fraction], g12: list[Fraction]) -> list[Fraction]:
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-
-    cube = mul(mul(g8, g8), g8)
-    square = [27 * c for c in mul(g12, g12)]
-    n = max(len(cube), len(square))
-    out = [
-        (cube[i] if i < len(cube) else 0) - (square[i] if i < len(square) else 0)
-        for i in range(n)
-    ]
-    return snorm(out)
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,6 @@ def count_norm_vectors(lattice: Lattice, target: int) -> int:
     return count
 
 
-def rank_embeds(sub: Lattice, ambient: Lattice) -> bool:
-    """Necessary condition for a primitive embedding: rank comparison only."""
-    return sub.rank <= ambient.rank
-
-
 # ---------------------------------------------------------------------------
 # weight recipes
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact symbolic layer: Laurent coefficients, forms on P^1, family parsing."""
 
-from .laurent import INF, NEG_INF, TLaurent, lcm_all
+from .laurent import INF, NEG_INF, TLaurent
 from .forms import (
     FamilyPair,
     SForm,
@@ -13,7 +13,6 @@ __all__ = [
     "INF",
     "NEG_INF",
     "TLaurent",
-    "lcm_all",
     "FamilyPair",
     "SForm",
     "extract_cusp_quartic",

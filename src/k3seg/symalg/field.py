@@ -1,78 +1,36 @@
-"""Exact univariate polynomial arithmetic used by the divisibility checks.
+"""Exact integer polynomial kernel behind the divisibility tests.
 
-Two layers live here. The bottom layer is dense polynomials over Fraction
-(lists, index = degree, no trailing zeros, [] is zero). On top sits RatU, the
-field of rational functions in one variable; minimality and squarefreeness of
-the s-forms are decided by Euclidean gcds of s-polynomials whose coefficients
-are RatU values in u = t^(1/m).
+Minimality of a Weierstrass pair, the cusp-quartic shape (3*G^2, G^3) and
+squarefreeness of a limit quartic are all s-gcd or s-division questions over
+Q(u), u a root of t. Every one of them runs here on polynomials in Z[u][s]:
 
-The s-level helpers are generic over the coefficient field: they only use the
-arithmetic dunders, so the same code runs with Fraction coefficients (limit
-forms over the rationals) and RatU coefficients (forms over Q(u)).
+* layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
+  [] is zero) whose entries are integer arrays in u, each a list indexed by
+  u-degree (no trailing zeros, [] is zero);
+* a form reaches this layout by writing it as t^low / den * P(t^step, s): one
+  scalar denominator and one u-shift per form, and a u-step shared by the
+  forms compared. The step is the gcd of every exponent difference inside the
+  forms, so the kernel works in v = u^d for the largest d that the exponents
+  allow. An s-gcd of polynomials over Q(v) is the same over Q(u), so no
+  decision depends on the step, and the arrays stay short when the exponents
+  are sparse but regular (t^200000 costs what t does). The conversion lives
+  with the forms (`forms._integer_polys`);
+* gcds come from a primitive pseudo-remainder sequence in both variables
+  (Brown, "On Euclid's algorithm and the computation of polynomial greatest
+  common divisors", JACM 18, 1971): taking the content out after every
+  pseudo-remainder keeps every intermediate small, where Euclid over the
+  fraction field explodes;
+* a modular screen proves the common coprime case without running the
+  sequence at all.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction
+# Z[u]: integer arrays
 # ---------------------------------------------------------------------------
-
-
-def unorm(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def uadd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return unorm(out)
-
-
-def uneg(a: list[Fraction]) -> list[Fraction]:
-    return [-c for c in a]
-
-
-def usub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return uadd(a, uneg(b))
-
-
-def umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return unorm(out)
-
-
-def udivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        unorm(a)
-        if len(a) >= len(b) and not a[-1]:
-            unorm(a)
-    return unorm(q), a
 
 
 def _zprim(p: list[int]) -> list[int]:
@@ -86,17 +44,6 @@ def _zprim(p: list[int]) -> list[int]:
     if g > 1:
         p = [c // g for c in p]
     return p
-
-
-def _frac_to_z(p: list[Fraction]) -> list[int]:
-    """Primitive integer polynomial proportional to p (sign preserved)."""
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        d = Fraction(c).denominator
-        den = den // gcd(den, d) * d
-    return _zprim([int(Fraction(c) * den) for c in p])
 
 
 def _ziprem(a: list[int], b: list[int]) -> list[int]:
@@ -115,12 +62,7 @@ def _ziprem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _zugcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[u] (positive leading coefficient), primitive PRS.
-
-    A plain Euclid over Q explodes: the remainder fractions grow exponentially.
-    Taking the integer content out after every pseudo-remainder keeps every
-    intermediate small.
-    """
+    """Primitive gcd in Z[u] (positive leading coefficient), primitive PRS."""
     a = _zprim(list(a))
     b = _zprim(list(b))
     if len(a) < len(b):
@@ -135,114 +77,37 @@ def _zugcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    g = _zugcd(_frac_to_z(a), _frac_to_z(b))
-    if not g:
-        return []
-    lead = g[-1]
-    return [Fraction(c, lead) for c in g]
+def _zumul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b in Z[u], or None when b does not divide a there."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    lb = b[-1]
+    while len(a) >= len(b):
+        c, r = divmod(a[-1], lb)
+        if r:
+            return None
+        d = len(a) - len(b)
+        q[d] = c
+        for i, cb in enumerate(b):
+            a[d + i] -= c * cb
+        while a and not a[-1]:
+            a.pop()
+    return None if a else q
 
 
 # ---------------------------------------------------------------------------
-# rational functions in u over Q
-# ---------------------------------------------------------------------------
-
-
-class RatU:
-    """Reduced fraction of two dense Fraction-polynomials, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: list[Fraction], den: list[Fraction] | None = None):
-        den = den if den is not None else [Fraction(1)]
-        if not den:
-            raise ZeroDivisionError("RatU with zero denominator")
-        if not num:
-            self.num, self.den = [], [Fraction(1)]
-            return
-        g = ugcd(num, den)
-        if len(g) > 1:
-            num = udivmod(num, g)[0]
-            den = udivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = [c * inv for c in num]
-            den = [c * inv for c in den]
-        self.num, self.den = num, den
-
-    @classmethod
-    def const(cls, c) -> "RatU":
-        c = Fraction(c)
-        return cls([c] if c else [])
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatU.const(other)
-        if not isinstance(other, RatU):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((tuple(self.num), tuple(self.den)))
-
-    def _coerce(self, other) -> "RatU | None":
-        if isinstance(other, RatU):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatU.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatU(uadd(umul(self.num, o.den), umul(o.num, self.den)), umul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatU.__new__(RatU)
-        r.num, r.den = uneg(self.num), self.den
-        return r
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatU(umul(self.num, o.num), umul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero RatU")
-        return RatU(umul(self.num, o.den), umul(self.den, o.num))
-
-    def __repr__(self):
-        return "RatU(%s / %s)" % (self.num, self.den)
-
-
-# ---------------------------------------------------------------------------
-# s-polynomials over a generic coefficient field
+# Z[u][s]: s-polynomials with integer-array coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -256,85 +121,8 @@ def sdeg(p: list) -> int:
     return len(p) - 1
 
 
-def sadd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return snorm(out)
-
-
-def ssub(a: list, b: list) -> list:
-    return sadd(a, [-c for c in b])
-
-
-def smul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out: list = [None] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            prod = ca * cb
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return snorm([c if c is not None else ca * 0 for c in out])
-
-
-def sdivmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("s-polynomial division by zero")
-    a = list(a)
-    q: list = [None] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c if q[d] is None else q[d] + c
-        for i, cb in enumerate(b):
-            a[d + i] = a[d + i] - c * cb
-        snorm(a)
-    zero = b[-1] - b[-1]
-    return snorm([c if c is not None else zero for c in q]), a
-
-
-def _ratu_cleared(p: list) -> list[list[int]] | None:
-    """p with RatU coefficients, rewritten over Z[u] by clearing the common
-    monomial denominator and every Fraction denominator. None when some
-    coefficient's denominator is not a monomial."""
-    parts: list[tuple[list[Fraction], int]] = []
-    for c in p:
-        if not isinstance(c, RatU):
-            return None
-        nz = [j for j, x in enumerate(c.den) if x]
-        if len(nz) != 1 or c.den[nz[0]] != 1:
-            return None
-        parts.append((c.num, nz[0]))
-    top = max((sh for _, sh in parts), default=0)
-    den = 1
-    for num, _ in parts:
-        for c in num:
-            d = c.denominator
-            den = den // gcd(den, d) * d
-    return [
-        [0] * (top - sh) + [int(c * den) for c in num] if num else []
-        for num, sh in parts
-    ]
-
-
-def _zumul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return out
+def sderiv(p: list[list[int]]) -> list[list[int]]:
+    return snorm([[x * i for x in p[i]] for i in range(1, len(p))])
 
 
 def _spp_z(p: list[list[int]]) -> list[list[int]]:
@@ -364,53 +152,36 @@ def _spp_z(p: list[list[int]]) -> list[list[int]]:
     return p
 
 
-def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient in Z[u]; every leading-coefficient division comes out
-    whole when the division is exact, which the callers guarantee."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
+def spdivmod(
+    a: list[list[int]], b: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """Pseudo-division in Z[u][s]: returns (q, r, j) with lb^j * a = q * b + r,
+    lb the s-leading coefficient of b and j the number of reduction steps.
+    Scaling by lb per step keeps the reduction inside the polynomial ring."""
+    r = [list(c) for c in a]
+    q: list[list[int]] = [[] for _ in range(len(a) - len(b) + 1)]
     lb = b[-1]
-    while len(a) >= len(b):
-        c = a[-1] // lb
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        while a and not a[-1]:
-            a.pop()
-    return q
-
-
-def _zsprem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder in Z[u][s]: scale by b's leading coefficient per step
-    so the reduction never leaves the polynomial ring."""
-    a = [list(c) for c in a]
-    lb = b[-1]
-    while len(a) >= len(b):
-        la = a[-1]
-        shift = len(a) - len(b)
-        a = [_zumul(c, lb) if c else [] for c in a]
+    j = 0
+    while len(r) >= len(b):
+        la = r[-1]
+        shift = len(r) - len(b)
+        r = [_zumul(c, lb) if c else [] for c in r]
+        q = [_zumul(c, lb) if c else [] for c in q]
+        q[shift] = la
         for i, cb in enumerate(b):
             if cb:
                 prod = _zumul(la, cb)
-                tgt = a[shift + i]
+                tgt = r[shift + i]
                 if len(tgt) < len(prod):
                     tgt.extend([0] * (len(prod) - len(tgt)))
-                for j, x in enumerate(prod):
-                    tgt[j] -= x
+                for k, x in enumerate(prod):
+                    tgt[k] -= x
                 while tgt and not tgt[-1]:
                     tgt.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _sgcd_primitive(a: list[list[int]], b: list[list[int]]) -> list:
-    a = _spp_z(a)
-    b = _spp_z(b)
-    while b:
-        a, b = b, _spp_z(_zsprem(a, b))
-    return [RatU([Fraction(x) for x in c]) for c in a]
+        while r and not r[-1]:
+            r.pop()
+        j += 1
+    return q, r, j
 
 
 _SCREEN_PRIME = (1 << 61) - 1
@@ -454,25 +225,13 @@ def _provably_coprime(ca: list[list[int]], cb: list[list[int]]) -> bool:
     return False
 
 
-def sgcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    if a and b and (isinstance(a[-1], RatU) or isinstance(b[-1], RatU)):
-        # Euclid in Q(u)[s] thrashes on per-operation fraction reduction; a
-        # primitive pseudo-remainder sequence over Z[u] avoids it entirely,
-        # and the modular screen skips even that in the generic coprime case.
-        ca = _ratu_cleared(a)
-        cb = _ratu_cleared(b)
-        if ca is not None and cb is not None:
-            if len(ca) > 1 and len(cb) > 1 and _provably_coprime(ca, cb):
-                return [RatU.const(1)]
-            return _sgcd_primitive(ca, cb)
+def sgcd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """gcd over Q(u) of two s-polynomials in Z[u][s], as a primitive
+    polynomial in Z[u][s] ([[1]] when they are coprime)."""
+    if len(a) > 1 and len(b) > 1 and _provably_coprime(a, b):
+        return [[1]]
+    a = _spp_z(list(a))
+    b = _spp_z(list(b))
     while b:
-        a, b = b, sdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        a, b = b, _spp_z(spdivmod(a, b)[1])
     return a
-
-
-def sderiv(p: list) -> list:
-    return snorm([p[i] * i for i in range(1, len(p))])

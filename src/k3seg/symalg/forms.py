@@ -9,12 +9,13 @@ top encode zeros at s = infinity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
-from .field import RatU, sdeg, sderiv, sdivmod, sgcd, smul, snorm
-from .laurent import INF, Scalar, TLaurent, _frac, lcm_all
+from .field import _zdiv_exact, _zprim, _zumul, sdeg, sderiv, sgcd, snorm, spdivmod
+from .laurent import INF, Scalar, TLaurent, _frac
 
 
 class SForm:
@@ -174,17 +175,6 @@ class SForm:
             dens |= c.exponent_denominators()
         return dens
 
-    def eval_mp(self, s0, t0):
-        from mpmath import mp
-
-        acc = mp.mpf(0)
-        power = mp.mpc(1)
-        for c in self.coeffs:
-            if c:
-                acc = acc + c.eval_mp(t0) * power
-            power = power * s0
-        return acc
-
 
 class FamilyPair:
     """A pair (g8, g12) of forms over the Laurent base, plus bookkeeping.
@@ -242,47 +232,43 @@ class FamilyPair:
 
     def ramification(self) -> int:
         dens = self.g8.exponent_denominators() | self.g12.exponent_denominators()
-        return lcm_all(dens | {1})
+        return math.lcm(*dens)
 
 
 # ---------------------------------------------------------------------------
-# conversion to s-polynomials over Q(u), u = t^(1/m)
+# conversion to the integer kernel: s-polynomials over Z[u], u = t^step
 # ---------------------------------------------------------------------------
 
 
-def _tl_to_ratu(c: TLaurent, m: int) -> RatU:
-    if not c:
-        return RatU([])
-    shift = 0
-    lowest = c.val() * m
-    if lowest < 0:
-        shift = -int(lowest)
-    num = [Fraction(0)] * (int(c.top_exponent() * m) + shift + 1)
-    for e, coef in c.items():
-        k = e * m
-        if k.denominator != 1:
-            raise ValueError("exponent %s not a multiple of 1/%d" % (e, m))
-        num[int(k) + shift] = coef
-    den = [Fraction(0)] * shift + [Fraction(1)]
-    return RatU(num, den)
+def _integer_polys(*forms: SForm) -> tuple[Fraction, list[tuple[list, Fraction, int]]]:
+    """Write each form as t^low / den * P(t^step, s), P in Z[u][s].
 
-
-def _ratu_to_tl(r: RatU, m: int) -> TLaurent:
-    nonzero = [j for j, c in enumerate(r.den) if c]
-    if len(nonzero) != 1:
-        raise ValueError("denominator is not a monomial in u")
-    j = nonzero[0]
-    return TLaurent(
-        {Fraction(k - j, m): c for k, c in enumerate(r.num) if c}
-    )
-
-
-def _form_to_spoly(form: SForm, m: int) -> list[RatU]:
-    return snorm([_tl_to_ratu(c, m) for c in form.coeffs])
-
-
-def _spoly_to_form(p: Sequence[RatU], degree: int, m: int) -> SForm:
-    return SForm(degree, [_ratu_to_tl(c, m) for c in p])
+    Returns step and one (P, low, den) per form. P lists one integer u-array
+    per s-degree up to the formal degree, untrimmed, so reversing it gives the
+    form in the chart at s = infinity. step is shared by all the forms: the
+    gcd of every exponent difference inside a form, so u-arrays are as short
+    as the exponents allow.
+    """
+    terms = [
+        [(i, e, c) for i, coeff in enumerate(form.coeffs) for e, c in coeff.items()]
+        for form in forms
+    ]
+    m = math.lcm(*(e.denominator for ts in terms for _, e, _ in ts))
+    ints = [[(i, e.numerator * (m // e.denominator), c) for i, e, c in ts] for ts in terms]
+    lows = [min((k for _, k, _ in ts), default=0) for ts in ints]
+    d = math.gcd(*(k - low for ts, low in zip(ints, lows) for _, k, _ in ts)) or 1
+    out = []
+    for form, ts, low in zip(forms, ints, lows):
+        den = math.lcm(*(c.denominator for _, _, c in ts))
+        poly: list[list[int]] = [[] for _ in range(form.degree + 1)]
+        for i, k, c in ts:
+            k = (k - low) // d
+            arr = poly[i]
+            if len(arr) <= k:
+                arr.extend([0] * (k + 1 - len(arr)))
+            arr[k] = c.numerator * (den // c.denominator)
+        out.append((poly, Fraction(low, m), den))
+    return Fraction(d, m), out
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +308,26 @@ def _affine_nonminimal(g8p: list, g12p: list) -> bool:
     return sdeg(sgcd(g4, g6)) >= 1
 
 
+def _nonminimal(g8: SForm, g12: SForm) -> bool:
+    """True when a nonconstant form P has P^4 | g8 and P^6 | g12.
+
+    The affine test catches factors P(s); running it again on the reversed
+    coefficient lists catches the factor supported at s = infinity.
+    """
+    _, ((p8, _, _), (p12, _, _)) = _integer_polys(g8, g12)
+    charts = ((list(p8), list(p12)), (p8[::-1], p12[::-1]))
+    return any(_affine_nonminimal(snorm(a), snorm(b)) for a, b in charts)
+
+
 def minimality_check(f: FamilyPair) -> None:
     """Reject pairs with a common quartic/sextic power factor, at any point of P^1.
 
-    The affine test catches factors P(s); running it again on the inverted pair
-    catches the factor supported at s = infinity. A degenerate pair (identically
-    vanishing discriminant) must additionally carry the exact cusp-quartic
-    shape, else no stable model with only ADE fibers exists.
+    A degenerate pair (identically vanishing discriminant) must additionally
+    carry the exact cusp-quartic shape, else no stable model with only ADE
+    fibers exists.
     """
-    m = f.ramification()
-    for pair in (f, f.inverted()):
-        if _affine_nonminimal(_form_to_spoly(pair.g8, m), _form_to_spoly(pair.g12, m)):
-            raise NotMinimalError(
-                "a nonconstant form P has P^4 | g8 and P^6 | g12"
-            )
+    if _nonminimal(f.g8, f.g12):
+        raise NotMinimalError("a nonconstant form P has P^4 | g8 and P^6 | g12")
     if not f.discriminant24():
         try:
             extract_cusp_quartic(f)
@@ -351,19 +343,31 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     (g8, g12) = (3 G^2, G^3) via G = 3 g12 / g8, verifying both identities exactly."""
     if f.discriminant24():
         raise ValueError("discriminant is not identically zero")
-    m = f.ramification()
-    g8p = _form_to_spoly(f.g8, m)
-    g12p = _form_to_spoly(f.g12, m)
-    if not g8p or not g12p:
+    step, ((p8, low8, den8), (p12, low12, den12)) = _integer_polys(f.g8, f.g12)
+    p8, p12 = snorm(p8), snorm(p12)
+    if not p8 or not p12:
         raise UnrecognizedCuspError("one of the forms vanishes identically")
-    quo, rem = sdivmod([c * 3 for c in g12p], g8p)
+    quo, rem, j = spdivmod(p12, p8)
     if rem:
         raise UnrecognizedCuspError("3*g12 is not divisible by g8")
-    if snorm(smul([c * 3 for c in quo], quo)) != g8p:
+    # g12 / g8 = quo / lead with lead = lc(g8)^j. If 3*G^2 = g8 holds, G is a
+    # Laurent form of degree at most 4, so lead divides quo up to a u-power,
+    # and by Gauss's lemma the primitive rest of lead divides it over Z.
+    lead = [1]
+    for _ in range(j):
+        lead = _zumul(lead, p8[-1])
+    z = next(k for k, x in enumerate(lead) if x)
+    prim = _zprim(lead[z:])
+    parts = [_zdiv_exact(c, prim) if c else [] for c in quo]
+    if len(parts) > 5 or None in parts:
         raise UnrecognizedCuspError("3*G^2 differs from g8")
-    if snorm(smul(smul(quo, quo), quo)) != g12p:
+    scale = Fraction(3 * den8, den12 * (lead[-1] // prim[-1]))
+    low = low12 - low8 - z * step
+    quartic = SForm(
+        4, [TLaurent({low + k * step: scale * x for k, x in enumerate(c)}) for c in parts]
+    )
+    if (quartic * quartic).scale(3) != f.g8:
+        raise UnrecognizedCuspError("3*G^2 differs from g8")
+    if quartic ** 3 != f.g12:
         raise UnrecognizedCuspError("G^3 differs from g12")
-    try:
-        return _spoly_to_form(quo, 4, m)
-    except (ValueError, DegreeError) as exc:
-        raise UnrecognizedCuspError("quotient is not a quartic form: %s" % exc) from exc
+    return quartic

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -196,10 +196,3 @@ class TLaurent:
 
 TLaurent.zero = TLaurent()
 TLaurent.one = TLaurent({Fraction(0): Fraction(1)})
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out

@@ -421,6 +421,8 @@ def parse_family(text: str) -> FamilyPair:
                 )
         except (ParseError, NotPolynomialError) as err:
             raise type(err)("line %d: %s" % (lineno, err)) from None
+        except RecursionError:
+            raise ParseError("line %d: expression nested too deeply" % lineno) from None
 
     for slot in ("g8", "g12"):
         if slot not in slots:

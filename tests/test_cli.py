@@ -76,6 +76,14 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert err == "E_PARSE: line 1: column 8: unexpected character '@'\n"
 
 
+def test_analyze_deeply_nested_input(tmp_path, capsys):
+    deep = tmp_path / "deep.family"
+    deep.write_text("g8 = " + "(" * 3000 + "s^4" + ")" * 3000 + "\ng12 = s^6\n")
+    assert main(["analyze", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err == "E_PARSE: line 1: expression nested too deeply\n"
+
+
 def test_analyze_non_minimal_family(tmp_path, capsys):
     f = tmp_path / "nonmin.family"
     f.write_text("g8 = s^4*(s^4 + t)\ng12 = s^6*(s^6 + t)\n")

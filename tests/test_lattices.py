@@ -15,7 +15,6 @@ from k3seg.lattices import (
     direct_sum,
     gm_weights,
     inertia,
-    rank_embeds,
     root_lattice,
     segment_lattice,
     stable_type_lattice,
@@ -146,11 +145,6 @@ def test_segment_lattice_shape():
     assert lat.determinant() == -1
     assert lat.signature() == (1, 17, 0)
     assert lat.is_even()
-
-
-def test_rank_embeds_is_rank_comparison():
-    assert rank_embeds(root_lattice("A", 17), segment_lattice())
-    assert not rank_embeds(segment_lattice(), root_lattice("A", 17))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,15 @@ def test_trailing_input_after_assignment():
     assert "trailing input" in msg and "column 10" in msg
 
 
+def test_deep_nesting_is_a_parse_error():
+    msg = err_message("g8 = s^4\ng12 = " + "(" * 3000 + "s^6" + ")" * 3000, ParseError)
+    assert msg == "line 2: expression nested too deeply"
+    # each macro is shallow; only evaluating the last one recurses deeply
+    chain = "".join("let f%d(x) = f%d(x)\n" % (i, i - 1) for i in range(1, 1500))
+    msg = err_message("let f0(x) = x\n" + chain + "g8 = f1499(s^4)\ng12 = s^6", ParseError)
+    assert msg == "line 1501: expression nested too deeply"
+
+
 def test_unknown_statement_head():
     msg = err_message("foo = 3\ng8 = s^4; g12 = s^6", ParseError)
     assert "must be a let or a g8/g12 assignment" in msg

@@ -7,13 +7,16 @@ identities on TLaurent.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from conftest import family_text
+from k3seg.corpus import generate_corpus
 from k3seg.errors import DegreeError, NotMinimalError, ZeroFormError
+from k3seg.report import analyze
 from k3seg.symalg import (
     INF,
     NEG_INF,
@@ -25,6 +28,7 @@ from k3seg.symalg import (
     minimality_check,
     parse_family,
 )
+from k3seg.symalg.forms import _integer_polys
 
 S, T = sympy.symbols("s t")
 
@@ -276,6 +280,95 @@ def test_minimality_rejects_cuspidal_pair_with_multiple_root():
     assert f.discriminant24().is_zero()
     with pytest.raises(NotMinimalError):
         minimality_check(f)
+
+
+def _sympy_nonminimal(f: FamilyPair) -> bool:
+    """Independent verdict: some chart has a nonconstant common factor of g12,
+    its first five s-derivatives, g8 and its first three, in Q[s, t]."""
+    for pair in (f, f.inverted()):
+        common = sympy.Poly(0, S, T)
+        for form, order in ((pair.g12, 6), (pair.g8, 4)):
+            terms = {(i, int(e)): c for i, co in enumerate(form.coeffs) for e, c in co.items()}
+            poly = sympy.Poly.from_dict(terms, S, T, domain=sympy.QQ)
+            for _ in range(order):
+                common = sympy.gcd(common, poly)
+                poly = poly.diff(S)
+        if common.degree(S) >= 1:
+            return True
+    return False
+
+
+def _random_sform(rng: random.Random, degree: int, dense: bool) -> SForm:
+    """Random form with integer t-exponents in [0, 2] and nonzero top and
+    bottom coefficients; every coefficient is nonzero when dense."""
+    coeffs = [TLaurent.zero] * (degree + 1)
+    slots = range(degree + 1) if dense else [0, degree, rng.randrange(degree + 1)]
+    for i in slots:
+        while True:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            coeffs[i] = coeffs[i] + TLaurent.term(c, rng.randint(0, 2))
+            if coeffs[i]:
+                break
+    return SForm(degree, coeffs)
+
+
+def test_minimality_agrees_with_sympy_on_constructed_pairs():
+    # (P^4*h4, P^6*h6) is not minimal; the near miss (P^4*h4, P^5*h6) is.
+    # P(0) = 0 puts the factor at s = infinity in the inverted pair, where
+    # it shows up as a degree drop.
+    rng = random.Random(7)
+    for p_degree, through_zero in ((1, False), (1, True), (2, False), (2, True)):
+        p = _random_sform(rng, p_degree, dense=True)
+        if through_zero:
+            p = SForm(p_degree, (TLaurent.zero,) + p.coeffs[1:])
+        h4 = _random_sform(rng, 8 - 4 * p_degree, dense=False)
+        h6 = _random_sform(rng, 12 - 6 * p_degree, dense=False)
+        h6_near = _random_sform(rng, 12 - 5 * p_degree, dense=False)
+        bad = FamilyPair(p**4 * h4, p**6 * h6)
+        near = FamilyPair(p**4 * h4, p**5 * h6_near)
+        for pair in (bad, bad.inverted()):
+            assert _sympy_nonminimal(pair)
+            with pytest.raises(NotMinimalError):
+                minimality_check(pair)
+        for pair in (near, near.inverted()):
+            assert not _sympy_nonminimal(pair)
+            minimality_check(pair)
+
+
+def test_sparse_regular_exponents_cost_what_dense_ones_do():
+    text = "g8 = 3*s^4 + t^%d*(1 + s^8)\ng12 = s^6 + t^%d*(1 + s^12)\n"
+    base = analyze(parse_family(text % (1, 1)))
+    pair = parse_family(text % (200000, 200000))
+    # the kernel sees the pair in u = t^200000: every u-array has length <= 2
+    step, polys = _integer_polys(pair.g8, pair.g12)
+    assert step == 200000
+    assert max(len(arr) for poly, _, _ in polys for arr in poly) == 2
+    start = time.perf_counter()
+    wide = analyze(pair)
+    assert time.perf_counter() - start < 2
+    assert wide.stable.label() == base.stable.label() == "E3 A11 E3"
+    assert wide.density.breakpoints == base.density.breakpoints
+
+
+def _report_invariants(rep):
+    return (
+        rep.density.breakpoints,
+        rep.stable.label(),
+        rep.cusp,
+        rep.left_end.is_nodal,
+        rep.right_end.is_nodal,
+    )
+
+
+def test_base_change_leaves_the_report_unchanged(named):
+    # r = 1/2 and 2/3 give ramification 2 and 3, which no named or corpus
+    # family has; d_constant then runs the cusp-quartic extraction with them
+    families = list(named.values()) + generate_corpus(10, seed=1729)
+    for f in families:
+        expected = _report_invariants(analyze(f))
+        for r in (Fraction(1, 2), Fraction(2, 3), Fraction(2)):
+            g = FamilyPair(f.g8.rescale_exponents(r), f.g12.rescale_exponents(r))
+            assert _report_invariants(analyze(g)) == expected
 
 
 # ---------------------------------------------------------------------------
