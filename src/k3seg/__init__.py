@@ -59,7 +59,6 @@ from .symalg import (
 from .tropics import (
     EndExponents,
     TropicalPolynomial,
-    ValProfile,
     end_exponents,
     modified_polygon,
     newton_polygon,
@@ -84,7 +83,6 @@ __all__ = [
     "Stratum",
     "TLaurent",
     "TropicalPolynomial",
-    "ValProfile",
     "analyze",
     "canonical_text",
     "chamber_count",

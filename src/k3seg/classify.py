@@ -21,7 +21,7 @@ from .symalg.forms import (
     _repeated_factor_gcd,
     extract_cusp_quartic,
 )
-from .tropics import end_exponents
+from .tropics import EndExponents
 
 
 class CuspKind(enum.Enum):
@@ -52,14 +52,15 @@ def _constant_form_coeffs(form: SForm) -> Optional[list[Fraction]]:
         return None
 
 
-def _is_squarefree_quartic_limit(quartic: SForm) -> bool:
-    """True when the limit of the quartic has degree exactly 4 and no repeated
-    root (equivalently: four distinct finite roots)."""
+def cuspidal_kind(quartic: SForm) -> CuspKind:
+    """CUSPIDAL when the limit of the cusp quartic G has degree exactly 4 and
+    no repeated root (four distinct finite roots), else CUSPIDAL_TO_MAXIMAL."""
     limit = SForm(4, quartic.limit0_coeffs())
-    if limit.s_degree() != 4:
-        return False
-    _, [(poly, _, _)] = _integer_polys(limit)
-    return sdeg(_repeated_factor_gcd(poly, 2)) < 1
+    if limit.s_degree() == 4:
+        _, [(poly, _, _)] = _integer_polys(limit)
+        if sdeg(_repeated_factor_gcd(poly, 2)) < 1:
+            return CuspKind.CUSPIDAL
+    return CuspKind.CUSPIDAL_TO_MAXIMAL
 
 
 def cusp_type(f: FamilyPair) -> CuspKind:
@@ -67,14 +68,11 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     decision tree cannot place come back as UNRECOGNIZED."""
     delta = f.discriminant24()
     if not delta:
-        quartic = None
         try:
             quartic = extract_cusp_quartic(f)
         except UnrecognizedCuspError:
             return CuspKind.UNRECOGNIZED
-        if _is_squarefree_quartic_limit(quartic):
-            return CuspKind.CUSPIDAL
-        return CuspKind.CUSPIDAL_TO_MAXIMAL
+        return cuspidal_kind(quartic)
 
     c8 = _constant_form_coeffs(f.g8)
     c12 = _constant_form_coeffs(f.g12)
@@ -113,19 +111,19 @@ class EndSurface:
     is_nodal: bool
 
 
-def end_surface_data(f: FamilyPair, side: str) -> EndSurface:
+def end_surface_data(f: FamilyPair, side: str, ends: EndExponents) -> EndSurface:
     """Limit surface at the given end ("left" = toward s = 0, "right" = toward
     s = infinity).
 
-    The base coordinate is stretched by s = t^e0 * sigma (on the right, the
-    inverted family is stretched by einf the same way), the pair is regauged
-    jointly by t^(-2c), t^(-3c) with c = min(mu8/2, mu12/3), and the t = 0
-    limit is read off. With valid end exponents the surviving coefficients sit
-    in degrees at most (4, 6).
+    ends holds the end exponents (e0, einf) of f. The base coordinate is
+    stretched by s = t^e0 * sigma (on the right, the inverted family is
+    stretched by einf the same way), the pair is regauged jointly by t^(-2c),
+    t^(-3c) with c = min(mu8/2, mu12/3), and the t = 0 limit is read off. With
+    valid end exponents the surviving coefficients sit in degrees at most
+    (4, 6).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    ends = end_exponents(f)
     if side == "right":
         f = f.inverted()
         stretch = ends.at_infinity
@@ -204,7 +202,7 @@ def _end_component(m: int, end_value: Fraction) -> Component:
     return component("D", k)
 
 
-def stable_type(fn: DensityFunction, end_values: Optional[tuple] = None) -> StableType:
+def stable_type(fn: DensityFunction) -> StableType:
     """Read the D/A/E chain off a density function.
 
     The end multiplicities are 12 -/+ the first/last slope; an end with V = 0
@@ -212,15 +210,13 @@ def stable_type(fn: DensityFunction, end_values: Optional[tuple] = None) -> Stab
     interior breakpoint contributes an A-component with index one less than
     its slope drop. Charges must total 24.
     """
-    if end_values is None:
-        end_values = (fn.breakpoints[0][1], fn.breakpoints[-1][1])
     slopes = fn.slopes()
     m_left = 12 - slopes[0]
     m_right = 12 + slopes[-1]
-    parts = [_end_component(m_left, Fraction(end_values[0]))]
+    parts = [_end_component(m_left, fn.breakpoints[0][1])]
     for _, drop in fn.slope_drops():
         parts.append(component("A", drop - 1))
-    parts.append(_end_component(m_right, Fraction(end_values[1])))
+    parts.append(_end_component(m_right, fn.breakpoints[-1][1]))
     total = sum(c.charge for c in parts)
     if total != 24:
         raise InconsistentTypeError("charges %s sum to %d, not 24" % (

@@ -11,13 +11,19 @@ Two independent constructions are kept side by side on purpose:
   density_profile      builds V from min-plus evaluations of the three Newton
                        polygons (the primary definition);
   density_from_positions  rebuilds the same shape from the 24 clamped root
-                       positions alone, the way a root-tracking measurement
-                       would see it.
+                       positions alone (cut_positions reads them off the
+                       discriminant polygon), the way a root-tracking
+                       measurement would see it.
 
 They must agree bend for bend and slope for slope; the position route carries
 its own additive normalization (the top-coefficient level), so values may sit
 a constant apart. Collapsing the two routines into one would destroy the
 cross-check.
+
+Both routes are pure functions of the Newton polygons and the end exponents,
+which the caller derives once per family (report.analyze); nothing here
+touches the pair itself. A pair whose discriminant vanishes identically has no
+discriminant polygon and takes the cusp-quartic route, density_cuspidal.
 
 Reporting happens in unit coordinates: the domain is rescaled affinely onto
 [0, 1] while values are kept as they are (V is only meaningful up to positive
@@ -29,20 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CuspidalFamilyError,
-    CuspidalInteriorError,
-    NegativeDensityError,
-)
-from .symalg.forms import FamilyPair, SForm
+from .errors import CuspidalInteriorError, NegativeDensityError
+from .symalg.forms import SForm
 from .symalg.laurent import INF, NEG_INF
-from .tropics import end_exponents, newton_polygon, root_valuations
+from .tropics import (
+    EndExponents,
+    TropicalPolynomial,
+    _cross,
+    newton_polygon,
+    root_valuations,
+)
 
 Breakpoint = tuple[Fraction, Fraction]
-
-
-def _cross(o: Breakpoint, p: Breakpoint, q: Breakpoint) -> Fraction:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
 class DensityFunction:
@@ -177,17 +181,12 @@ class CutData:
     einf: Fraction
 
 
-def cut_positions(f: FamilyPair) -> CutData:
-    delta = f.discriminant24()
-    if not delta:
-        raise CuspidalFamilyError(
-            "discriminant vanishes identically; use the cusp-quartic route"
-        )
-    ends = end_exponents(f)
+def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
+    """The clamped root positions read off the discriminant polygon trop_d."""
     e0, einf = ends.at_zero, ends.at_infinity
     wp = einf / e0
     xs: list[Fraction] = []
-    for v in root_valuations(delta):
+    for v in root_valuations(trop_d):
         if v == INF:
             xs.append(Fraction(-1))
         elif v == NEG_INF:
@@ -195,12 +194,11 @@ def cut_positions(f: FamilyPair) -> CutData:
         else:
             xs.append(min(max(-v / e0, Fraction(-1)), wp))
     xs.sort()
-    top = delta.coeffs[delta.s_degree()]
     return CutData(
         positions=tuple(xs),
         negatives=sum(1 for x in xs if x < 0),
         w_plus=wp,
-        level=top.val() / e0,
+        level=trop_d.points[-1][1] / e0,
         e0=e0,
         einf=einf,
     )
@@ -211,31 +209,24 @@ def cut_positions(f: FamilyPair) -> CutData:
 # ---------------------------------------------------------------------------
 
 
-def density_profile(f: FamilyPair) -> DensityFunction:
+def density_profile(
+    trop_d: TropicalPolynomial,
+    trop8: TropicalPolynomial,
+    trop12: TropicalPolynomial,
+    ends: EndExponents,
+) -> DensityFunction:
     """V from the Newton polygons of Delta, g8 and g12.
 
     At a = -w*e0 the function is [psi_Delta(a) - min(3*psi8(a), 2*psi12(a))]/e0,
-    taken on w in [-1, w+]. A side whose form vanishes drops out of the min.
+    taken on w in [-1, w+].
     """
-    delta = f.discriminant24()
-    if not delta:
-        raise CuspidalFamilyError(
-            "discriminant vanishes identically; use the cusp-quartic route"
-        )
-    ends = end_exponents(f)
     e0, einf = ends.at_zero, ends.at_infinity
-    trop_d = newton_polygon(delta)
-    weighted = []
-    if f.g8:
-        weighted.append((3, newton_polygon(f.g8)))
-    if f.g12:
-        weighted.append((2, newton_polygon(f.g12)))
 
     def h(a: Fraction) -> Fraction:
-        return min(m * poly.eval_at(a) for m, poly in weighted)
+        return min(3 * trop8.eval_at(a), 2 * trop12.eval_at(a))
 
     bends: set[Fraction] = set()
-    for poly in [trop_d] + [p for _, p in weighted]:
+    for poly in (trop_d, trop8, trop12):
         for slope in poly.slopes():
             a = -slope
             if -einf < a < e0:
@@ -243,15 +234,13 @@ def density_profile(f: FamilyPair) -> DensityFunction:
     grid = sorted(bends | {-einf, e0})
 
     # a kink of h can also sit where its two branches cross inside a cell
-    if len(weighted) == 2:
-        crossings: set[Fraction] = set()
-        (m1, p1), (m2, p2) = weighted
-        for a1, a2 in zip(grid, grid[1:]):
-            d1 = m1 * p1.eval_at(a1) - m2 * p2.eval_at(a1)
-            d2 = m1 * p1.eval_at(a2) - m2 * p2.eval_at(a2)
-            if (d1 < 0 < d2) or (d2 < 0 < d1):
-                crossings.add(a1 + (a2 - a1) * d1 / (d1 - d2))
-        grid = sorted(set(grid) | crossings)
+    crossings: set[Fraction] = set()
+    for a1, a2 in zip(grid, grid[1:]):
+        d1 = 3 * trop8.eval_at(a1) - 2 * trop12.eval_at(a1)
+        d2 = 3 * trop8.eval_at(a2) - 2 * trop12.eval_at(a2)
+        if (d1 < 0 < d2) or (d2 < 0 < d1):
+            crossings.add(a1 + (a2 - a1) * d1 / (d1 - d2))
+    grid = sorted(set(grid) | crossings)
 
     points = [(-a / e0, (trop_d.eval_at(a) - h(a)) / e0) for a in reversed(grid)]
     fn = DensityFunction(points)
@@ -294,7 +283,7 @@ def density_cuspidal(quartic: SForm) -> DensityFunction:
     Any other valuation pattern leaves a root strictly inside, where the
     construction has no defined value.
     """
-    vals = root_valuations(quartic).vals
+    vals = root_valuations(newton_polygon(quartic))
     ok = (
         len(vals) == 4
         and vals[0] == vals[1]

@@ -17,6 +17,7 @@ from mpmath import mp
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from .symalg import FamilyPair
+from .tropics import end_exponents, newton_polygon
 
 _DPS = 60
 _RESIDUAL_TARGET = 1e-12
@@ -206,7 +207,12 @@ def oracle_compare(
         raise ValueError("t samples must be strictly decreasing")
 
     f = f.normalized()
-    cut = cut_positions(f)
+    delta = f.discriminant24()
+    if not delta:
+        raise CuspidalFamilyError(
+            "discriminant vanishes identically; use the cusp-quartic route"
+        )
+    cut = cut_positions(newton_polygon(delta), end_exponents(f))
     with mp.workdps(_DPS):
         exact_mp = [_to_mpf(x) for x in cut.positions]
         per_sample = []

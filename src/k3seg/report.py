@@ -16,6 +16,7 @@ from .classify import (
     EndSurface,
     StableType,
     cusp_type,
+    cuspidal_kind,
     end_surface_data,
     stable_type,
 )
@@ -93,35 +94,42 @@ class AnalysisReport:
 
 
 def analyze(f: FamilyPair) -> AnalysisReport:
-    """Run the full pipeline on a (possibly unnormalized) family."""
+    """Run the full pipeline on a (possibly unnormalized) family.
+
+    Every per-family quantity is derived here once and handed to the stages
+    that read it: the end exponents, the Newton polygons of g8, g12 and the
+    discriminant, and, when the discriminant vanishes identically, the cusp
+    quartic G.
+    """
     g = f.normalized()
     minimality_check(g)
-    kind = cusp_type(g)
     ends_exp = end_exponents(g)
+    trop8 = newton_polygon(g.g8)
+    trop12 = newton_polygon(g.g12)
+    polygons = {"g8": trop8.hull, "g12": trop12.hull}
 
     delta = g.discriminant24()
-    polygons = {
-        "g8": newton_polygon(g.g8).hull,
-        "g12": newton_polygon(g.g12).hull,
-    }
-    if delta.is_zero():
+    if not delta:
         quartic = extract_cusp_quartic(g)
+        kind = cuspidal_kind(quartic)
         fn = density_cuspidal(quartic)
         polygons["delta"] = None
     else:
-        fn = density_profile(g)
-        other = density_from_positions(cut_positions(g))
+        kind = cusp_type(g)
+        trop_d = newton_polygon(delta)
+        fn = density_profile(trop_d, trop8, trop12, ends_exp)
+        other = density_from_positions(cut_positions(trop_d, ends_exp))
         if other.slope_profile() != fn.slope_profile():
             raise RuntimeError(
                 "density routes disagree on the slope profile: %r vs %r"
                 % (fn, other)
             )
-        polygons["delta"] = newton_polygon(delta).hull
+        polygons["delta"] = trop_d.hull
 
     st = stable_type(fn)
     lat = stable_type_lattice(st)
-    left = end_surface_data(g, "left")
-    right = end_surface_data(g, "right")
+    left = end_surface_data(g, "left", ends_exp)
+    right = end_surface_data(g, "right", ends_exp)
 
     warnings = []
     if kind is CuspKind.SEGMENT and any(c.kind == "D" for c in st.components):

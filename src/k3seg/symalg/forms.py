@@ -322,20 +322,13 @@ def _nonminimal(g8: SForm, g12: SForm) -> bool:
 def minimality_check(f: FamilyPair) -> None:
     """Reject pairs with a common quartic/sextic power factor, at any point of P^1.
 
-    A degenerate pair (identically vanishing discriminant) must additionally
-    carry the exact cusp-quartic shape, else no stable model with only ADE
-    fibers exists.
+    A degenerate pair (identically vanishing discriminant) needs no further
+    test here: g8^3 = 27 g12^2 over the UFD Q(u)[s] forces (g8, g12) =
+    (3 G^2, G^3), and G has Laurent coefficients because G^2 does and
+    Q[u, 1/u][s] is integrally closed. extract_cusp_quartic recovers that G.
     """
     if _nonminimal(f.g8, f.g12):
         raise NotMinimalError("a nonconstant form P has P^4 | g8 and P^6 | g12")
-    if not f.discriminant24():
-        try:
-            extract_cusp_quartic(f)
-        except UnrecognizedCuspError as exc:
-            raise NotMinimalError(
-                "discriminant vanishes identically but the pair is not (3*G^2, G^3): %s"
-                % exc.message
-            ) from exc
 
 
 def extract_cusp_quartic(f: FamilyPair) -> SForm:

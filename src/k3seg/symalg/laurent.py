@@ -82,9 +82,6 @@ class TLaurent:
     def exponent_denominators(self) -> set[int]:
         return {e.denominator for e in self._terms}
 
-    def has_integer_exponents(self) -> bool:
-        return all(e.denominator == 1 for e in self._terms)
-
     def limit0(self) -> Fraction:
         """Value at t = 0. Requires valuation >= 0."""
         v = self.val()

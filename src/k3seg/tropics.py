@@ -1,5 +1,5 @@
 """Newton polygons of forms over the Laurent base and what they know about
-roots: valuation profiles, the two end exponents of a degenerating family, and
+roots: root valuations, the two end exponents of a degenerating family, and
 the clamped discriminant polygon.
 
 Everything here is exact. Heights are Fractions; the two improper valuations
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import UnrecognizedCuspError, ZeroFormError
 from .symalg.forms import FamilyPair, SForm
@@ -64,52 +64,19 @@ def newton_polygon(p: SForm) -> TropicalPolynomial:
     return TropicalPolynomial(p.degree, tuple(points), tuple(_lower_hull(points)))
 
 
-class ValProfile:
-    """Root valuations of a form, as a descending multiset.
+def root_valuations(poly: TropicalPolynomial) -> tuple:
+    """Root valuations of a form, read off its Newton polygon, descending.
 
-    Roots at s = infinity (degree drop at the top) carry NEG_INF; roots at
-    s = 0 (index gap at the bottom) carry INF. The total count is always the
-    formal degree of the source form.
+    Roots at s = 0 (index gap at the bottom) carry INF, then each hull edge
+    gives -slope once per unit of width (slopes increase along the hull),
+    and roots at s = infinity (degree drop at the top) carry NEG_INF. The
+    total count is always the formal degree of the source form.
     """
-
-    __slots__ = ("vals",)
-
-    def __init__(self, vals: Iterable):
-        self.vals = tuple(sorted(vals, reverse=True))
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-    def __iter__(self):
-        return iter(self.vals)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValProfile):
-            return NotImplemented
-        return self.vals == other.vals
-
-    def __repr__(self):
-        return "ValProfile(%s)" % (list(self.vals),)
-
-    def pairs(self) -> list[tuple[object, int]]:
-        """(valuation, multiplicity) pairs, descending."""
-        out: list[tuple[object, int]] = []
-        for v in self.vals:
-            if out and out[-1][0] == v:
-                out[-1] = (v, out[-1][1] + 1)
-            else:
-                out.append((v, 1))
-        return out
-
-
-def root_valuations(p: SForm) -> ValProfile:
-    poly = newton_polygon(p)
-    vals: list = []
-    vals.extend([INF] * p.s_valuation())
+    vals: list = [INF] * poly.points[0][0]
     for (i1, _), (i2, _), slope in poly.edges():
         vals.extend([-slope] * (i2 - i1))
-    vals.extend([NEG_INF] * (p.degree - p.s_degree()))
-    return ValProfile(vals)
+    vals.extend([NEG_INF] * (poly.degree - poly.points[-1][0]))
+    return tuple(vals)
 
 
 class EndExponents(NamedTuple):
@@ -128,11 +95,11 @@ def end_exponents(f: FamilyPair) -> EndExponents:
     zero_candidates: list = []
     inf_candidates: list = []
     if f.g8:
-        xs = root_valuations(f.g8).vals
+        xs = root_valuations(newton_polygon(f.g8))
         zero_candidates.append(xs[3])
         inf_candidates.append(-xs[4])
     if f.g12:
-        ys = root_valuations(f.g12).vals
+        ys = root_valuations(newton_polygon(f.g12))
         zero_candidates.append(ys[5])
         inf_candidates.append(-ys[6])
     e0 = min(zero_candidates)
@@ -147,17 +114,8 @@ def end_exponents(f: FamilyPair) -> EndExponents:
     return EndExponents(e0, einf)
 
 
-def _merge_collinear(chain: list[Point]) -> list[Point]:
-    out: list[Point] = []
-    for p in chain:
-        while len(out) >= 2 and _cross(out[-2], out[-1], p) == 0:
-            out.pop()
-        out.append(p)
-    return out
-
-
-def modified_polygon(f: FamilyPair) -> TropicalPolynomial:
-    """The discriminant polygon with its steep tails clamped.
+def modified_polygon(trop_d: TropicalPolynomial, ends: EndExponents) -> TropicalPolynomial:
+    """The discriminant polygon trop_d with its steep tails clamped.
 
     Hull slopes at most -e0 are replaced by a single slope -e0 edge reaching
     index 0, and slopes at least einf by a slope einf edge reaching the full
@@ -165,18 +123,14 @@ def modified_polygon(f: FamilyPair) -> TropicalPolynomial:
     top coefficients) are flattened out by the same extension. Interior slopes
     are untouched, so the result is still convex with slopes in [-e0, einf].
     """
-    delta = f.discriminant24()
-    poly = newton_polygon(delta)
-    ends = end_exponents(f)
     e0, einf = ends.at_zero, ends.at_infinity
-
-    hull = list(poly.hull)
+    hull = list(trop_d.hull)
     left = hull[0]
-    for (p, q, slope) in poly.edges():
+    for (p, q, slope) in trop_d.edges():
         if slope <= -e0:
             left = q
     right = hull[-1]
-    for (p, q, slope) in reversed(poly.edges()):
+    for (p, q, slope) in reversed(trop_d.edges()):
         if slope >= einf:
             right = p
     keep = [v for v in hull if left[0] <= v[0] <= right[0]]
@@ -185,5 +139,6 @@ def modified_polygon(f: FamilyPair) -> TropicalPolynomial:
         + keep
         + [(24, right[1] + (24 - right[0]) * einf)]
     )
-    chain = _merge_collinear(chain)
-    return TropicalPolynomial(24, tuple(chain), tuple(chain))
+    # the chain is convex, so the hull only merges its collinear vertices
+    chain = tuple(_lower_hull(chain))
+    return TropicalPolynomial(24, chain, chain)

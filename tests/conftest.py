@@ -4,6 +4,7 @@ import pytest
 
 from k3seg.report import analyze
 from k3seg.symalg import parse_family
+from k3seg.tropics import end_exponents, newton_polygon
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FAMILY_DIR = REPO / "families"
@@ -17,6 +18,17 @@ def family_path(name: str) -> str:
 
 def family_text(name: str) -> str:
     return (FAMILY_DIR / (name + ".family")).read_text(encoding="utf-8")
+
+
+def tropical_data(pair):
+    """What analyze derives once per family and hands to the tropical stages:
+    the Newton polygons of the discriminant, g8 and g12 and the end exponents."""
+    return (
+        newton_polygon(pair.discriminant24()),
+        newton_polygon(pair.g8),
+        newton_polygon(pair.g12),
+        end_exponents(pair),
+    )
 
 
 @pytest.fixture(scope="session")

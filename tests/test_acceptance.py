@@ -32,6 +32,7 @@ from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
 from k3seg.symalg import SForm
 from k3seg.tropics import newton_polygon
+from tests.conftest import tropical_data
 
 
 @contextmanager
@@ -78,7 +79,8 @@ def test_criterion_2_circle_family_triangle(named):
         assert same_up_to_scale(
             DensityFunction(report.density.unit_breakpoints()), UNIT_TRIANGLE
         )
-        cut = cut_positions(named["ds_circle"].normalized())
+        trop_d, _, _, ends = tropical_data(named["ds_circle"].normalized())
+        cut = cut_positions(trop_d, ends)
         interior = [x for x in cut.positions if -1 < x < cut.w_plus]
         assert len(interior) == 18
 
@@ -125,8 +127,9 @@ def test_criterion_6_property_suite(corpus_data):
             g = f.normalized()
             assert g.discriminant24().s_degree() >= 0  # corpus avoids nn-families
             # (a) the two density routes agree slope for slope
-            direct = density_profile(g)
-            via_cut = density_from_positions(cut_positions(g))
+            trop_d, trop8, trop12, ends = tropical_data(g)
+            direct = density_profile(trop_d, trop8, trop12, ends)
+            via_cut = density_from_positions(cut_positions(trop_d, ends))
             assert direct.slope_profile() == via_cut.slope_profile()
             # (b) charge conservation
             assert sum(report.stable.charges()) == 24

@@ -18,6 +18,7 @@ from k3seg.errors import (
 )
 from k3seg.report import analyze
 from k3seg.symalg import SForm, parse_family
+from k3seg.tropics import end_exponents
 
 
 SEGMENT_TEXT = "g8 = 9*s^4 + t*(1 + s^8)\ng12 = s^6 + t*(1 + s^12)\n"
@@ -100,7 +101,8 @@ def test_segment_family_is_refused_whole():
 
 
 def test_tent_end_surfaces(named):
-    left = end_surface_data(named["tent"], "left")
+    tent = named["tent"]
+    left = end_surface_data(tent, "left", end_exponents(tent))
     assert left.g4 == SForm(4, [0, 0, 0, 0, 3])
     assert left.g6 == SForm(6, [1, 0, 0, 0, 0, 0, 1])
     assert not left.is_nodal
@@ -108,12 +110,13 @@ def test_tent_end_surfaces(named):
     delta = left.g4**3 - (left.g6 * left.g6).scale(27)
     assert delta == SForm(12, [-27, 0, 0, 0, 0, 0, -54])
     # the family is chart-symmetric, so the right end matches
-    right = end_surface_data(named["tent"], "right")
+    right = end_surface_data(tent, "right", end_exponents(tent))
     assert (right.g4, right.g6) == (left.g4, left.g6)
 
 
 def test_d_mixed_left_end_is_a_square_cube_pair(named):
-    left = end_surface_data(named["d_mixed"].normalized(), "left")
+    g = named["d_mixed"].normalized()
+    left = end_surface_data(g, "left", end_exponents(g))
     p2 = SForm(2, [6, -9, 3])  # 3*(sigma - 1)*(sigma - 2)
     assert left.g4 == (p2 * p2).scale(3)
     assert left.g6 == p2**3
@@ -122,7 +125,7 @@ def test_d_mixed_left_end_is_a_square_cube_pair(named):
 
 def test_end_surface_side_validation(named):
     with pytest.raises(ValueError):
-        end_surface_data(named["tent"], "top")
+        end_surface_data(named["tent"], "top", end_exponents(named["tent"]))
 
 
 def test_end_surface_nodal_matches_density_endpoint(named_reports):
@@ -171,7 +174,7 @@ def test_stable_type_reversal():
 
 def test_stable_type_rejects_out_of_range_ends():
     # an E end one step past E8
-    with pytest.raises(InconsistentTypeError, match="\\[0, 8\\]"):
+    with pytest.raises(InconsistentTypeError, match="\\[0, 8\\].*E9-shape"):
         stable_type(DensityFunction([(-1, 0), (1, 0)]))
     # slope 13 would need an E index of -4 on a zero end
     with pytest.raises(InconsistentTypeError):
@@ -180,15 +183,3 @@ def test_stable_type_rejects_out_of_range_ends():
     with pytest.raises(InconsistentTypeError, match="negative"):
         stable_type(DensityFunction([(-1, 1), (0, 14), (1, 1)]))
 
-
-def test_stable_type_end_value_override():
-    fn = DensityFunction([(-1, 0), (0, 9), (1, 0)])
-    assert stable_type(fn).label() == "E0 A17 E0"
-    # forcing nonzero end values turns the m=3 ends into D components of
-    # negative index, which cannot exist
-    with pytest.raises(InconsistentTypeError, match="negative"):
-        stable_type(fn, end_values=(1, 1))
-    # the reverse override hits the E9 boundary case and its hint
-    flat = DensityFunction([(-1, 1), (1, 1)])
-    with pytest.raises(InconsistentTypeError, match="E9-shape"):
-        stable_type(flat, end_values=(0, 0))

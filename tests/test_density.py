@@ -15,8 +15,9 @@ from k3seg.density import (
     emit_svg,
     same_up_to_scale,
 )
-from k3seg.errors import CuspidalFamilyError, CuspidalInteriorError
+from k3seg.errors import CuspidalInteriorError
 from k3seg.symalg import SForm, TLaurent, extract_cusp_quartic
+from tests.conftest import tropical_data
 
 
 def lin(a, b):
@@ -100,8 +101,17 @@ def test_slope_profile_is_the_shift_invariant():
 # ---------------------------------------------------------------------------
 
 
+def positions_of(pair):
+    trop_d, _, _, ends = tropical_data(pair)
+    return cut_positions(trop_d, ends)
+
+
+def profile_of(pair):
+    return density_profile(*tropical_data(pair))
+
+
 def test_cut_positions_ds_split(named):
-    c = cut_positions(named["ds_split"].normalized())
+    c = positions_of(named["ds_split"].normalized())
     assert sorted(c.positions) == [-1] * 3 + [0] * 18 + [1] * 3
     assert c.negatives == 3
     assert c.w_plus == 1
@@ -110,7 +120,7 @@ def test_cut_positions_ds_split(named):
 
 
 def test_cut_positions_tent(named):
-    c = cut_positions(named["tent"])
+    c = positions_of(named["tent"])
     assert sorted(c.positions) == [-1] * 6 + [0] * 12 + [1] * 6
     assert c.negatives == 6
     assert c.level == 12
@@ -119,40 +129,35 @@ def test_cut_positions_tent(named):
 def test_cut_positions_clamp_degree_drop(named):
     # d_mixed loses the top twelve discriminant coefficients; those roots sit
     # at s = infinity and clamp to the right endpoint
-    c = cut_positions(named["d_mixed"].normalized())
+    c = positions_of(named["d_mixed"].normalized())
     assert sorted(c.positions) == [-1] * 6 + [1] * 18
     assert c.negatives == 6
     assert c.level == 26
 
 
-def test_cut_positions_need_nonzero_discriminant(named):
-    with pytest.raises(CuspidalFamilyError):
-        cut_positions(named["d_constant"])
-
-
 def test_density_profile_frozen_shapes(named):
-    assert density_profile(named["ds_split"].normalized()).breakpoints == (
+    assert profile_of(named["ds_split"].normalized()).breakpoints == (
         (-1, 0),
         (0, 9),
         (1, 0),
     )
-    assert density_profile(named["tent"]).breakpoints == ((-1, 0), (0, 6), (1, 0))
-    assert density_profile(named["d_mixed"].normalized()).breakpoints == (
+    assert profile_of(named["tent"]).breakpoints == ((-1, 0), (0, 6), (1, 0))
+    assert profile_of(named["d_mixed"].normalized()).breakpoints == (
         (-1, 14),
         (1, 26),
     )
 
 
 def test_position_route_carries_its_own_level(named):
-    fn = density_from_positions(cut_positions(named["ds_split"].normalized()))
+    fn = density_from_positions(positions_of(named["ds_split"].normalized()))
     assert fn.breakpoints == ((-1, 3), (0, 12), (1, 3))
 
 
 def test_both_routes_share_the_slope_profile(named):
     for name in ("ds_split", "ds_circle", "tent", "d_mixed"):
         g = named[name].normalized()
-        master = density_profile(g)
-        other = density_from_positions(cut_positions(g))
+        master = profile_of(g)
+        other = density_from_positions(positions_of(g))
         assert other.slope_profile() == master.slope_profile()
 
 
@@ -205,8 +210,8 @@ def test_cuspidal_density_uses_speed_ratio():
 
 def test_same_up_to_scale_matches_unit_triangle(named):
     triangle = DensityFunction([(0, 0), (Fraction(1, 2), Fraction(1, 2)), (1, 0)])
-    nine = density_profile(named["ds_split"].normalized())
-    six = density_profile(named["tent"])
+    nine = profile_of(named["ds_split"].normalized())
+    six = profile_of(named["tent"])
     assert same_up_to_scale(nine, triangle)
     assert same_up_to_scale(nine, six)
     assert not same_up_to_scale(nine, DensityFunction([(-1, 1), (1, 1)]))
