@@ -4,7 +4,7 @@ Subcommands: analyze (full pipeline on a family file, optional JSON/CSV/SVG
 output), strata (boundary enumeration), lattice (Gram matrices and weights),
 oracle (floating-point cross-check), gm-weights. Errors print one line to
 stderr and map to stable exit codes: 2 parse/usage, 3 invalid family, 4
-unrecognized cusp, 5 inconsistent type, 6 oracle disagreement.
+unrecognized cusp, 5 inconsistent type, 6 oracle disagreement, 1 internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from .classify import CuspKind, cusp_type
 from .density import emit_csv, emit_svg
-from .errors import K3SegError
+from .errors import K3SegError, ParseError
 from .lattices import count_norm_vectors, gm_weights, root_lattice, wps_weights
 from .moduli import (
     chamber_count,
@@ -29,8 +29,12 @@ from .symalg import parse_family
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, err.reason)) from None
+    return parse_family(text)
 
 
 def cmd_analyze(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import K3SegError
+from .errors import InternalError, K3SegError
 from .report import analyze
 from .symalg import FamilyPair, SForm, TLaurent
 
@@ -80,6 +80,8 @@ def _pipeline_ok(f: FamilyPair) -> bool:
     is allowed to propagate."""
     try:
         analyze(f)
+    except InternalError:
+        raise
     except K3SegError:
         return False
     return True

@@ -17,7 +17,7 @@ from mpmath import mp
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from .symalg import FamilyPair
-from .tropics import end_exponents, newton_polygon
+from .tropics import _lower_hull, end_exponents, newton_polygon
 
 _DPS = 60
 _RESIDUAL_TARGET = 1e-12
@@ -61,22 +61,14 @@ def _abs_horner(coeffs, r):
 def _initial_points(coeffs):
     """Starting points on circles read off the coefficient-size hull.
 
-    For each upper-hull edge from index k1 to k2 the two end coefficients
-    balance at modulus exp((log|c_k1| - log|c_k2|)/(k2 - k1)); that circle
-    gets k2 - k1 points, rotated by an edge-dependent offset so no starting
-    point sits on a symmetry axis.
+    The upper hull of (i, log|c_i|) is the lower hull of (i, -log|c_i|),
+    negated back. For each of its edges from index k1 to k2 the two end
+    coefficients balance at modulus exp((log|c_k1| - log|c_k2|)/(k2 - k1));
+    that circle gets k2 - k1 points, rotated by an edge-dependent offset so no
+    starting point sits on a symmetry axis.
     """
-    pts = [(i, mp.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    pts = [(i, -mp.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+    hull = [(i, -y) for i, y in _lower_hull(pts)]
     out = []
     for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
         m = k2 - k1

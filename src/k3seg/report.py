@@ -27,6 +27,7 @@ from .density import (
     density_from_positions,
     density_profile,
 )
+from .errors import InternalError
 from .lattices import Lattice, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
 from .tropics import EndExponents, end_exponents, newton_polygon
@@ -120,7 +121,7 @@ def analyze(f: FamilyPair) -> AnalysisReport:
         fn = density_profile(trop_d, trop8, trop12, ends_exp)
         other = density_from_positions(cut_positions(trop_d, ends_exp))
         if other.slope_profile() != fn.slope_profile():
-            raise RuntimeError(
+            raise InternalError(
                 "density routes disagree on the slope profile: %r vs %r"
                 % (fn, other)
             )

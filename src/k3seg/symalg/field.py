@@ -1,8 +1,9 @@
-"""Exact integer polynomial kernel behind the divisibility tests.
+"""Exact integer polynomial kernel: products of forms and the divisibility tests.
 
-Minimality of a Weierstrass pair, the cusp-quartic shape (3*G^2, G^3) and
-squarefreeness of a limit quartic are all s-gcd or s-division questions over
-Q(u), u a root of t. Every one of them runs here on polynomials in Z[u][s]:
+Products of forms (the discriminant g8^3 - 27*g12^2 above all), minimality of
+a Weierstrass pair, the cusp-quartic shape (3*G^2, G^3) and squarefreeness of
+a limit quartic all run here on polynomials in Z[u][s], u a root of t; the
+last three are s-gcd or s-division questions over Q(u):
 
 * layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
   [] is zero) whose entries are integer arrays in u, each a list indexed by
@@ -13,8 +14,8 @@ Q(u), u a root of t. Every one of them runs here on polynomials in Z[u][s]:
   forms, so the kernel works in v = u^d for the largest d that the exponents
   allow. An s-gcd of polynomials over Q(v) is the same over Q(u), so no
   decision depends on the step, and the arrays stay short when the exponents
-  are sparse but regular (t^200000 costs what t does). The conversion lives
-  with the forms (`forms._integer_polys`);
+  are sparse but regular (t^200000 costs what t does). The conversions live
+  with the forms (`forms._integer_polys` and, back, `forms._integer_form`);
 * gcds come from a primitive pseudo-remainder sequence in both variables
   (Brown, "On Euclid's algorithm and the computation of polynomial greatest
   common divisors", JACM 18, 1971): taking the content out after every
@@ -152,6 +153,27 @@ def _spp_z(p: list[list[int]]) -> list[list[int]]:
     return p
 
 
+def _zuadd(tgt: list[int], src: list[int]) -> None:
+    """tgt += src in Z[u], in place."""
+    if len(tgt) < len(src):
+        tgt.extend([0] * (len(src) - len(tgt)))
+    for k, x in enumerate(src):
+        tgt[k] += x
+    while tgt and not tgt[-1]:
+        tgt.pop()
+
+
+def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Schoolbook product in Z[u][s]."""
+    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    _zuadd(out[i + j], _zumul(ca, cb))
+    return snorm(out)
+
+
 def spdivmod(
     a: list[list[int]], b: list[list[int]]
 ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -168,16 +190,10 @@ def spdivmod(
         r = [_zumul(c, lb) if c else [] for c in r]
         q = [_zumul(c, lb) if c else [] for c in q]
         q[shift] = la
+        neg = [-x for x in la]
         for i, cb in enumerate(b):
             if cb:
-                prod = _zumul(la, cb)
-                tgt = r[shift + i]
-                if len(tgt) < len(prod):
-                    tgt.extend([0] * (len(prod) - len(tgt)))
-                for k, x in enumerate(prod):
-                    tgt[k] -= x
-                while tgt and not tgt[-1]:
-                    tgt.pop()
+                _zuadd(r[shift + i], _zumul(neg, cb))
         while r and not r[-1]:
             r.pop()
         j += 1

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable
 
 from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
-from .field import _zdiv_exact, _zprim, _zumul, sdeg, sderiv, sgcd, snorm, spdivmod
+from .field import _zdiv_exact, _zprim, _zumul, sdeg, sderiv, sgcd, smul, snorm, spdivmod
 from .laurent import INF, Scalar, TLaurent, _frac
 
 
@@ -110,32 +111,21 @@ class SForm:
         return self + (-other)
 
     def __mul__(self, other: "SForm") -> "SForm":
-        deg = self.degree + other.degree
-        acc = [TLaurent.zero] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[i + j] = acc[i + j] + a * b
-        out = SForm.__new__(SForm)
-        out.degree = deg
-        out.coeffs = tuple(acc)
-        return out
+        step, ((p, low, den), (q, low2, den2)) = _integer_polys(self, other)
+        return _integer_form(
+            self.degree + other.degree, smul(p, q), low + low2, step, Fraction(1, den * den2)
+        )
 
     def __pow__(self, n: int) -> "SForm":
         if n < 0:
             raise ValueError("negative power of a form")
-        if n == 0:
-            return SForm.monomial(0, 0, 1)
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+        step, ((p, low, den),) = _integer_polys(self)
+        power = reduce(smul, [p] * n, [[1]])
+        return _integer_form(self.degree * n, power, low * n, step, Fraction(1, den**n))
 
-    def scale(self, c) -> "SForm":
-        factor = c if isinstance(c, TLaurent) else TLaurent.const(c)
-        return self._map(lambda x: x * factor)
+    def scale(self, c: Scalar) -> "SForm":
+        c = _frac(c)
+        return self._map(lambda x: x.scale(c))
 
     def shift_t(self, e: Scalar) -> "SForm":
         """Multiply the whole form by t^e."""
@@ -236,7 +226,7 @@ class FamilyPair:
 
 
 # ---------------------------------------------------------------------------
-# conversion to the integer kernel: s-polynomials over Z[u], u = t^step
+# conversion to and from the integer kernel: s-polynomials over Z[u], u = t^step
 # ---------------------------------------------------------------------------
 
 
@@ -269,6 +259,19 @@ def _integer_polys(*forms: SForm) -> tuple[Fraction, list[tuple[list, Fraction, 
             arr[k] = c.numerator * (den // c.denominator)
         out.append((poly, Fraction(low, m), den))
     return Fraction(d, m), out
+
+
+def _integer_form(
+    degree: int, poly: list, low: Fraction, step: Fraction, scale: Fraction
+) -> SForm:
+    """The form scale * t^low * P(t^step, s) of the given formal degree, P in
+    Z[u][s]: the way back from _integer_polys."""
+    exps = [low + k * step for k in range(max(map(len, poly), default=0))]
+    num, den = scale.numerator, scale.denominator
+    return SForm(degree, [
+        TLaurent._of({exps[k]: Fraction(num * x, den) for k, x in enumerate(arr) if x})
+        for arr in poly
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +340,16 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     if f.discriminant24():
         raise ValueError("discriminant is not identically zero")
     step, ((p8, low8, den8), (p12, low12, den12)) = _integer_polys(f.g8, f.g12)
-    p8, p12 = snorm(p8), snorm(p12)
-    if not p8 or not p12:
-        raise UnrecognizedCuspError("one of the forms vanishes identically")
-    quo, rem, j = spdivmod(p12, p8)
-    if rem:
-        raise UnrecognizedCuspError("3*g12 is not divisible by g8")
-    # g12 / g8 = quo / lead with lead = lc(g8)^j. If 3*G^2 = g8 holds, G is a
-    # Laurent form of degree at most 4, so lead divides quo up to a u-power,
-    # and by Gauss's lemma the primitive rest of lead divides it over Z.
-    lead = [1]
-    for _ in range(j):
-        lead = _zumul(lead, p8[-1])
+    # g8 != 0 (else g12 = 0) and g8 | 3*g12 = G*g8: g12 / g8 = quo / lead with
+    # lead = lc(g8)^j, p8 trimmed in place. G is Laurent, so lead divides quo up
+    # to a u-power, and by Gauss's lemma its primitive rest divides quo over Z.
+    quo, _, j = spdivmod(snorm(p12), snorm(p8))
+    lead = reduce(_zumul, [p8[-1]] * j, [1])
     z = next(k for k, x in enumerate(lead) if x)
     prim = _zprim(lead[z:])
     parts = [_zdiv_exact(c, prim) if c else [] for c in quo]
-    if len(parts) > 5 or None in parts:
-        raise UnrecognizedCuspError("3*G^2 differs from g8")
     scale = Fraction(3 * den8, den12 * (lead[-1] // prim[-1]))
-    low = low12 - low8 - z * step
-    quartic = SForm(
-        4, [TLaurent({low + k * step: scale * x for k, x in enumerate(c)}) for c in parts]
-    )
+    quartic = _integer_form(4, parts, low12 - low8 - z * step, step, scale)
     if (quartic * quartic).scale(3) != f.g8:
         raise UnrecognizedCuspError("3*G^2 differs from g8")
     if quartic ** 3 != f.g12:

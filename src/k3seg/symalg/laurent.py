@@ -3,6 +3,7 @@
 Coefficients are exact rationals and exponents are Fractions, so a single object
 covers base-changed families (exponents in (1/m)Z) without a separate tower.
 The zero polynomial has valuation +infinity, matching the usual min convention.
+There is no product here: forms multiply in the integer kernel (`field.smul`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class TLaurent:
     @classmethod
     def term(cls, c: Scalar, e: Scalar) -> "TLaurent":
         return cls({_frac(e): c})
+
+    @classmethod
+    def _of(cls, terms: dict[Fraction, Fraction]) -> "TLaurent":
+        """Wrap a dict of Fraction exponents to nonzero Fraction coefficients."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
 
     zero: "TLaurent"
     one: "TLaurent"
@@ -100,7 +108,7 @@ class TLaurent:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "TLaurent":
-        return TLaurent({e: -c for e, c in self._terms.items()})
+        return TLaurent._of({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: "TLaurent") -> "TLaurent":
         if not isinstance(other, TLaurent):
@@ -112,46 +120,16 @@ class TLaurent:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = TLaurent()
-        res._terms = out
-        return res
+        return TLaurent._of(out)
 
     def __sub__(self, other: "TLaurent") -> "TLaurent":
         return self + (-other)
-
-    def __mul__(self, other: "TLaurent") -> "TLaurent":
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        out: dict[Fraction, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = TLaurent()
-        res._terms = out
-        return res
-
-    def __pow__(self, n: int) -> "TLaurent":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        acc = TLaurent.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
 
     def scale(self, c: Scalar) -> "TLaurent":
         c = _frac(c)
         if not c:
             return TLaurent.zero
-        return TLaurent({e: cc * c for e, cc in self._terms.items()})
+        return TLaurent._of({e: cc * c for e, cc in self._terms.items()})
 
     def shift(self, e: Scalar) -> "TLaurent":
         """Multiply by t^e."""

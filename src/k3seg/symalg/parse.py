@@ -163,11 +163,18 @@ def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
         ch = stmt[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and stmt[j].isdigit():
+            while j < n and stmt[j].isdecimal():
                 j += 1
-            toks.append(("int", int(stmt[i:j]), offset + i + 1))
+            try:
+                value = int(stmt[i:j])
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(
+                    "column %d: integer literal of %d digits is too long"
+                    % (offset + i + 1, j - i)
+                ) from None
+            toks.append(("int", value, offset + i + 1))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from k3seg.cli import main
+from k3seg.corpus import generate_corpus
+from k3seg.density import DensityFunction
+from k3seg.errors import InternalError
 from tests.conftest import family_path, family_text
 
 ANALYZE_DS_SPLIT = """\
@@ -82,6 +85,32 @@ def test_analyze_deeply_nested_input(tmp_path, capsys):
     assert main(["analyze", str(deep)]) == 2
     err = capsys.readouterr().err
     assert err == "E_PARSE: line 1: expression nested too deeply\n"
+
+
+def test_analyze_overlong_integer_literal(tmp_path, capsys):
+    f = tmp_path / "long.family"
+    f.write_text("g12 = s^6\ng8 = " + "7" * 5000 + "*s^4\n")
+    assert main(["analyze", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == "E_PARSE: line 2: column 6: integer literal of 5000 digits is too long\n"
+
+
+def test_analyze_non_utf8_file(tmp_path, capsys):
+    f = tmp_path / "latin1.family"
+    f.write_bytes(b"# caf\xe9\ng8 = s^4\ng12 = s^6\n")
+    assert main(["analyze", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == "E_PARSE: %s is not UTF-8 text: invalid continuation byte\n" % f
+
+
+def test_route_disagreement_is_an_internal_error(monkeypatch, capsys):
+    flat = DensityFunction([(-1, 0), (1, 0)])
+    monkeypatch.setattr("k3seg.report.density_from_positions", lambda positions: flat)
+    assert main(["analyze", family_path("tent")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_INTERNAL: density routes disagree") and err.count("\n") == 1
+    with pytest.raises(InternalError):
+        generate_corpus(1)
 
 
 def test_analyze_non_minimal_family(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """Exact-arithmetic layer, cross-checked against sympy where that is possible.
 
-sympy is a test-only dependency; the package itself never imports it. The
-cross-checks stick to integer t-exponents because sympy's expand gives a
-canonical form there; fractional-exponent behavior is covered by direct
-identities on TLaurent.
+sympy is a test-only dependency; the package itself never imports it. sympy's
+expand gives a canonical form for integer t-exponents, so forms with
+exponents in (1/m)Z are compared after substituting t = T^m.
 """
 
 import random
@@ -12,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import family_text
 from k3seg.corpus import generate_corpus
@@ -33,11 +34,12 @@ from k3seg.symalg.forms import _integer_polys
 S, T = sympy.symbols("s t")
 
 
-def to_sympy(form: SForm):
+def to_sympy(form: SForm, m: int = 1):
+    """The form as a sympy expression, with t = T^m."""
     expr = sympy.Integer(0)
     for i, c in enumerate(form.coeffs):
         for e, coef in c.items():
-            expr += sympy.Rational(coef) * S**i * T ** sympy.Rational(e)
+            expr += sympy.Rational(coef) * S**i * T ** sympy.Rational(e * m)
     return sympy.expand(expr)
 
 
@@ -73,14 +75,6 @@ def test_tlaurent_cancellation_drops_terms():
     assert (a - a).is_zero()
 
 
-def test_tlaurent_mul_and_pow():
-    a = TLaurent({0: 1, 1: 1})
-    assert a * a == TLaurent({0: 1, 1: 2, 2: 1})
-    assert a**3 == TLaurent({0: 1, 1: 3, 2: 3, 3: 1})
-    with pytest.raises(ValueError):
-        a ** (-1)
-
-
 def test_tlaurent_limit0_requires_nonnegative_valuation():
     assert TLaurent({0: 5, 1: 1}).limit0() == 5
     assert TLaurent({2: 9}).limit0() == 0
@@ -98,7 +92,7 @@ def test_tlaurent_rescale_exponents():
 
 def test_tlaurent_shift_is_multiplication_by_power():
     a = TLaurent({0: 2, 3: -1})
-    assert a.shift(Fraction(1, 2)) == a * TLaurent.term(1, Fraction(1, 2))
+    assert a.shift(Fraction(1, 2)) == TLaurent({Fraction(1, 2): 2, Fraction(7, 2): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +131,41 @@ def test_sform_cube_matches_sympy():
     rng = random.Random(23)
     f = random_form(rng, 4, 5)
     assert to_sympy(f**3) == sympy.expand(to_sympy(f) ** 3)
+
+
+@st.composite
+def grid_forms(draw, m: int) -> SForm:
+    """A form of degree 0..4 with rational coefficients and exponents on one
+    grid (offset + step*k) / m; all coefficients may be zero."""
+    degree = draw(st.integers(0, 4))
+    offset = draw(st.integers(-3, 3))
+    step = draw(st.sampled_from((1, 2, 6)))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = st.dictionaries(st.integers(0, 3), coeff, max_size=3)
+    return SForm(degree, [
+        TLaurent({Fraction(offset + step * k, m): c for k, c in draw(terms).items()})
+        for _ in range(degree + 1)
+    ])
+
+
+_GRID_A = SForm(2, [TLaurent({0: 1, 6: Fraction(-2, 3)}), 0, TLaurent({6: 5})])
+_GRID_B = SForm(1, [TLaurent({1: 3}), TLaurent({1: Fraction(1, 2), 7: -1})])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from((1, 2, 3)).flatmap(
+    lambda m: st.tuples(st.just(m), grid_forms(m), grid_forms(m), st.integers(0, 3))
+))
+@example((1, _GRID_A, _GRID_B, 3))
+@example((2, _GRID_A, SForm.zero(3), 2))
+def test_sform_product_and_power_match_sympy(case):
+    m, a, b, n = case
+    product = a * b
+    assert product.degree == a.degree + b.degree
+    assert to_sympy(product, m) == sympy.expand(to_sympy(a, m) * to_sympy(b, m))
+    power = a**n
+    assert power.degree == a.degree * n
+    assert to_sympy(power, m) == sympy.expand(to_sympy(a, m) ** n)
 
 
 def test_sform_substitute_scaled_shifts_each_coefficient():
