@@ -1,21 +1,21 @@
-"""Exact integer polynomial kernel: products of forms and the divisibility tests.
+"""Exact integer polynomial kernel: every sum, product and exact division.
 
-Products of forms (the discriminant g8^3 - 27*g12^2 above all), minimality of
-a Weierstrass pair, the cusp-quartic shape (3*G^2, G^3) and squarefreeness of
-a limit quartic all run here on polynomials in Z[u][s], u a root of t; the
-last three are s-gcd or s-division questions over Q(u):
+Everything exact runs here on polynomials in Z[u][s], u a power of t: the
+parser's evaluation of family files, products of forms (the discriminant
+g8^3 - 27*g12^2 above all), and the divisibility tests, which are s-gcd or
+s-division questions over Q(u): minimality of a Weierstrass pair, the
+cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
 
 * layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
   [] is zero) whose entries are integer arrays in u, each a list indexed by
   u-degree (no trailing zeros, [] is zero);
-* a form reaches this layout by writing it as t^low / den * P(t^step, s): one
-  scalar denominator and one u-shift per form, and a u-step shared by the
-  forms compared. The step is the gcd of every exponent difference inside the
-  forms, so the kernel works in v = u^d for the largest d that the exponents
-  allow. An s-gcd of polynomials over Q(v) is the same over Q(u), so no
-  decision depends on the step, and the arrays stay short when the exponents
-  are sparse but regular (t^200000 costs what t does). The conversions live
-  with the forms (`forms._integer_polys` and, back, `forms._integer_form`);
+* a form reaches this layout as t^low / den * P(t^step, s), the step being
+  the gcd of the exponent differences of the forms compared, so the arrays
+  stay short when the exponents are sparse but regular (t^200000 costs what t
+  does); an s-gcd over Q(u^d) is the same over Q(u), so no decision depends
+  on the step. The conversions are `forms._integer_polys` and, back,
+  `forms._integer_form`; the parser keeps s^a * t^b * P(t^d, s) / Q(t^d, s);
+* one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * gcds come from a primitive pseudo-remainder sequence in both variables
   (Brown, "On Euclid's algorithm and the computation of polynomial greatest
   common divisors", JACM 18, 1971): taking the content out after every
@@ -27,6 +27,7 @@ last three are s-gcd or s-division questions over Q(u):
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,29 @@ def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return snorm(out)
 
 
+def sadd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Sum in Z[u][s]."""
+    out = [list(c) for c in a] + [[] for _ in range(len(b) - len(a))]
+    for i, cb in enumerate(b):
+        if cb:
+            _zuadd(out[i], cb)
+    return snorm(out)
+
+
+def spow(a: list[list[int]], n: int) -> list[list[int]]:
+    """a^n in Z[u][s], n >= 0, by repeated squaring."""
+    if len(a) == 1 and len(a[0]) == 1:
+        return [[a[0][0] ** n]]
+    out: list[list[int]] = [[1]]
+    while n:
+        if n & 1:
+            out = smul(out, a)
+        n >>= 1
+        if n:
+            a = smul(a, a)
+    return out
+
+
 def spdivmod(
     a: list[list[int]], b: list[list[int]]
 ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -198,6 +222,21 @@ def spdivmod(
             r.pop()
         j += 1
     return q, r, j
+
+
+def sdiv_exact(a: list[list[int]], b: list[list[int]]) -> tuple[list, int, int] | None:
+    """(q, z, c) with a / b = q / (c * u^z), q in Z[u][s], c > 0 an integer;
+    None unless b divides a in Q[u, 1/u][s]. With lb^j * a = q' * b from
+    pseudo-division and lb^j = c * u^z * w, w primitive with w(0) != 0, w
+    divides q' over Q[u] and so, by Gauss's lemma, over Z[u]."""
+    q, r, j = spdivmod(a, b)
+    if r:
+        return None
+    lead = reduce(_zumul, [b[-1]] * j, [1])
+    z = next(k for k, x in enumerate(lead) if x)
+    w = _zprim(lead[z:])
+    parts = [_zdiv_exact(c, w) if c else [] for c in q]
+    return None if None in parts else (parts, z, lead[-1] // w[-1])
 
 
 _SCREEN_PRIME = (1 << 61) - 1

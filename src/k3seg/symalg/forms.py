@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable
 
 from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
-from .field import _zdiv_exact, _zprim, _zumul, sdeg, sderiv, sgcd, smul, snorm, spdivmod
+from .field import sdeg, sderiv, sdiv_exact, sgcd, smul, snorm, spow
 from .laurent import INF, Scalar, TLaurent, _frac
 
 
@@ -120,8 +119,7 @@ class SForm:
         if n < 0:
             raise ValueError("negative power of a form")
         step, ((p, low, den),) = _integer_polys(self)
-        power = reduce(smul, [p] * n, [[1]])
-        return _integer_form(self.degree * n, power, low * n, step, Fraction(1, den**n))
+        return _integer_form(self.degree * n, spow(p, n), low * n, step, Fraction(1, den**n))
 
     def scale(self, c: Scalar) -> "SForm":
         c = _frac(c)
@@ -340,15 +338,10 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     if f.discriminant24():
         raise ValueError("discriminant is not identically zero")
     step, ((p8, low8, den8), (p12, low12, den12)) = _integer_polys(f.g8, f.g12)
-    # g8 != 0 (else g12 = 0) and g8 | 3*g12 = G*g8: g12 / g8 = quo / lead with
-    # lead = lc(g8)^j, p8 trimmed in place. G is Laurent, so lead divides quo up
-    # to a u-power, and by Gauss's lemma its primitive rest divides quo over Z.
-    quo, _, j = spdivmod(snorm(p12), snorm(p8))
-    lead = reduce(_zumul, [p8[-1]] * j, [1])
-    z = next(k for k, x in enumerate(lead) if x)
-    prim = _zprim(lead[z:])
-    parts = [_zdiv_exact(c, prim) if c else [] for c in quo]
-    scale = Fraction(3 * den8, den12 * (lead[-1] // prim[-1]))
+    # g8 != 0 (else g12 = 0) and 3*g12 = G*g8 with G Laurent, so the division
+    # is exact over Q[u, 1/u]
+    parts, z, c = sdiv_exact(snorm(p12), snorm(p8))
+    scale = Fraction(3 * den8, den12 * c)
     quartic = _integer_form(4, parts, low12 - low8 - z * step, step, scale)
     if (quartic * quartic).scale(3) != f.g8:
         raise UnrecognizedCuspError("3*G^2 differs from g8")

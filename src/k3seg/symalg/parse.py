@@ -8,143 +8,122 @@ semicolons, `#` starts a line comment.
     g8  = g4(s/t) * g4(1/(t*s)) * s^4
     g12 = ...
 
-Expressions are evaluated exactly in the fraction field of Q[s, t]. A result
-is accepted only if its reduced denominator is a single monomial c*s^a*t^b;
-the s-part must then be a true polynomial of degree at most the slot's formal
-degree, while negative (and only integer) t-powers are fine.
+Expressions are evaluated exactly in the fraction field of Q[s, t], on the
+integer kernel of field.py: a value is s^a * t^b * P(t^d, s) / Q(t^d, s) with
+P, Q in Z[u][s] free of factors s and u, and d the gcd of the gaps between
+its t-exponents (0 when there are none), so t^100000000 is a single entry. No
+evaluation builds an array of s- or u-degree past MAX_SPAN; an expression
+that would is a ParseError. A result is accepted only if its reduced
+denominator is a single monomial c*s^a*t^b, i.e. Q divides P; the s-part must
+then be a true polynomial of degree at most the slot's formal degree, while
+negative (and only integer) t-powers are fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
-from .forms import FamilyPair, SForm
-from .laurent import TLaurent
+from .field import sadd, sdiv_exact, smul, snorm, spow
+from .forms import FamilyPair, SForm, _integer_form
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials as {(s_exp, t_exp): Fraction} with nonnegative exponents
+# values s^a * t^b * P(t^d, s) / Q(t^d, s) as tuples (a, b, d, P, Q)
 # ---------------------------------------------------------------------------
 
-BiPoly = dict
+MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build
+
+_ZERO = (0, 0, 0, [], [[1]])
+_S = (1, 0, 0, [[1]], [[1]])
+_T = (0, 1, 0, [[1]], [[1]])
 
 
-def _bp_const(c: Fraction) -> BiPoly:
-    return {(0, 0): c} if c else {}
+def _fit(*spans: int) -> None:
+    if max(spans) > MAX_SPAN:
+        raise ParseError("expression too large")
 
-_BP_ONE = _bp_const(Fraction(1))
+
+def _uspan(p: list) -> int:
+    return max(map(len, p), default=1) - 1
 
 
-def _bp_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
+def _value(a: int, b: int, d: int, num: list, den: list) -> tuple:
+    """Move the s- and u-power factors of num and den into (a, b) and make d
+    the gcd of the u-exponent gaps, 0 when there are none."""
+    num = snorm(num)
+    if not num:
+        return _ZERO
+    parts = []
+    for p, sign in ((num, 1), (den, -1)):
+        i = next(k for k, c in enumerate(p) if c)
+        j = min(next(k for k, x in enumerate(c) if x) for c in p if c)
+        a, b = a + sign * i, b + sign * j * d
+        parts.append([c[j:] for c in p[i:]])
+    g = gcd(*(k for p in parts for c in p for k, x in enumerate(c) if x))
+    return (a, b, d * g, *([c[:: g or 1] for c in p] for p in parts))
+
+
+def _spread(c: list, j: int, k: int) -> list:
+    """u^j * c(u^k)."""
+    out = [0] * (j + (len(c) - 1) * k + 1) if c else []
+    out[j::k] = c
     return out
 
 
-def _bp_neg(a: BiPoly) -> BiPoly:
-    return {k: -c for k, c in a.items()}
+def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
+    """x's numerator times s^(xa - a) * t^(xb - b), and its denominator, on
+    the step d, which divides x's."""
+    xa, xb, xd, num, den = x
+    i, j, k = xa - a, (xb - b) // d if d else 0, xd // d if xd else 1
+    _fit(i + len(num) - 1, j + _uspan(num) * k, _uspan(den) * k)
+    return [[]] * i + [_spread(c, j, k) for c in num], [_spread(c, 0, k) for c in den]
 
 
-def _bp_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            key = (i + k, j + l)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+def _product(p: list, q: list) -> list:
+    if p == [[1]] or q == [[1]]:
+        return q if p == [[1]] else p
+    _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q))
+    return smul(p, q)
 
 
-def _bp_exact_div(num: BiPoly, den: BiPoly) -> BiPoly | None:
-    """Exact quotient num/den in Q[s,t] or None. Lex order with s major."""
-    num = dict(num)
-    quo: BiPoly = {}
-    dk = max(den, key=lambda k: (k[0], k[1]))
-    dc = den[dk]
-    while num:
-        nk = max(num, key=lambda k: (k[0], k[1]))
-        mi, mj = nk[0] - dk[0], nk[1] - dk[1]
-        if mi < 0 or mj < 0:
-            return None
-        c = num[nk] / dc
-        quo[(mi, mj)] = c
-        for (i, j), cd in den.items():
-            key = (i + mi, j + mj)
-            v = num.get(key, 0) - c * cd
-            if v:
-                num[key] = v
-            else:
-                num.pop(key, None)
-    return quo
+def _add(x: tuple, y: tuple) -> tuple:
+    if not x[3] or not y[3]:
+        return y if not x[3] else x
+    a, b = min(x[0], y[0]), min(x[1], y[1])
+    d = gcd(x[2], y[2], x[1] - b, y[1] - b)
+    (n1, e1), (n2, e2) = _align(x, a, b, d), _align(y, a, b, d)
+    if e1 == e2:
+        return _value(a, b, d, sadd(n1, n2), e1)
+    return _value(a, b, d, sadd(_product(n1, e2), _product(n2, e1)), _product(e1, e2))
 
 
-class BiFrac:
-    """Lazy fraction of two bivariate polynomials; common monomial content
-    is stripped on construction to keep intermediate degrees down."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BiPoly, den: BiPoly):
-        if not den:
-            raise NotPolynomialError("division by zero in expression")
-        if num:
-            ds = min(min(k[0] for k in num), min(k[0] for k in den))
-            dt = min(min(k[1] for k in num), min(k[1] for k in den))
-            if ds or dt:
-                num = {(i - ds, j - dt): c for (i, j), c in num.items()}
-                den = {(i - ds, j - dt): c for (i, j), c in den.items()}
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, c) -> "BiFrac":
-        return cls(_bp_const(Fraction(c)), dict(_BP_ONE))
-
-    def __add__(self, other: "BiFrac") -> "BiFrac":
-        return BiFrac(
-            _bp_add(_bp_mul(self.num, other.den), _bp_mul(other.num, self.den)),
-            _bp_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "BiFrac") -> "BiFrac":
-        return BiFrac(
-            _bp_add(_bp_mul(self.num, other.den), _bp_neg(_bp_mul(other.num, self.den))),
-            _bp_mul(self.den, other.den),
-        )
-
-    def __neg__(self) -> "BiFrac":
-        return BiFrac(_bp_neg(self.num), self.den)
-
-    def __mul__(self, other: "BiFrac") -> "BiFrac":
-        return BiFrac(_bp_mul(self.num, other.num), _bp_mul(self.den, other.den))
-
-    def __truediv__(self, other: "BiFrac") -> "BiFrac":
-        return BiFrac(_bp_mul(self.num, other.den), _bp_mul(self.den, other.num))
-
-    def __pow__(self, n: int) -> "BiFrac":
-        if n < 0:
-            return BiFrac(dict(_BP_ONE), dict(_BP_ONE)) / (self ** (-n))
-        acc = BiFrac(dict(_BP_ONE), dict(_BP_ONE))
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+def _neg(x: tuple) -> tuple:
+    a, b, d, num, den = x
+    return a, b, d, [[-v for v in c] for c in num], den
 
 
-_S = BiFrac({(1, 0): Fraction(1)}, dict(_BP_ONE))
-_T = BiFrac({(0, 1): Fraction(1)}, dict(_BP_ONE))
+def _mul(x: tuple, y: tuple) -> tuple:
+    if not x[3] or not y[3]:
+        return _ZERO
+    d = gcd(x[2], y[2])
+    (n1, e1), (n2, e2) = _align(x, x[0], x[1], d), _align(y, y[0], y[1], d)
+    return _value(x[0] + y[0], x[1] + y[1], d, _product(n1, n2), _product(e1, e2))
+
+
+def _inverse(x: tuple) -> tuple:
+    a, b, d, num, den = x
+    if not num:
+        raise NotPolynomialError("division by zero in expression")
+    return _value(-a, -b, d, den, num)
+
+
+def _pow(x: tuple, n: int) -> tuple:
+    if n < 0:
+        x, n = _inverse(x), -n
+    a, b, d, num, den = x
+    _fit(n * (len(num) - 1), n * _uspan(num), n * (len(den) - 1), n * _uspan(den))
+    return _value(a * n, b * n, d, spow(num, n), spow(den, n))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +173,6 @@ class _Parser:
     def __init__(self, toks: list[tuple[str, object, int]], stmt: str, offset: int = 0):
         self.toks = toks
         self.pos = 0
-        self.stmt = stmt.strip()
         self.end_col = offset + len(stmt.rstrip()) + 1
 
     def peek(self) -> str | None:
@@ -261,7 +239,7 @@ class _Parser:
     def atom(self):
         k = self.peek()
         if k == "int":
-            return ("num", Fraction(self.take()))
+            return ("num", self.take())
         if k == "(":
             self.take()
             node = self.expr()
@@ -306,32 +284,26 @@ def _check_names(node, macros: dict, param: str | None, self_name: str | None):
         _check_names(node[1], macros, param, self_name)
 
 
-def _eval(node, macros: dict, env: dict) -> BiFrac:
+_BINARY = {
+    "+": _add,
+    "-": lambda x, y: _add(x, _neg(y)),
+    "*": _mul,
+    "/": lambda x, y: _mul(x, _inverse(y)),
+}
+
+
+def _eval(node, macros: dict, env: dict) -> tuple:
     kind = node[0]
     if kind == "num":
-        return BiFrac.const(node[1])
+        return (0, 0, 0, [[node[1]]], [[1]]) if node[1] else _ZERO
     if kind == "var":
-        name = node[1]
-        if name == "s":
-            return _S
-        if name == "t":
-            return _T
-        return env[name]
+        return env[node[1]] if node[1] in env else _S if node[1] == "s" else _T
     if kind == "neg":
-        return -_eval(node[1], macros, env)
+        return _neg(_eval(node[1], macros, env))
     if kind == "pow":
-        return _eval(node[1], macros, env) ** node[2]
+        return _pow(_eval(node[1], macros, env), node[2])
     if kind == "bin":
-        a = _eval(node[2], macros, env)
-        b = _eval(node[3], macros, env)
-        op = node[1]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
+        return _BINARY[node[1]](_eval(node[2], macros, env), _eval(node[3], macros, env))
     # call: eager single-argument application
     _, name, arg = node
     param, body = macros[name]
@@ -343,37 +315,29 @@ def _eval(node, macros: dict, env: dict) -> BiFrac:
 # ---------------------------------------------------------------------------
 
 
-def _finalize(value: BiFrac, degree: int, slot: str) -> SForm:
-    num, den = value.num, value.den
-    if len(den) != 1:
-        # A monomial factor of the denominator is fine (it only shifts
-        # exponents); the polynomial part left after stripping it must divide
-        # the numerator exactly.
-        ms = min(k[0] for k in den)
-        mt = min(k[1] for k in den)
-        dpoly = {(i - ms, j - mt): c for (i, j), c in den.items()}
-        quo = _bp_exact_div(num, dpoly)
-        if quo is None:
-            raise NotPolynomialError(
-                "%s does not reduce to a monomial denominator" % slot
-            )
-        num, den = quo, {(ms, mt): Fraction(1)}
-    (a, b), dc = next(iter(den.items()))
-    coeffs: dict[int, dict] = {}
-    for (i, j), c in num.items():
-        si = i - a
-        if si < 0:
-            raise NotPolynomialError("%s has a pole in s (negative s-power remains)" % slot)
-        coeffs.setdefault(si, {})[Fraction(j - b)] = c / dc
-    top = max(coeffs) if coeffs else 0
-    if top > degree:
-        raise DegreeError("%s has s-degree %d, limit is %d" % (slot, top, degree))
-    return SForm(degree, [TLaurent(coeffs.get(i, {})) for i in range(degree + 1)])
+def _finalize(value: tuple, degree: int, slot: str) -> SForm:
+    a, b, d, num, den = value
+    if len(den) == 1 and len(den[0]) == 1:
+        quo, z, c = num, 0, den[0][0]
+    else:
+        # den has no monomial factor, so value is Laurent only when den | num
+        exact = sdiv_exact(num, den)
+        if exact is None:
+            raise NotPolynomialError("%s does not reduce to a monomial denominator" % slot)
+        quo, z, c = exact
+    if a < 0:
+        raise NotPolynomialError("%s has a pole in s (negative s-power remains)" % slot)
+    if a + len(quo) - 1 > degree:
+        raise DegreeError(
+            "%s has s-degree %d, limit is %d" % (slot, a + len(quo) - 1, degree)
+        )
+    low, step = Fraction(b - z * d), Fraction(d)
+    return _integer_form(degree, [[]] * a + quo, low, step, Fraction(1, c))
 
 
 def parse_family(text: str) -> FamilyPair:
     macros: dict[str, tuple[str, tuple]] = {}
-    slots: dict[str, BiFrac] = {}
+    slots: dict[str, tuple] = {}
     slot_lines: dict[str, int] = {}
     statements: list[tuple[int, int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -77,6 +77,11 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err == "E_PARSE: line 1: column 8: unexpected character '@'\n"
+    # an expression past the parser's size bound
+    bad.write_text("g12 = s^6\ng8 = (1 + t)^100000\n")
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "E_PARSE: line 2: expression too large\n"
 
 
 def test_analyze_deeply_nested_input(tmp_path, capsys):

@@ -1,11 +1,18 @@
 """The family-file grammar and its error reporting."""
 
+import ast
+import operator
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from k3seg.errors import DegreeError, NotPolynomialError, ParseError
 from k3seg.symalg import parse_family
+from k3seg.symalg.parse import MAX_SPAN
 
 
 def coeff(form, s_exp, t_exp):
@@ -203,3 +210,133 @@ def test_degree_overflow():
     assert msg == "line 1: g8 has s-degree 9, limit is 8"
     msg = err_message("g8 = s^4\ng12 = s^13", DegreeError)
     assert "g12 has s-degree 13" in msg
+
+
+def test_oversized_expressions_are_parse_errors():
+    wide_pair = "g8 = (s+t)^4*(s^4 + 1 + t^200001)\ng12 = (s+t)^6*(s^6 + 1 + t^200001)"
+    for text in ("g8 = (1+t)^100000\ng12 = s^6", "g8 = s^1000000000 + 1\ng12 = s^6", wide_pair):
+        start = time.perf_counter()
+        assert err_message(text, ParseError) == "line 1: expression too large"
+        assert time.perf_counter() - start < 1
+    # the bound sits exactly at MAX_SPAN in the u-degree
+    text = "g8 = s^4*(1 + t + t^%d)\ng12 = s^6"
+    assert coeff(parse_family(text % MAX_SPAN).g8, 4, MAX_SPAN) == 1
+    assert err_message(text % (MAX_SPAN + 1), ParseError) == "line 1: expression too large"
+    # a sum that cancels back to a monomial is a single entry again
+    f = parse_family("g8 = s^4*((t + t^2) - t^2 + t^100000000)\ng12 = s^6")
+    assert coeff(f.g8, 4, 100000000) == 1
+
+
+# ---------------------------------------------------------------------------
+# differential check against sympy
+# ---------------------------------------------------------------------------
+
+S, T = sympy.symbols("s t")
+
+
+def _wrap(text):
+    return text if text.isalnum() else "(%s)" % text
+
+
+@st.composite
+def _expressions(draw, names, macro, depth=4):
+    """Statement texts over integer literals and names, with + - * /, ^ with
+    exponents in -3..4, unary minus and, if macro, calls f(...). One kind
+    writes A * B / B, which divides exactly unless B is zero."""
+    if depth == 0 or draw(st.integers(0, 4)) == 4:
+        return draw(st.sampled_from(names * 2 + ("2", "3", "1", "0", "7")))
+    kind = draw(st.sampled_from("/*+^-f/n" if macro else "/*+^-*/n"))
+    sub = _expressions(names, macro, depth - 1)
+    a = draw(sub)
+    if kind in "+-*":
+        return "%s %s %s" % (_wrap(a), kind, _wrap(draw(sub)))
+    if kind == "/":
+        b = draw(sub)
+        if draw(st.booleans()):
+            return "%s * %s / %s" % (_wrap(a), _wrap(b), _wrap(b))
+        return "%s / %s" % (_wrap(a), _wrap(b))
+    if kind == "^":
+        n = draw(st.integers(-3, 4))
+        return "%s^%s" % (_wrap(a), draw(st.sampled_from(["%d" % n, "(%d)" % n])))
+    if kind == "n":
+        return "-" + _wrap(a)
+    return "f(%s)" % a
+
+
+def _sympy_value(node, env, body):
+    """Evaluate a Python AST of the statement in sympy; a zero divisor raises
+    ZeroDivisionError, as the parser refuses to divide by zero."""
+    if isinstance(node, ast.Constant):
+        return sympy.Integer(node.value)
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -_sympy_value(node.operand, env, body)
+    if isinstance(node, ast.Call):
+        arg = _sympy_value(node.args[0], env, body)
+        return _sympy_value(body, {"s": S, "t": T, "x": arg}, body)
+    left = _sympy_value(node.left, env, body)
+    right = _sympy_value(node.right, env, body)
+    if isinstance(node.op, ast.Pow):
+        if right < 0 and sympy.cancel(left) == 0:
+            raise ZeroDivisionError
+        return left**right
+    if isinstance(node.op, ast.Div):
+        if sympy.cancel(right) == 0:
+            raise ZeroDivisionError
+        return left / right
+    return {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}[
+        type(node.op)
+    ](left, right)
+
+
+def _sympy_outcome(body, expr, degree):
+    """The coefficients {(s_exp, t_exp): c} sympy gives, or the error class
+    the parser must raise."""
+    body_ast = ast.parse(body.replace("^", "**"), mode="eval").body
+    expr_ast = ast.parse(expr.replace("^", "**"), mode="eval").body
+    try:
+        value = _sympy_value(expr_ast, {"s": S, "t": T}, body_ast)
+    except ZeroDivisionError:
+        return NotPolynomialError
+    num, den = sympy.fraction(sympy.cancel(value))
+    den_terms = sympy.Poly(den, S, T).terms()
+    if len(den_terms) != 1:
+        return NotPolynomialError
+    (a, b), c = den_terms[0]
+    terms = {
+        (i - a, j - b): sympy.Rational(v) / c
+        for (i, j), v in sympy.Poly(num, S, T).terms()
+        if v
+    }
+    if any(i < 0 for i, _ in terms):
+        return NotPolynomialError
+    if any(i > degree for i, _ in terms):
+        return DegreeError
+    return {(i, Fraction(j)): Fraction(int(v.p), int(v.q)) for (i, j), v in terms.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    body=_expressions(("s", "t", "x"), False),
+    expr=_expressions(("s", "t"), True),
+    slot=st.sampled_from(("g8", "g12")),
+)
+# the exact division, with leading coefficients that carry integer content
+# and a power of t, before and after the parser strips monomial factors
+@example(body="x", expr="(4*s^2 - t^2)/(2*s - t)", slot="g8")
+@example(body="x", expr="(t*s^2 - t^3)/(t*s - t^2)", slot="g8")
+@example(body="x", expr="(2*t*s + 3)*(s^2 + t)/(2*t*s + 3)", slot="g8")
+@example(body="x^2 - t", expr="f(s + t)*(2*s)^(-1)/f(s - t)^-1", slot="g12")
+@example(body="x^3 - t^3", expr="s*f(s)^3/(s - t)", slot="g8")
+def test_parser_agrees_with_sympy(body, expr, slot):
+    degree, other = (8, "g12") if slot == "g8" else (12, "g8")
+    text = "let f(x) = %s\n%s = %s\n%s = 1\n" % (body, slot, expr, other)
+    expected = _sympy_outcome(body, expr, degree)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse_family(text)
+        return
+    form = getattr(parse_family(text), slot)
+    got = {(i, e): c for i, coeff in enumerate(form.coeffs) for e, c in coeff.items()}
+    assert got == expected
