@@ -3,13 +3,15 @@ the deriving stages, and which check fires first on inputs that several
 checks refuse."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
+from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
 from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
-from k3seg.symalg import extract_cusp_quartic, parse_family
+from k3seg.symalg import FamilyPair, SForm, canonical_text, extract_cusp_quartic, parse_family
 from k3seg.tropics import end_exponents, newton_polygon, root_valuations
 
 
@@ -72,3 +74,54 @@ def test_first_failing_check_decides_the_error():
     ) as info:
         oracle_compare(parse_family(STATIONARY_CUSP), t_list=(1e-3,))
     assert info.value.tag == "E_NN"
+
+
+# ---------------------------------------------------------------------------
+# invariances the theory promises (metamorphic checks: Chen et al. 1998)
+# ---------------------------------------------------------------------------
+
+
+def _invariants(rep):
+    return (
+        rep.density.breakpoints,
+        rep.stable.label(),
+        rep.lattice.determinant(),
+        rep.cusp,
+        rep.left_end.is_nodal,
+        rep.right_end.is_nodal,
+    )
+
+
+def _gauged(c):
+    return lambda f: FamilyPair(f.g8.shift_t(2 * c), f.g12.shift_t(3 * c))
+
+
+def _s_scaled(lam):
+    def scale(form):
+        return SForm(form.degree, [x.scale(lam**i) for i, x in enumerate(form.coeffs)])
+
+    return lambda f: FamilyPair(scale(f.g8), scale(f.g12))
+
+
+def _base_changed(r):
+    return lambda f: FamilyPair(f.g8.rescale_exponents(r), f.g12.rescale_exponents(r))
+
+
+TRANSFORMS = (
+    [("gauge c=%s" % c, _gauged(c)) for c in (1, -2, Fraction(1, 2))]
+    + [("s -> %s*s" % lam, _s_scaled(lam)) for lam in (2, -1, Fraction(1, 3))]
+    + [("reprinted", lambda f: parse_family(canonical_text(f)))]
+    # r = 1/2 and 2/3 give ramification 2 and 3, which no named or corpus
+    # family has; d_constant then runs the cusp-quartic extraction with them
+    + [("t -> t^%s" % r, _base_changed(r)) for r in (Fraction(1, 2), Fraction(2, 3), 2)]
+)
+
+
+def test_report_is_invariant_under_gauge_s_scaling_reprint_and_base_change(named):
+    families = list(named.items()) + [
+        ("corpus/%d" % i, f) for i, f in enumerate(generate_corpus(10, seed=1729))
+    ]
+    for name, f in families:
+        expected = _invariants(analyze(f))
+        for label, transform in TRANSFORMS:
+            assert _invariants(analyze(transform(f))) == expected, (name, label)

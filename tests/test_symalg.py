@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import family_text
-from k3seg.corpus import generate_corpus
 from k3seg.errors import DegreeError, NotMinimalError, ZeroFormError
 from k3seg.report import analyze
 from k3seg.symalg import (
@@ -379,27 +378,6 @@ def test_sparse_regular_exponents_cost_what_dense_ones_do():
         assert time.perf_counter() - start < 2
         assert wide.stable.label() == base.stable.label() == "E3 A11 E3"
         assert wide.density.breakpoints == base.density.breakpoints
-
-
-def _report_invariants(rep):
-    return (
-        rep.density.breakpoints,
-        rep.stable.label(),
-        rep.cusp,
-        rep.left_end.is_nodal,
-        rep.right_end.is_nodal,
-    )
-
-
-def test_base_change_leaves_the_report_unchanged(named):
-    # r = 1/2 and 2/3 give ramification 2 and 3, which no named or corpus
-    # family has; d_constant then runs the cusp-quartic extraction with them
-    families = list(named.values()) + generate_corpus(10, seed=1729)
-    for f in families:
-        expected = _report_invariants(analyze(f))
-        for r in (Fraction(1, 2), Fraction(2, 3), Fraction(2)):
-            g = FamilyPair(f.g8.rescale_exponents(r), f.g12.rescale_exponents(r))
-            assert _report_invariants(analyze(g)) == expected
 
 
 # ---------------------------------------------------------------------------
