@@ -8,15 +8,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .density import DensityFunction
-from .errors import InconsistentTypeError, UnrecognizedCuspError
+from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
 from .symalg.field import sdeg
 from .symalg.forms import (
+    INF,
     FamilyPair,
     SForm,
-    _integer_polys,
     _nonminimal,
     _repeated_factor_gcd,
     extract_cusp_quartic,
@@ -44,22 +44,12 @@ class CuspKind(enum.Enum):
     UNRECOGNIZED = "unrecognized"
 
 
-def _constant_form_coeffs(form: SForm) -> Optional[list[Fraction]]:
-    """Coefficient list of the t = 0 limit, or None if a valuation is negative."""
-    try:
-        return form.limit0_coeffs()
-    except ValueError:
-        return None
-
-
 def cuspidal_kind(quartic: SForm) -> CuspKind:
     """CUSPIDAL when the limit of the cusp quartic G has degree exactly 4 and
     no repeated root (four distinct finite roots), else CUSPIDAL_TO_MAXIMAL."""
-    limit = SForm(4, quartic.limit0_coeffs())
-    if limit.s_degree() == 4:
-        _, [(poly, _, _)] = _integer_polys(limit)
-        if sdeg(_repeated_factor_gcd(poly, 2)) < 1:
-            return CuspKind.CUSPIDAL
+    limit = quartic.limit0()
+    if limit.s_degree() == 4 and sdeg(_repeated_factor_gcd(limit.poly, 2)) < 1:
+        return CuspKind.CUSPIDAL
     return CuspKind.CUSPIDAL_TO_MAXIMAL
 
 
@@ -74,21 +64,19 @@ def cusp_type(f: FamilyPair) -> CuspKind:
             return CuspKind.UNRECOGNIZED
         return cuspidal_kind(quartic)
 
-    c8 = _constant_form_coeffs(f.g8)
-    c12 = _constant_form_coeffs(f.g12)
-    if c8 is None or c12 is None:
+    try:
+        lim8, lim12 = f.g8.limit0(), f.g12.limit0()
+    except ValueError:
         return CuspKind.UNRECOGNIZED
 
-    lim8 = SForm(8, c8)
-    lim12 = SForm(12, c12)
     # every valuation is >= 0 here, so t -> 0 commutes with the discriminant
-    if any(delta.limit0_coeffs()) and not _nonminimal(lim8, lim12):
+    if delta.limit0() and not _nonminimal(lim8, lim12):
         return CuspKind.NO_DEGENERATION
 
     mono8 = lim8.s_valuation() == lim8.s_degree() == 4
     mono12 = lim12.s_valuation() == lim12.s_degree() == 6
     if mono8 and mono12:
-        c1, c2 = c8[4], c12[6]
+        c1, c2 = lim8.coeff(4), lim12.coeff(6)
         if c1 ** 3 == 27 * c2 ** 2:
             return CuspKind.MAXIMAL
         return CuspKind.SEGMENT
@@ -116,36 +104,34 @@ def end_surface_data(f: FamilyPair, side: str, ends: EndExponents) -> EndSurface
     s = infinity).
 
     ends holds the end exponents (e0, einf) of f. The base coordinate is
-    stretched by s = t^e0 * sigma (on the right, the inverted family is
-    stretched by einf the same way), the pair is regauged jointly by t^(-2c),
-    t^(-3c) with c = min(mu8/2, mu12/3), and the t = 0 limit is read off. With
-    valid end exponents the surviving coefficients sit in degrees at most
-    (4, 6).
+    stretched by s = t^e * sigma with e = e0 (on the right, the inverted
+    family is stretched by einf the same way), which moves the valuation of
+    the s^i coefficient to val_i + i*e. The pair is regauged jointly by
+    t^(-2c), t^(-3c) with c = min(mu8/2, mu12/3), mu the smallest stretched
+    valuation, and the t = 0 limit of the sigma^i coefficient is the
+    coefficient of s^i * t^(2c - i*e) (t^(3c - i*e) for g12). With valid end
+    exponents the surviving coefficients sit in degrees at most (4, 6).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side == "right":
         f = f.inverted()
-        stretch = ends.at_infinity
+        e = ends.at_infinity
     else:
-        stretch = ends.at_zero
-    sub8 = f.g8.substitute_scaled(stretch)
-    sub12 = f.g12.substitute_scaled(stretch)
-    mu8 = sub8.min_coeff_val()
-    mu12 = sub12.min_coeff_val()
+        e = ends.at_zero
+    mu8, mu12 = (
+        min((v + i * e for i, v in g.hull_points()), default=INF) for g in (f.g8, f.g12)
+    )
     c = min(mu8 / 2, mu12 / 3)
-    lim8 = sub8.shift_t(-2 * c).limit0_coeffs()
-    lim12 = sub12.shift_t(-3 * c).limit0_coeffs()
-    if any(lim8[5:]) or any(lim12[7:]):
+    try:
+        g4 = f.g8.stretched_limit(e, 2 * c, 4)
+        g6 = f.g12.stretched_limit(e, 3 * c, 6)
+    except DegreeError:
         raise UnrecognizedCuspError(
             "end-surface limit does not fit in degrees (4, 6); "
             "the end exponents do not govern this family"
-        )
-    g4 = SForm(4, lim8[:5])
-    g6 = SForm(6, lim12[:7])
-    cube = g4 ** 3 if g4 else SForm.zero(12)
-    square = (g6 * g6).scale(27) if g6 else SForm.zero(12)
-    return EndSurface(g4, g6, is_nodal=not (cube - square))
+        ) from None
+    return EndSurface(g4, g6, is_nodal=not (g4**3 - (g6 * g6).scale(27)))
 
 
 # ---------------------------------------------------------------------------

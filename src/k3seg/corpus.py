@@ -11,48 +11,43 @@ discarded and replaced.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import InternalError, K3SegError
 from .report import analyze
-from .symalg import FamilyPair, SForm, TLaurent
+from .symalg import FamilyPair, SForm
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 
 
-def _sparse_coeffs(rng: random.Random, degree: int, terms: int, tmin: int, tmax: int):
-    out = [TLaurent.zero] * (degree + 1)
+def _sparse_form(rng: random.Random, degree: int, terms: int, tmin: int, tmax: int):
+    out = SForm.zero(degree)
     for _ in range(terms):
         i = rng.randrange(degree + 1)
         c = rng.choice(_COEFFS)
         e = rng.randint(tmin, tmax)
-        out[i] = out[i] + TLaurent.term(Fraction(c), Fraction(e))
+        out = out + SForm.monomial(degree, i, c, e)
     return out
 
 
 def random_maximal_perturbation(rng: random.Random) -> FamilyPair:
     """3s^4 + (t-small), s^6 + (t-small): drifts into the most degenerate cusp."""
-    c8 = _sparse_coeffs(rng, 8, rng.randint(1, 3), 1, 4)
-    c8[4] = c8[4] + TLaurent.const(3)
-    c12 = _sparse_coeffs(rng, 12, rng.randint(1, 3), 1, 4)
-    c12[6] = c12[6] + TLaurent.one
-    return FamilyPair(SForm(8, c8), SForm(12, c12))
+    g8 = _sparse_form(rng, 8, rng.randint(1, 3), 1, 4) + SForm.monomial(8, 4, 3)
+    g12 = _sparse_form(rng, 12, rng.randint(1, 3), 1, 4) + SForm.monomial(12, 6)
+    return FamilyPair(g8, g12)
 
 
 def random_wide_perturbation(rng: random.Random) -> FamilyPair:
     """Same anchor as random_maximal_perturbation, but with denser and deeper
     t-tails: more terms and a larger exponent spread move the discriminant
     root valuations around and with them the interior breakpoints."""
-    c8 = _sparse_coeffs(rng, 8, rng.randint(2, 5), 1, 8)
-    c8[4] = c8[4] + TLaurent.const(3)
-    c12 = _sparse_coeffs(rng, 12, rng.randint(2, 5), 1, 8)
-    c12[6] = c12[6] + TLaurent.one
-    return FamilyPair(SForm(8, c8), SForm(12, c12))
+    g8 = _sparse_form(rng, 8, rng.randint(2, 5), 1, 8) + SForm.monomial(8, 4, 3)
+    g12 = _sparse_form(rng, 12, rng.randint(2, 5), 1, 8) + SForm.monomial(12, 6)
+    return FamilyPair(g8, g12)
 
 
-def _linear(a: TLaurent, b: TLaurent) -> SForm:
-    """a + b*s as a degree-1 form."""
-    return SForm(1, [a, b])
+def _linear(a: int, ea: int, b: int, eb: int) -> SForm:
+    """a*t^ea + b*t^eb*s as a degree-1 form."""
+    return SForm.monomial(1, 0, a, ea) + SForm.monomial(1, 1, b, eb)
 
 
 def random_nodal_end(rng: random.Random) -> FamilyPair:
@@ -63,14 +58,13 @@ def random_nodal_end(rng: random.Random) -> FamilyPair:
     c = rng.choice(_COEFFS)
     d = rng.choice(_COEFFS)
     q = (
-        _linear(TLaurent.term(Fraction(-a), Fraction(1)), TLaurent.one)
-        * _linear(TLaurent.term(Fraction(-b), Fraction(1)), TLaurent.one)
-        * _linear(TLaurent.const(-1), TLaurent.term(Fraction(c), Fraction(1)))
-        * _linear(TLaurent.const(-1), TLaurent.term(Fraction(d), Fraction(1)))
+        _linear(-a, 1, 1, 0)
+        * _linear(-b, 1, 1, 0)
+        * _linear(-1, 0, c, 1)
+        * _linear(-1, 0, d, 1)
     )
-    g8 = (q * q).scale(Fraction(3))
-    pert = _sparse_coeffs(rng, 12, rng.randint(1, 2), 6, 12)
-    g12 = q * q * q + SForm(12, pert)
+    g8 = (q * q).scale(3)
+    g12 = q * q * q + _sparse_form(rng, 12, rng.randint(1, 2), 6, 12)
     return FamilyPair(g8, g12)
 
 

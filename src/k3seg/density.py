@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CuspidalInteriorError, NegativeDensityError
-from .symalg.forms import SForm
-from .symalg.laurent import INF, NEG_INF
+from .symalg.forms import INF, NEG_INF, SForm
 from .tropics import (
     EndExponents,
     TropicalPolynomial,

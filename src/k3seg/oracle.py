@@ -17,7 +17,7 @@ from mpmath import mp
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from .symalg import FamilyPair
-from .tropics import _lower_hull, end_exponents, newton_polygon
+from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
 
 _DPS = 60
 _RESIDUAL_TARGET = 1e-12
@@ -128,8 +128,17 @@ def _reconstruction_error(coeffs, roots):
 
 
 def _evaluated_discriminant(f: FamilyPair, t0):
+    """The discriminant's coefficients at t0: t0^low / den * P(t0^step)."""
     delta = f.discriminant24()
-    return [c.eval_mp(t0) for c in delta.coeffs]
+    scale = mp.power(t0, _to_mpf(delta.low)) / delta.den
+    u = mp.power(t0, _to_mpf(delta.step))
+    out = []
+    for arr in delta.poly:
+        acc = mp.mpf(0)
+        for x in reversed(arr):
+            acc = acc * u + x
+        out.append(acc * scale)
+    return out
 
 
 def _root_data(f: FamilyPair, t0):
@@ -204,7 +213,7 @@ def oracle_compare(
         raise CuspidalFamilyError(
             "discriminant vanishes identically; use the cusp-quartic route"
         )
-    cut = cut_positions(newton_polygon(delta), end_exponents(f))
+    cut = cut_positions(newton_polygon(delta), end_exponents(*pair_polygons(f)))
     with mp.workdps(_DPS):
         exact_mp = [_to_mpf(x) for x in cut.positions]
         per_sample = []

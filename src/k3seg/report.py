@@ -30,7 +30,7 @@ from .density import (
 from .errors import InternalError
 from .lattices import Lattice, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
-from .tropics import EndExponents, end_exponents, newton_polygon
+from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
 
 def frac_str(x) -> str:
@@ -104,9 +104,11 @@ def analyze(f: FamilyPair) -> AnalysisReport:
     """
     g = f.normalized()
     minimality_check(g)
-    ends_exp = end_exponents(g)
-    trop8 = newton_polygon(g.g8)
-    trop12 = newton_polygon(g.g12)
+    trop8, trop12 = pair_polygons(g)
+    ends_exp = end_exponents(trop8, trop12)
+    # a zero form passes the end exponents; the density needs its polygon
+    trop8 = trop8 or newton_polygon(g.g8)
+    trop12 = trop12 or newton_polygon(g.g12)
     polygons = {"g8": trop8.hull, "g12": trop12.hull}
 
     delta = g.discriminant24()

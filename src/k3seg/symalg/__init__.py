@@ -1,9 +1,12 @@
-"""Exact symbolic layer: Laurent coefficients, forms on P^1, family parsing."""
+"""Exact symbolic layer: forms on P^1 stored as integer kernel arrays, family
+pairs, family parsing."""
 
-from .laurent import INF, NEG_INF, TLaurent
 from .forms import (
+    INF,
+    NEG_INF,
     FamilyPair,
     SForm,
+    TLaurent,
     extract_cusp_quartic,
     minimality_check,
 )

@@ -9,12 +9,14 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
 * layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
   [] is zero) whose entries are integer arrays in u, each a list indexed by
   u-degree (no trailing zeros, [] is zero);
-* a form reaches this layout as t^low / den * P(t^step, s), the step being
-  the gcd of the exponent differences of the forms compared, so the arrays
-  stay short when the exponents are sparse but regular (t^200000 costs what t
-  does); an s-gcd over Q(u^d) is the same over Q(u), so no decision depends
-  on the step. The conversions are `forms._integer_polys` and, back,
-  `forms._integer_form`; the parser keeps s^a * t^b * P(t^d, s) / Q(t^d, s);
+* a form is stored in this layout: `SForm` keeps t^low / den * P(t^step, s)
+  with step the gcd of its exponent gaps, so the arrays stay short when the
+  exponents are sparse but regular (t^200000 costs what t does). Its P is
+  padded with [] up to the formal degree, so reversed it is the form at
+  s = infinity; a gcd or a division runs on a trimmed copy. Forms that
+  meet in one operation are spread onto a common step with `uspread`; an
+  s-gcd over Q(u^d) is the same over Q(u), so no decision depends on the
+  step. The parser keeps s^a * t^b * P(t^d, s) / Q(t^d, s);
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * gcds come from a primitive pseudo-remainder sequence in both variables
   (Brown, "On Euclid's algorithm and the computation of polynomial greatest
@@ -87,6 +89,13 @@ def _zumul(a: list[int], b: list[int]) -> list[int]:
                 out[i + j] += ca * cb
     while out and not out[-1]:
         out.pop()
+    return out
+
+
+def uspread(c: list[int], j: int, k: int) -> list[int]:
+    """u^j * c(u^k), k >= 1."""
+    out = [0] * (j + (len(c) - 1) * k + 1) if c else []
+    out[j::k] = c
     return out
 
 

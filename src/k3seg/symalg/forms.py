@@ -2,54 +2,110 @@
 pairs that define a degenerating Weierstrass family.
 
 An SForm of formal degree d is a binary form of degree d written in the affine
-chart s: a list of d+1 TLaurent coefficients. Keeping the formal degree around
-(instead of trimming to the actual s-degree) is what lets a degree drop at the
-top encode zeros at s = infinity.
+chart s. Keeping the formal degree around (instead of trimming to the actual
+s-degree) is what lets a degree drop at the top encode zeros at s = infinity.
+
+A form is stored as one value of the integer kernel (field.py):
+
+    t^low / den * P(t^step, s),  P in Z[u][s],
+
+with P listing one integer u-array per s-degree up to the formal degree, so
+reversing P gives the form in the chart at s = infinity. The value is
+canonical: low is the smallest t-exponent present, step is the gcd of the
+gaps between the exponents (0 when there are none) and den > 0 is the lcm of
+the coefficient denominators; the zero form has low = step = 0 and den = 1.
+So equal forms have equal fields, the valuation of the s^i coefficient is
+low + step * (first nonzero index of P[i]), and the arrays stay short when
+the exponents are large but regular (t^200000 + 1 is [1, 1] in u = t^200000).
+A Laurent polynomial in t is a form of degree 0; TLaurent holds its
+constructors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Union
 
 from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
-from .field import sdeg, sderiv, sdiv_exact, sgcd, smul, snorm, spow
-from .laurent import INF, Scalar, TLaurent, _frac
+from .field import sadd, sdeg, sderiv, sdiv_exact, sgcd, smul, snorm, spow, uspread
+
+Scalar = Union[int, Fraction]
+
+INF = math.inf
+NEG_INF = -math.inf
+
+_ZERO = Fraction(0)
+
+
+def _qgcd(*xs: Fraction) -> Fraction:
+    """gcd of rationals: the generator of the group they span (0 for none)."""
+    m = math.lcm(*(x.denominator for x in xs))
+    return Fraction(math.gcd(*(x.numerator * (m // x.denominator) for x in xs)), m)
+
+
+def _first(arr: list[int]) -> int:
+    """Index of the first nonzero entry of a nonzero array."""
+    return next(k for k, x in enumerate(arr) if x)
 
 
 class SForm:
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "low", "step", "den", "poly")
 
     def __init__(self, degree: int, coeffs: Iterable = ()):
-        entries = [c if isinstance(c, TLaurent) else TLaurent.const(c) for c in coeffs]
-        if len(entries) > degree + 1:
-            for i in range(degree + 1, len(entries)):
-                if entries[i]:
+        """The form with the given coefficients from s^0 upward: forms of
+        degree 0 or scalars. Entries past the formal degree must vanish."""
+        placed = []
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, SForm):
+                c = SForm.monomial(0, 0, c)
+            elif c.degree:
+                raise ValueError("a coefficient must be a scalar or a form of degree 0")
+            if c:
+                if i > degree:
                     raise DegreeError(
                         "form of degree %d has a nonzero coefficient at s^%d" % (degree, i)
                     )
-            entries = entries[: degree + 1]
-        entries.extend([TLaurent.zero] * (degree + 1 - len(entries)))
+                placed.append((i, c))
+        poly: list[list[int]] = [[]] * (degree + 1)
+        low, step, den = _ZERO, _ZERO, 1
+        if placed:
+            low, step, den, arrays = _grid([c for _, c in placed])
+            for (i, _), (arr,) in zip(placed, arrays):
+                poly[i] = arr
         self.degree = degree
-        self.coeffs = tuple(entries)
+        self.low, self.step, self.den, self.poly = _canonical(low, step, den, poly)
+
+    @classmethod
+    def _new(cls, degree: int, low: Fraction, step: Fraction, den: int, poly: list) -> "SForm":
+        """Wrap fields that are already canonical."""
+        out = cls.__new__(cls)
+        out.degree, out.low, out.step, out.den, out.poly = degree, low, step, den, poly
+        return out
+
+    @classmethod
+    def _of(cls, degree: int, low: Fraction, step: Fraction, den: int, poly: list) -> "SForm":
+        """The form t^low / den * P(t^step, s); P's arrays are trimmed and P
+        is at most degree + 1 long."""
+        poly = poly + [[]] * (degree + 1 - len(poly))
+        return cls._new(degree, *_canonical(low, step, den, poly))
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def zero(cls, degree: int) -> "SForm":
-        return cls(degree)
+        return cls._new(degree, _ZERO, _ZERO, 1, [[]] * (degree + 1))
 
     @classmethod
     def monomial(cls, degree: int, i: int, c: Scalar = 1, e: Scalar = 0) -> "SForm":
-        coeffs = [TLaurent.zero] * (degree + 1)
-        coeffs[i] = TLaurent.term(c, e)
-        return cls(degree, coeffs)
+        c = Fraction(c)
+        poly = [[]] * i + [[c.numerator] if c else []]
+        return cls._of(degree, Fraction(e), _ZERO, c.denominator, poly)
 
     # -- inspection ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.poly)
 
     def is_zero(self) -> bool:
         return not self
@@ -57,111 +113,200 @@ class SForm:
     def s_degree(self) -> int:
         """Largest s-exponent with a nonzero coefficient; -1 for the zero form."""
         for i in range(self.degree, -1, -1):
-            if self.coeffs[i]:
+            if self.poly[i]:
                 return i
         return -1
 
     def s_valuation(self) -> int:
         """Smallest s-exponent with a nonzero coefficient; -1 for the zero form."""
         for i in range(self.degree + 1):
-            if self.coeffs[i]:
+            if self.poly[i]:
                 return i
         return -1
 
     def min_coeff_val(self):
-        vals = [c.val() for c in self.coeffs if c]
-        return min(vals) if vals else INF
+        return self.low if self else INF
 
     def hull_points(self) -> list[tuple[int, Fraction]]:
-        return [(i, c.val()) for i, c in enumerate(self.coeffs) if c]
+        """(i, valuation of the s^i coefficient) for every nonzero coefficient."""
+        low, step = self.low, self.step
+        return [(i, low + _first(arr) * step) for i, arr in enumerate(self.poly) if arr]
+
+    def coeff(self, i: int, e: Scalar = 0) -> Fraction:
+        """The coefficient of s^i * t^e."""
+        arr = self.poly[i]
+        k = e - self.low
+        if self.step:
+            k /= self.step
+        if k < 0 or k >= len(arr) or k.denominator != 1:
+            return _ZERO
+        return Fraction(arr[int(k)], self.den)
+
+    def terms(self):
+        """(s-exponent, t-exponent, coefficient) of every nonzero term, by
+        s-exponent and then t-exponent."""
+        for i, arr in enumerate(self.poly):
+            for k, x in enumerate(arr):
+                if x:
+                    yield i, self.low + k * self.step, Fraction(x, self.den)
+
+    @property
+    def coeffs(self) -> tuple["SForm", ...]:
+        """The coefficients from s^0 upward, as forms of degree 0."""
+        return tuple(SForm._of(0, self.low, self.step, self.den, [arr]) for arr in self.poly)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.degree, self.low, self.step, self.den, self.poly) == (
+            other.degree, other.low, other.step, other.den, other.poly
+        )
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.low, self.step, self.den, tuple(map(tuple, self.poly))))
 
     def __repr__(self):
-        parts = ["(%r)*s^%d" % (c, i) for i, c in enumerate(self.coeffs) if c]
+        parts = ["(%s)*s^%d*t^%s" % (c, i, e) for i, e, c in self.terms()]
         return "SForm(%d: %s)" % (self.degree, " + ".join(parts) or "0")
 
     # -- ring operations -----------------------------------------------------
 
-    def _map(self, fn) -> "SForm":
-        out = SForm.__new__(SForm)
-        out.degree = self.degree
-        out.coeffs = tuple(fn(c) for c in self.coeffs)
-        return out
+    def _on(self, low: Fraction, step: Fraction, den: int) -> list:
+        """P rewritten on a coarser grid: t^low / den * Q(t^step, s) is this
+        form, for low <= self.low and step dividing self.step and self.low - low,
+        den a multiple of self.den."""
+        j = int((self.low - low) / step) if step else 0
+        k = int(self.step / step) if self.step else 1
+        m = den // self.den
+        if j == 0 and k == 1 and m == 1:
+            return self.poly
+        return [uspread([x * m for x in arr], j, k) for arr in self.poly]
 
     def __add__(self, other: "SForm") -> "SForm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-        out = SForm.__new__(SForm)
-        out.degree = self.degree
-        out.coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return out
+        if not other:
+            return self
+        if not self:
+            return other
+        low, step, den, (p, q) = _grid((self, other))
+        return SForm._of(self.degree, low, step, den, sadd(p, q))
 
     def __neg__(self) -> "SForm":
-        return self._map(lambda c: -c)
+        return SForm._new(
+            self.degree, self.low, self.step, self.den, [[-x for x in arr] for arr in self.poly]
+        )
 
     def __sub__(self, other: "SForm") -> "SForm":
         return self + (-other)
 
     def __mul__(self, other: "SForm") -> "SForm":
-        step, ((p, low, den), (q, low2, den2)) = _integer_polys(self, other)
-        return _integer_form(
-            self.degree + other.degree, smul(p, q), low + low2, step, Fraction(1, den * den2)
+        step = _qgcd(self.step, other.step)
+        p = self._on(self.low, step, self.den)
+        q = other._on(other.low, step, other.den)
+        return SForm._of(
+            self.degree + other.degree, self.low + other.low, step, self.den * other.den,
+            smul(p, q),
         )
 
     def __pow__(self, n: int) -> "SForm":
         if n < 0:
             raise ValueError("negative power of a form")
-        step, ((p, low, den),) = _integer_polys(self)
-        return _integer_form(self.degree * n, spow(p, n), low * n, step, Fraction(1, den**n))
+        return SForm._of(self.degree * n, self.low * n, self.step, self.den**n, spow(self.poly, n))
 
     def scale(self, c: Scalar) -> "SForm":
-        c = _frac(c)
-        return self._map(lambda x: x.scale(c))
+        c = Fraction(c)
+        num = c.numerator
+        return SForm._of(
+            self.degree, self.low, self.step, self.den * c.denominator,
+            [[x * num for x in arr] for arr in self.poly] if num else [],
+        )
 
     def shift_t(self, e: Scalar) -> "SForm":
         """Multiply the whole form by t^e."""
-        e = _frac(e)
-        return self._map(lambda c: c.shift(e))
-
-    def substitute_scaled(self, e: Fraction) -> "SForm":
-        """Rewrite in the stretched coordinate sigma = s / t^e.
-
-        The coefficient of sigma^i picks up a factor t^(i*e).
-        """
-        out = SForm.__new__(SForm)
-        out.degree = self.degree
-        out.coeffs = tuple(c.shift(i * e) for i, c in enumerate(self.coeffs))
-        return out
+        if not self:
+            return self
+        return SForm._new(self.degree, self.low + e, self.step, self.den, self.poly)
 
     def inverted(self) -> "SForm":
         """The form pulled back along s -> 1/s (coefficient list reversed)."""
-        out = SForm.__new__(SForm)
-        out.degree = self.degree
-        out.coeffs = tuple(reversed(self.coeffs))
-        return out
+        return SForm._new(self.degree, self.low, self.step, self.den, self.poly[::-1])
 
     def rescale_exponents(self, r: Scalar) -> "SForm":
-        r = _frac(r)
-        return self._map(lambda c: c.rescale_exponents(r))
+        """Substitute t -> t^r (base change), r a positive rational."""
+        if r <= 0:
+            raise ValueError("exponent rescale factor must be positive")
+        return SForm._new(self.degree, self.low * r, self.step * r, self.den, self.poly)
 
-    # -- limits and numerics ---------------------------------------------------
+    def stretched_limit(self, e: Fraction, level: Fraction, degree: int) -> "SForm":
+        """The t = 0 limit of t^-level * self(t^e * sigma), a form in sigma of
+        formal degree `degree` (DegreeError if a coefficient past it survives).
+        Its sigma^i coefficient is the coefficient of s^i * t^(level - i*e);
+        level must not exceed any stretched valuation val_i + i*e."""
+        # that exponent sits at index (level - low - i*e) / step = (a - i*b) / m
+        step = self.step or 1  # one exponent only: index 0 is the one entry
+        k0, dk = (level - self.low) / step, Fraction(e) / step
+        m = math.lcm(k0.denominator, dk.denominator)
+        a, b = k0.numerator * (m // k0.denominator), dk.numerator * (m // dk.denominator)
+        column: list[list[int]] = []
+        for i, arr in enumerate(self.poly):
+            k, r = divmod(a - i * b, m)
+            column.append([arr[k]] if not r and 0 <= k < len(arr) and arr[k] else [])
+        if any(column[degree + 1 :]):
+            raise DegreeError("the limit has a nonzero coefficient past s^%d" % degree)
+        return SForm._of(degree, _ZERO, _ZERO, self.den, column[: degree + 1])
 
-    def limit0_coeffs(self) -> list[Fraction]:
-        """Coefficientwise value at t = 0; only valid when no valuation is negative."""
-        return [c.limit0() for c in self.coeffs]
+    def limit0(self) -> "SForm":
+        """The value at t = 0, coefficientwise. Requires every valuation >= 0."""
+        if self.low < 0:
+            raise ValueError("no t=0 limit, valuation %s is negative" % self.low)
+        return self.stretched_limit(_ZERO, _ZERO, self.degree)
 
-    def exponent_denominators(self) -> set[int]:
-        dens: set[int] = set()
-        for c in self.coeffs:
-            dens |= c.exponent_denominators()
-        return dens
+
+def _canonical(low: Fraction, step: Fraction, den: int, poly: list) -> tuple:
+    """(low, step, den, P) made canonical: the first exponent present moved
+    into low, the gcd of the exponent gaps into step, the integer content
+    into den and den's sign into P."""
+    nonzero = [arr for arr in poly if arr]
+    if not nonzero:
+        return _ZERO, _ZERO, 1, poly
+    j = min(map(_first, nonzero))
+    g = 0
+    for arr in nonzero:
+        for k, x in enumerate(arr):
+            if x:
+                g = math.gcd(g, k - j)
+        if g == 1:
+            break
+    c = den
+    for arr in nonzero:
+        if c == 1:
+            break
+        c = math.gcd(c, *arr)
+    if den < 0:
+        c = -c
+    if j or g > 1 or c != 1:
+        poly = [[x // c for x in arr[j :: g or 1]] if arr else arr for arr in poly]
+    return Fraction(low + j * step), Fraction(step * g), den // c, poly
+
+
+def _grid(forms) -> tuple:
+    """(low, step, den, Ps): one grid holding every nonzero form given, and
+    each form's P on it."""
+    low = min(f.low for f in forms)
+    step = _qgcd(*(f.step for f in forms), *(f.low - low for f in forms))
+    den = math.lcm(*(f.den for f in forms))
+    return low, step, den, [f._on(low, step, den) for f in forms]
+
+
+class TLaurent:
+    """Constructors of the Laurent polynomials in t, the forms of degree 0:
+    the constant c and the term c * t^e."""
+
+    zero = SForm.zero(0)
+    one = SForm.monomial(0, 0)
+    const = staticmethod(lambda c: SForm.monomial(0, 0, c))
+    term = staticmethod(lambda c, e: SForm.monomial(0, 0, c, e))
 
 
 class FamilyPair:
@@ -180,7 +325,7 @@ class FamilyPair:
             raise ZeroFormError("g8 and g12 both vanish identically")
         self.g8 = g8
         self.g12 = g12
-        self.shift = _frac(shift)
+        self.shift = Fraction(shift)
         self.source_text = source_text
         self._disc24: SForm | None = None
 
@@ -194,9 +339,7 @@ class FamilyPair:
 
     def discriminant24(self) -> SForm:
         if self._disc24 is None:
-            cube = self.g8 ** 3 if self.g8 else SForm.zero(24)
-            square = (self.g12 * self.g12).scale(27) if self.g12 else SForm.zero(24)
-            self._disc24 = cube - square
+            self._disc24 = self.g8**3 - (self.g12 * self.g12).scale(27)
         return self._disc24
 
     def normalized(self) -> "FamilyPair":
@@ -219,62 +362,21 @@ class FamilyPair:
         )
 
     def ramification(self) -> int:
-        dens = self.g8.exponent_denominators() | self.g12.exponent_denominators()
-        return math.lcm(*dens)
-
-
-# ---------------------------------------------------------------------------
-# conversion to and from the integer kernel: s-polynomials over Z[u], u = t^step
-# ---------------------------------------------------------------------------
-
-
-def _integer_polys(*forms: SForm) -> tuple[Fraction, list[tuple[list, Fraction, int]]]:
-    """Write each form as t^low / den * P(t^step, s), P in Z[u][s].
-
-    Returns step and one (P, low, den) per form. P lists one integer u-array
-    per s-degree up to the formal degree, untrimmed, so reversing it gives the
-    form in the chart at s = infinity. step is shared by all the forms: the
-    gcd of every exponent difference inside a form, so u-arrays are as short
-    as the exponents allow.
-    """
-    terms = [
-        [(i, e, c) for i, coeff in enumerate(form.coeffs) for e, c in coeff.items()]
-        for form in forms
-    ]
-    m = math.lcm(*(e.denominator for ts in terms for _, e, _ in ts))
-    ints = [[(i, e.numerator * (m // e.denominator), c) for i, e, c in ts] for ts in terms]
-    lows = [min((k for _, k, _ in ts), default=0) for ts in ints]
-    d = math.gcd(*(k - low for ts, low in zip(ints, lows) for _, k, _ in ts)) or 1
-    out = []
-    for form, ts, low in zip(forms, ints, lows):
-        den = math.lcm(*(c.denominator for _, _, c in ts))
-        poly: list[list[int]] = [[] for _ in range(form.degree + 1)]
-        for i, k, c in ts:
-            k = (k - low) // d
-            arr = poly[i]
-            if len(arr) <= k:
-                arr.extend([0] * (k + 1 - len(arr)))
-            arr[k] = c.numerator * (den // c.denominator)
-        out.append((poly, Fraction(low, m), den))
-    return Fraction(d, m), out
-
-
-def _integer_form(
-    degree: int, poly: list, low: Fraction, step: Fraction, scale: Fraction
-) -> SForm:
-    """The form scale * t^low * P(t^step, s) of the given formal degree, P in
-    Z[u][s]: the way back from _integer_polys."""
-    exps = [low + k * step for k in range(max(map(len, poly), default=0))]
-    num, den = scale.numerator, scale.denominator
-    return SForm(degree, [
-        TLaurent._of({exps[k]: Fraction(num * x, den) for k, x in enumerate(arr) if x})
-        for arr in poly
-    ])
+        """lcm of the t-exponent denominators: every exponent of a form is
+        low + k * step, and the gaps have gcd step."""
+        return math.lcm(*(x.denominator for g in (self.g8, self.g12) for x in (g.low, g.step)))
 
 
 # ---------------------------------------------------------------------------
 # minimality and the cusp-quartic extraction
 # ---------------------------------------------------------------------------
+
+
+def _on_common_step(g8: SForm, g12: SForm) -> tuple[Fraction, list, list]:
+    """Both P on one step, each over its own low and den (units for every
+    divisibility question over Q(u))."""
+    step = _qgcd(g8.step, g12.step)
+    return step, g8._on(g8.low, step, g8.den), g12._on(g12.low, step, g12.den)
 
 
 def _repeated_factor_gcd(p: list, order: int) -> list:
@@ -315,7 +417,7 @@ def _nonminimal(g8: SForm, g12: SForm) -> bool:
     The affine test catches factors P(s); running it again on the reversed
     coefficient lists catches the factor supported at s = infinity.
     """
-    _, ((p8, _, _), (p12, _, _)) = _integer_polys(g8, g12)
+    _, p8, p12 = _on_common_step(g8, g12)
     charts = ((list(p8), list(p12)), (p8[::-1], p12[::-1]))
     return any(_affine_nonminimal(snorm(a), snorm(b)) for a, b in charts)
 
@@ -337,14 +439,17 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     (g8, g12) = (3 G^2, G^3) via G = 3 g12 / g8, verifying both identities exactly."""
     if f.discriminant24():
         raise ValueError("discriminant is not identically zero")
-    step, ((p8, low8, den8), (p12, low12, den12)) = _integer_polys(f.g8, f.g12)
+    g8, g12 = f.g8, f.g12
+    step, p8, p12 = _on_common_step(g8, g12)
     # g8 != 0 (else g12 = 0) and 3*g12 = G*g8 with G Laurent, so the division
     # is exact over Q[u, 1/u]
-    parts, z, c = sdiv_exact(snorm(p12), snorm(p8))
-    scale = Fraction(3 * den8, den12 * c)
-    quartic = _integer_form(4, parts, low12 - low8 - z * step, step, scale)
-    if (quartic * quartic).scale(3) != f.g8:
+    parts, z, c = sdiv_exact(snorm(list(p12)), snorm(list(p8)))
+    m = 3 * g8.den
+    quartic = SForm._of(
+        4, g12.low - g8.low - z * step, step, g12.den * c, [[x * m for x in arr] for arr in parts]
+    )
+    if (quartic * quartic).scale(3) != g8:
         raise UnrecognizedCuspError("3*G^2 differs from g8")
-    if quartic ** 3 != f.g12:
+    if quartic ** 3 != g12:
         raise UnrecognizedCuspError("G^3 differs from g12")
     return quartic

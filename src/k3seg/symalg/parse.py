@@ -12,11 +12,12 @@ Expressions are evaluated exactly in the fraction field of Q[s, t], on the
 integer kernel of field.py: a value is s^a * t^b * P(t^d, s) / Q(t^d, s) with
 P, Q in Z[u][s] free of factors s and u, and d the gcd of the gaps between
 its t-exponents (0 when there are none), so t^100000000 is a single entry. No
-evaluation builds an array of s- or u-degree past MAX_SPAN; an expression
-that would is a ParseError. A result is accepted only if its reduced
-denominator is a single monomial c*s^a*t^b, i.e. Q divides P; the s-part must
-then be a true polynomial of degree at most the slot's formal degree, while
-negative (and only integer) t-powers are fine.
+evaluation builds an array of s- or u-degree past MAX_SPAN, or runs a product
+whose coefficients could pass MAX_BITS bits, and no expression nests deeper
+than MAX_DEPTH; an input that would is a ParseError. A result is accepted
+only if its reduced denominator is a single monomial c*s^a*t^b, i.e. Q
+divides P; the s-part must then be a true polynomial of degree at most the
+slot's formal degree, while negative (and only integer) t-powers are fine.
 """
 
 from __future__ import annotations
@@ -25,23 +26,31 @@ from fractions import Fraction
 from math import gcd
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
-from .field import sadd, sdiv_exact, smul, snorm, spow
-from .forms import FamilyPair, SForm, _integer_form
+from .field import sadd, sdiv_exact, smul, snorm, spow, uspread
+from .forms import FamilyPair, SForm
 
 # ---------------------------------------------------------------------------
 # values s^a * t^b * P(t^d, s) / Q(t^d, s) as tuples (a, b, d, P, Q)
 # ---------------------------------------------------------------------------
 
 MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build
+MAX_BITS = 1 << 9  # largest coefficient size, in bits, a product may build
+MAX_DEPTH = 64  # deepest nesting of an expression, macro calls included
 
 _ZERO = (0, 0, 0, [], [[1]])
 _S = (1, 0, 0, [[1]], [[1]])
 _T = (0, 1, 0, [[1]], [[1]])
 
 
-def _fit(*spans: int) -> None:
-    if max(spans) > MAX_SPAN:
+def _fit(*spans: int, bits: int = 0) -> None:
+    if max(spans) > MAX_SPAN or bits > MAX_BITS:
         raise ParseError("expression too large")
+
+
+def _bits(p: list) -> int:
+    """Bits of p's 1-norm, rounded up. The 1-norm of a product is at most the
+    product of its factors' 1-norms, and bounds every coefficient."""
+    return (sum(abs(x) for c in p for x in c) - 1).bit_length()
 
 
 def _uspan(p: list) -> int:
@@ -49,8 +58,9 @@ def _uspan(p: list) -> int:
 
 
 def _value(a: int, b: int, d: int, num: list, den: list) -> tuple:
-    """Move the s- and u-power factors of num and den into (a, b) and make d
-    the gcd of the u-exponent gaps, 0 when there are none."""
+    """Move the s- and u-power factors of num and den into (a, b), make d
+    the gcd of the u-exponent gaps, 0 when there are none, and cancel the
+    integer content num and den share."""
     num = snorm(num)
     if not num:
         return _ZERO
@@ -61,14 +71,14 @@ def _value(a: int, b: int, d: int, num: list, den: list) -> tuple:
         a, b = a + sign * i, b + sign * j * d
         parts.append([c[j:] for c in p[i:]])
     g = gcd(*(k for p in parts for c in p for k, x in enumerate(c) if x))
+    content = 0
+    for c in (c for p in parts for c in p):
+        content = gcd(content, *c)
+        if content == 1:
+            break
+    else:
+        parts = [[[x // content for x in c] for c in p] for p in parts]
     return (a, b, d * g, *([c[:: g or 1] for c in p] for p in parts))
-
-
-def _spread(c: list, j: int, k: int) -> list:
-    """u^j * c(u^k)."""
-    out = [0] * (j + (len(c) - 1) * k + 1) if c else []
-    out[j::k] = c
-    return out
 
 
 def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
@@ -77,13 +87,13 @@ def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
     xa, xb, xd, num, den = x
     i, j, k = xa - a, (xb - b) // d if d else 0, xd // d if xd else 1
     _fit(i + len(num) - 1, j + _uspan(num) * k, _uspan(den) * k)
-    return [[]] * i + [_spread(c, j, k) for c in num], [_spread(c, 0, k) for c in den]
+    return [[]] * i + [uspread(c, j, k) for c in num], [uspread(c, 0, k) for c in den]
 
 
 def _product(p: list, q: list) -> list:
     if p == [[1]] or q == [[1]]:
         return q if p == [[1]] else p
-    _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q))
+    _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q), bits=_bits(p) + _bits(q))
     return smul(p, q)
 
 
@@ -122,12 +132,16 @@ def _pow(x: tuple, n: int) -> tuple:
     if n < 0:
         x, n = _inverse(x), -n
     a, b, d, num, den = x
-    _fit(n * (len(num) - 1), n * _uspan(num), n * (len(den) - 1), n * _uspan(den))
+    _fit(
+        n * (len(num) - 1), n * _uspan(num), n * (len(den) - 1), n * _uspan(den),
+        bits=n * max(_bits(num), _bits(den)),
+    )
     return _value(a * n, b * n, d, spow(num, n), spow(den, n))
 
 
 # ---------------------------------------------------------------------------
-# tokenizer and recursive-descent parser to a small tuple AST
+# tokenizer and recursive-descent parser to a small tuple AST; a run of
+# sums (or of products) is one flat "chain" node, evaluated left to right
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()=")
@@ -173,6 +187,7 @@ class _Parser:
     def __init__(self, toks: list[tuple[str, object, int]], stmt: str, offset: int = 0):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
         self.end_col = offset + len(stmt.rstrip()) + 1
 
     def peek(self) -> str | None:
@@ -193,27 +208,36 @@ class _Parser:
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
+    def nested(self, parse):
+        """parse() one nesting level deeper."""
+        if self.depth >= MAX_DEPTH:
+            raise ParseError("expression nested too deeply")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def chain(self, operand, ops: tuple[str, str]):
+        first = operand()
+        rest = []
+        while self.peek() in ops:
+            op = self.take()
+            rest.append((op, operand()))
+        return ("chain", first, rest) if rest else first
+
     # expr := term {(+|-) term}
     def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = ("bin", op, node, self.term())
-        return node
+        return self.chain(self.term, ("+", "-"))
 
     # term := factor {(*|/) factor}
     def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = ("bin", op, node, self.factor())
-        return node
+        return self.chain(self.factor, ("*", "/"))
 
     # factor := ['-'] factor | power
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return ("neg", self.factor())
+            return ("neg", self.nested(self.factor))
         return self.power()
 
     # power := atom ['^' exponent]
@@ -227,7 +251,7 @@ class _Parser:
     def exponent(self) -> int:
         if self.peek() == "(":
             self.take()
-            e = self.exponent()
+            e = self.nested(self.exponent)
             self.take(")")
             return e
         sign = 1
@@ -242,14 +266,14 @@ class _Parser:
             return ("num", self.take())
         if k == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.take(")")
             return node
         if k == "name":
             name = self.take()
             if self.peek() == "(":
                 self.take()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.take(")")
                 return ("call", name, arg)
             return ("var", name)
@@ -277,9 +301,10 @@ def _check_names(node, macros: dict, param: str | None, self_name: str | None):
         _check_names(node[2], macros, param, self_name)
     elif kind == "neg":
         _check_names(node[1], macros, param, self_name)
-    elif kind == "bin":
-        _check_names(node[2], macros, param, self_name)
-        _check_names(node[3], macros, param, self_name)
+    elif kind == "chain":
+        _check_names(node[1], macros, param, self_name)
+        for _, operand in node[2]:
+            _check_names(operand, macros, param, self_name)
     elif kind == "pow":
         _check_names(node[1], macros, param, self_name)
 
@@ -292,22 +317,29 @@ _BINARY = {
 }
 
 
-def _eval(node, macros: dict, env: dict) -> tuple:
+def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
+    """The value of node; depth counts the nodes and macro calls above it."""
+    if depth > MAX_DEPTH:
+        raise ParseError("expression nested too deeply")
     kind = node[0]
+    depth += 1
     if kind == "num":
         return (0, 0, 0, [[node[1]]], [[1]]) if node[1] else _ZERO
     if kind == "var":
         return env[node[1]] if node[1] in env else _S if node[1] == "s" else _T
     if kind == "neg":
-        return _neg(_eval(node[1], macros, env))
+        return _neg(_eval(node[1], macros, env, depth))
     if kind == "pow":
-        return _pow(_eval(node[1], macros, env), node[2])
-    if kind == "bin":
-        return _BINARY[node[1]](_eval(node[2], macros, env), _eval(node[3], macros, env))
+        return _pow(_eval(node[1], macros, env, depth), node[2])
+    if kind == "chain":
+        value = _eval(node[1], macros, env, depth)
+        for op, operand in node[2]:
+            value = _BINARY[op](value, _eval(operand, macros, env, depth))
+        return value
     # call: eager single-argument application
     _, name, arg = node
     param, body = macros[name]
-    return _eval(body, macros, {param: _eval(arg, macros, env)})
+    return _eval(body, macros, {param: _eval(arg, macros, env, depth)}, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +363,7 @@ def _finalize(value: tuple, degree: int, slot: str) -> SForm:
         raise DegreeError(
             "%s has s-degree %d, limit is %d" % (slot, a + len(quo) - 1, degree)
         )
-    low, step = Fraction(b - z * d), Fraction(d)
-    return _integer_form(degree, [[]] * a + quo, low, step, Fraction(1, c))
+    return SForm._of(degree, Fraction(b - z * d), Fraction(d), c, [[]] * a + quo)
 
 
 def parse_family(text: str) -> FamilyPair:
@@ -414,19 +445,16 @@ def parse_family(text: str) -> FamilyPair:
 
 
 def _print_form(form: SForm) -> str:
-    monomials: list[tuple[Fraction, int, int]] = []
-    for i in range(form.degree, -1, -1):
-        c = form.coeffs[i]
-        for e, coef in c.items():
-            if e.denominator != 1:
-                raise ValueError(
-                    "fractional t-exponent %s cannot be printed in the file grammar" % e
-                )
-            monomials.append((coef, int(e), i))
+    # s-exponent descending, t-exponent ascending (a stable sort keeps it)
+    monomials = sorted(form.terms(), key=lambda term: -term[0])
     if not monomials:
         return "0"
     parts: list[str] = []
-    for coef, e, i in monomials:
+    for i, e, coef in monomials:
+        if e.denominator != 1:
+            raise ValueError(
+                "fractional t-exponent %s cannot be printed in the file grammar" % e
+            )
         factors: list[str] = []
         mag = abs(coef)
         if e:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import UnrecognizedCuspError, ZeroFormError
 from .symalg.forms import FamilyPair, SForm
-from .symalg.laurent import INF, NEG_INF
+from .symalg.forms import INF, NEG_INF
 
 Point = tuple[int, Fraction]
 
@@ -84,24 +84,30 @@ class EndExponents(NamedTuple):
     at_infinity: Fraction
 
 
-def end_exponents(f: FamilyPair) -> EndExponents:
-    """Degeneration speeds toward the two ends of the base of the family.
+def pair_polygons(f: FamilyPair) -> tuple:
+    """Newton polygons of g8 and g12, None for a form that vanishes identically."""
+    return tuple(newton_polygon(g) if g else None for g in (f.g8, f.g12))
+
+
+def end_exponents(
+    trop8: TropicalPolynomial | None, trop12: TropicalPolynomial | None
+) -> EndExponents:
+    """Degeneration speeds toward the two ends of the base of a family, from
+    the Newton polygons of its g8 and g12 (None for a form that vanishes
+    identically: that side places no constraint).
 
     With the root valuations of g8 sorted descending as x1 >= ... >= x8 and
     those of g12 as y1 >= ... >= y12, the exponent at the zero end is
-    min(x4, y6) and at the infinity end min(-x5, -y7). A side whose form
-    vanishes identically places no constraint.
+    min(x4, y6) and at the infinity end min(-x5, -y7).
     """
     zero_candidates: list = []
     inf_candidates: list = []
-    if f.g8:
-        xs = root_valuations(newton_polygon(f.g8))
-        zero_candidates.append(xs[3])
-        inf_candidates.append(-xs[4])
-    if f.g12:
-        ys = root_valuations(newton_polygon(f.g12))
-        zero_candidates.append(ys[5])
-        inf_candidates.append(-ys[6])
+    for poly in (trop8, trop12):
+        if poly is not None:
+            vals = root_valuations(poly)
+            half = poly.degree // 2
+            zero_candidates.append(vals[half - 1])
+            inf_candidates.append(-vals[half])
     e0 = min(zero_candidates)
     einf = min(inf_candidates)
     if e0 <= 0 or einf <= 0:

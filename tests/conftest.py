@@ -3,8 +3,8 @@ import pathlib
 import pytest
 
 from k3seg.report import analyze
-from k3seg.symalg import parse_family
-from k3seg.tropics import end_exponents, newton_polygon
+from k3seg.symalg import SForm, parse_family
+from k3seg.tropics import end_exponents, newton_polygon, pair_polygons
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FAMILY_DIR = REPO / "families"
@@ -27,8 +27,14 @@ def tropical_data(pair):
         newton_polygon(pair.discriminant24()),
         newton_polygon(pair.g8),
         newton_polygon(pair.g12),
-        end_exponents(pair),
+        end_exponents(*pair_polygons(pair)),
     )
+
+
+def stretched(f, a):
+    """f in the coordinate sigma = s / t^a: the s^i coefficient times t^(i*a)."""
+    parts = (SForm(f.degree, [0] * i + [c]).shift_t(i * a) for i, c in enumerate(f.coeffs))
+    return sum(parts, SForm.zero(f.degree))
 
 
 @pytest.fixture(scope="session")

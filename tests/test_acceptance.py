@@ -32,7 +32,7 @@ from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
 from k3seg.symalg import SForm
 from k3seg.tropics import newton_polygon
-from tests.conftest import tropical_data
+from tests.conftest import stretched, tropical_data
 
 
 @contextmanager
@@ -185,5 +185,5 @@ def test_criterion_9_min_plus_duality():
             if f.is_zero():
                 continue
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            assert newton_polygon(f).eval_at(a) == f.substitute_scaled(a).min_coeff_val()
+            assert newton_polygon(f).eval_at(a) == stretched(f, a).min_coeff_val()
             checked += 1

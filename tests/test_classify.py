@@ -18,7 +18,7 @@ from k3seg.errors import (
 )
 from k3seg.report import analyze
 from k3seg.symalg import SForm, parse_family
-from k3seg.tropics import end_exponents
+from k3seg.tropics import end_exponents, pair_polygons
 
 
 SEGMENT_TEXT = "g8 = 9*s^4 + t*(1 + s^8)\ng12 = s^6 + t*(1 + s^12)\n"
@@ -102,7 +102,7 @@ def test_segment_family_is_refused_whole():
 
 def test_tent_end_surfaces(named):
     tent = named["tent"]
-    left = end_surface_data(tent, "left", end_exponents(tent))
+    left = end_surface_data(tent, "left", end_exponents(*pair_polygons(tent)))
     assert left.g4 == SForm(4, [0, 0, 0, 0, 3])
     assert left.g6 == SForm(6, [1, 0, 0, 0, 0, 0, 1])
     assert not left.is_nodal
@@ -110,13 +110,13 @@ def test_tent_end_surfaces(named):
     delta = left.g4**3 - (left.g6 * left.g6).scale(27)
     assert delta == SForm(12, [-27, 0, 0, 0, 0, 0, -54])
     # the family is chart-symmetric, so the right end matches
-    right = end_surface_data(tent, "right", end_exponents(tent))
+    right = end_surface_data(tent, "right", end_exponents(*pair_polygons(tent)))
     assert (right.g4, right.g6) == (left.g4, left.g6)
 
 
 def test_d_mixed_left_end_is_a_square_cube_pair(named):
     g = named["d_mixed"].normalized()
-    left = end_surface_data(g, "left", end_exponents(g))
+    left = end_surface_data(g, "left", end_exponents(*pair_polygons(g)))
     p2 = SForm(2, [6, -9, 3])  # 3*(sigma - 1)*(sigma - 2)
     assert left.g4 == (p2 * p2).scale(3)
     assert left.g6 == p2**3
@@ -125,7 +125,8 @@ def test_d_mixed_left_end_is_a_square_cube_pair(named):
 
 def test_end_surface_side_validation(named):
     with pytest.raises(ValueError):
-        end_surface_data(named["tent"], "top", end_exponents(named["tent"]))
+        tent = named["tent"]
+        end_surface_data(tent, "top", end_exponents(*pair_polygons(tent)))
 
 
 def test_end_surface_nodal_matches_density_endpoint(named_reports):

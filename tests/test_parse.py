@@ -2,6 +2,7 @@
 
 import ast
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from k3seg.errors import DegreeError, NotPolynomialError, ParseError
 from k3seg.symalg import parse_family
-from k3seg.symalg.parse import MAX_SPAN
+from k3seg.symalg.parse import MAX_BITS, MAX_DEPTH, MAX_SPAN
 
 
 def coeff(form, s_exp, t_exp):
-    return form.coeffs[s_exp].coeff(Fraction(t_exp))
+    return form.coeff(s_exp, Fraction(t_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +134,31 @@ def test_trailing_input_after_assignment():
 
 
 def test_deep_nesting_is_a_parse_error():
-    msg = err_message("g8 = s^4\ng12 = " + "(" * 3000 + "s^6" + ")" * 3000, ParseError)
-    assert msg == "line 2: expression nested too deeply"
-    # each macro is shallow; only evaluating the last one recurses deeply
-    chain = "".join("let f%d(x) = f%d(x)\n" % (i, i - 1) for i in range(1, 1500))
-    msg = err_message("let f0(x) = x\n" + chain + "g8 = f1499(s^4)\ng12 = s^6", ParseError)
-    assert msg == "line 1501: expression nested too deeply"
+    # the limit is the parser's own, not the interpreter's recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100000)
+    try:
+        for depth in (3000, 5000):
+            text = "g8 = s^4\ng12 = " + "(" * depth + "s^6" + ")" * depth
+            assert err_message(text, ParseError) == "line 2: expression nested too deeply"
+        # each macro is shallow; only evaluating the last one nests deeply
+        chain = "".join("let f%d(x) = f%d(x)\n" % (i, i - 1) for i in range(1, 1500))
+        text = "let f0(x) = x\n" + chain + "g8 = f1499(s^4)\ng12 = s^6"
+        assert err_message(text, ParseError) == "line 1501: expression nested too deeply"
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parse_family("g8 = s^4 * " + "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH + "\ng12 = s^6")
+    for text in ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "-" * (MAX_DEPTH + 1) + "1"):
+        msg = err_message("g8 = s^4 * " + text + "\ng12 = s^6", ParseError)
+        assert msg == "line 1: expression nested too deeply"
+
+
+def test_long_sums_and_products_do_not_nest():
+    n = 3 * MAX_DEPTH
+    f = parse_family("g8 = " + " + ".join("t^%d*s^4" % k for k in range(n)) + "\ng12 = s^6")
+    assert coeff(f.g8, 4, n - 1) == 1
+    f = parse_family("g8 = s^4" + "*(1 + t)" * n + "/(1 + t)" * n + "\ng12 = s^6")
+    assert f.g8 == parse_family("g8 = s^4\ng12 = s^6").g8
 
 
 def test_unknown_statement_head():
@@ -214,7 +234,18 @@ def test_degree_overflow():
 
 def test_oversized_expressions_are_parse_errors():
     wide_pair = "g8 = (s+t)^4*(s^4 + 1 + t^200001)\ng12 = (s+t)^6*(s^6 + 1 + t^200001)"
-    for text in ("g8 = (1+t)^100000\ng12 = s^6", "g8 = s^1000000000 + 1\ng12 = s^6", wide_pair):
+    # coefficients past MAX_BITS are refused before the product that would
+    # build them runs
+    long_coefficients = (
+        "g8 = (1+t)^2000\ng12 = s^6",
+        "g8 = (1+t)^4000\ng12 = s^6",
+        "g8 = (1+t)^16384/(1+t)^16384\ng12 = s^6",
+        "g8 = (1+t)" + "*(1+t)" * MAX_BITS + "\ng12 = s^6",
+    )
+    for text in (
+        "g8 = (1+t)^100000\ng12 = s^6", "g8 = s^1000000000 + 1\ng12 = s^6", wide_pair,
+        *long_coefficients,
+    ):
         start = time.perf_counter()
         assert err_message(text, ParseError) == "line 1: expression too large"
         assert time.perf_counter() - start < 1
@@ -222,6 +253,10 @@ def test_oversized_expressions_are_parse_errors():
     text = "g8 = s^4*(1 + t + t^%d)\ng12 = s^6"
     assert coeff(parse_family(text % MAX_SPAN).g8, 4, MAX_SPAN) == 1
     assert err_message(text % (MAX_SPAN + 1), ParseError) == "line 1: expression too large"
+    # (1+t)^n has 1-norm 2^n, so the bit bound sits exactly at n = MAX_BITS
+    text = "g8 = s^4*(1 + t)^%d\ng12 = s^6"
+    assert coeff(parse_family(text % MAX_BITS).g8, 4, 1) == MAX_BITS
+    assert err_message(text % (MAX_BITS + 1), ParseError) == "line 1: expression too large"
     # a sum that cancels back to a monomial is a single entry again
     f = parse_family("g8 = s^4*((t + t^2) - t^2 + t^100000000)\ng12 = s^6")
     assert coeff(f.g8, 4, 100000000) == 1
@@ -338,5 +373,5 @@ def test_parser_agrees_with_sympy(body, expr, slot):
             parse_family(text)
         return
     form = getattr(parse_family(text), slot)
-    got = {(i, e): c for i, coeff in enumerate(form.coeffs) for e, c in coeff.items()}
+    got = {(i, e): c for i, e, c in form.terms()}
     assert got == expected

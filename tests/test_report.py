@@ -40,10 +40,10 @@ def test_analyze_derives_each_quantity_once(named):
     counts = count_calls(
         lambda: analyze(named["tent"]), end_exponents, newton_polygon, root_valuations
     )
-    # one polygon each for g8 and g12 inside end_exponents, then g8, g12 and
-    # the discriminant once for the density routes; three valuation reads:
-    # g8 and g12 for the end exponents, the discriminant for the positions
-    assert counts == {"end_exponents": 1, "newton_polygon": 5, "root_valuations": 3}
+    # one polygon each for g8, g12 and the discriminant, shared by the end
+    # exponents and the density routes; three valuation reads: g8 and g12
+    # for the end exponents, the discriminant for the positions
+    assert counts == {"end_exponents": 1, "newton_polygon": 3, "root_valuations": 3}
 
 
 def test_analyze_extracts_the_cusp_quartic_once(named):

@@ -14,12 +14,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import family_text
+from conftest import family_text, stretched
 from k3seg.errors import DegreeError, NotMinimalError, ZeroFormError
 from k3seg.report import analyze
 from k3seg.symalg import (
     INF,
-    NEG_INF,
     FamilyPair,
     SForm,
     TLaurent,
@@ -28,7 +27,6 @@ from k3seg.symalg import (
     minimality_check,
     parse_family,
 )
-from k3seg.symalg.forms import _integer_polys
 
 S, T = sympy.symbols("s t")
 
@@ -36,9 +34,8 @@ S, T = sympy.symbols("s t")
 def to_sympy(form: SForm, m: int = 1):
     """The form as a sympy expression, with t = T^m."""
     expr = sympy.Integer(0)
-    for i, c in enumerate(form.coeffs):
-        for e, coef in c.items():
-            expr += sympy.Rational(coef) * S**i * T ** sympy.Rational(e * m)
+    for i, e, coef in form.terms():
+        expr += sympy.Rational(coef) * S**i * T ** sympy.Rational(e * m)
     return sympy.expand(expr)
 
 
@@ -53,45 +50,51 @@ def random_form(rng: random.Random, degree: int, terms: int) -> SForm:
 
 
 # ---------------------------------------------------------------------------
-# TLaurent
+# TLaurent: the constructors of degree-0 forms
 # ---------------------------------------------------------------------------
+
+
+def laurent(terms):
+    """The degree-0 form sum of c * t^e over {e: c}."""
+    return sum((TLaurent.term(c, e) for e, c in terms.items()), TLaurent.zero)
 
 
 def test_tlaurent_zero_conventions():
     z = TLaurent.zero
     assert z.is_zero() and not z
-    assert z.val() == INF
-    assert z.top_exponent() == NEG_INF
-    assert z.leading() == 0
+    assert z.degree == 0
+    assert z.min_coeff_val() == INF
+    assert z.hull_points() == []
+    assert z.coeff(0) == 0
 
 
 def test_tlaurent_cancellation_drops_terms():
-    a = TLaurent({Fraction(1, 2): 3, 2: -1})
-    b = TLaurent({Fraction(1, 2): -3, 0: 7})
+    a = laurent({Fraction(1, 2): 3, 2: -1})
+    b = laurent({Fraction(1, 2): -3, 0: 7})
     s = a + b
-    assert s.coeff(Fraction(1, 2)) == 0
-    assert s == TLaurent({0: 7, 2: -1})
+    assert s.coeff(0, Fraction(1, 2)) == 0
+    assert s == laurent({0: 7, 2: -1})
     assert (a - a).is_zero()
 
 
 def test_tlaurent_limit0_requires_nonnegative_valuation():
-    assert TLaurent({0: 5, 1: 1}).limit0() == 5
-    assert TLaurent({2: 9}).limit0() == 0
-    assert TLaurent.zero.limit0() == 0
+    assert laurent({0: 5, 1: 1}).limit0() == TLaurent.const(5)
+    assert laurent({2: 9}).limit0() == TLaurent.zero
+    assert TLaurent.zero.limit0() == TLaurent.zero
     with pytest.raises(ValueError):
-        TLaurent({-1: 1}).limit0()
+        laurent({-1: 1}).limit0()
 
 
 def test_tlaurent_rescale_exponents():
-    a = TLaurent({2: 1, -1: 3})
-    assert a.rescale_exponents(Fraction(1, 2)) == TLaurent({1: 1, Fraction(-1, 2): 3})
+    a = laurent({2: 1, -1: 3})
+    assert a.rescale_exponents(Fraction(1, 2)) == laurent({1: 1, Fraction(-1, 2): 3})
     with pytest.raises(ValueError):
         a.rescale_exponents(0)
 
 
 def test_tlaurent_shift_is_multiplication_by_power():
-    a = TLaurent({0: 2, 3: -1})
-    assert a.shift(Fraction(1, 2)) == TLaurent({Fraction(1, 2): 2, Fraction(7, 2): -1})
+    a = laurent({0: 2, 3: -1})
+    assert a.shift_t(Fraction(1, 2)) == laurent({Fraction(1, 2): 2, Fraction(7, 2): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,27 @@ def test_sform_degree_guard():
     SForm(2, [1, 0, 1, 0, 0])
     with pytest.raises(DegreeError):
         SForm(2, [1, 0, 1, 5])
+
+
+def test_sform_fields_are_canonical():
+    # t^low / den * P(t^step, s): low the first exponent, step the gcd of the
+    # gaps, den the lcm of the coefficient denominators, P padded to degree 2
+    f = SForm(2, [laurent({Fraction(1, 2): 2, Fraction(5, 2): 4}), 0,
+                  TLaurent.term(Fraction(-1, 3), Fraction(3, 2))])
+    assert (f.low, f.step, f.den, f.poly) == (Fraction(1, 2), 1, 3, [[6, 0, 12], [], [0, -1]])
+    assert f.hull_points() == [(0, Fraction(1, 2)), (2, Fraction(3, 2))]
+    assert f.coeff(0, Fraction(5, 2)) == 4 and f.coeff(2, 2) == 0
+    wide = laurent({0: 1, 200000: 1})
+    assert (wide.low, wide.step, wide.poly) == (0, 200000, [[1, 1]])
+    z = SForm.zero(3)
+    assert (z.low, z.step, z.den, z.poly) == (0, 0, 1, [[], [], [], []])
+    # the same form reached two ways has the same fields
+    square = laurent({0: 1, 1: 1}) * laurent({0: 1, 1: -1})
+    assert square == laurent({0: 1, 2: -1}) and (square.step, square.poly) == (2, [[1, -1]])
+    assert hash(square) == hash(laurent({0: 1, 2: -1}))
+    half = f.scale(Fraction(-3, 2))
+    assert (half.den, half.poly) == (2, [[-6, 0, -12], [], [0, 1]])
+    assert f.inverted().poly == f.poly[::-1] and f.shift_t(1).low == Fraction(3, 2)
 
 
 def test_sform_degree_and_valuation():
@@ -142,13 +166,13 @@ def grid_forms(draw, m: int) -> SForm:
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     terms = st.dictionaries(st.integers(0, 3), coeff, max_size=3)
     return SForm(degree, [
-        TLaurent({Fraction(offset + step * k, m): c for k, c in draw(terms).items()})
+        laurent({Fraction(offset + step * k, m): c for k, c in draw(terms).items()})
         for _ in range(degree + 1)
     ])
 
 
-_GRID_A = SForm(2, [TLaurent({0: 1, 6: Fraction(-2, 3)}), 0, TLaurent({6: 5})])
-_GRID_B = SForm(1, [TLaurent({1: 3}), TLaurent({1: Fraction(1, 2), 7: -1})])
+_GRID_A = SForm(2, [laurent({0: 1, 6: Fraction(-2, 3)}), 0, laurent({6: 5})])
+_GRID_B = SForm(1, [laurent({1: 3}), laurent({1: Fraction(1, 2), 7: -1})])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -167,11 +191,22 @@ def test_sform_product_and_power_match_sympy(case):
     assert to_sympy(power, m) == sympy.expand(to_sympy(a, m) ** n)
 
 
-def test_sform_substitute_scaled_shifts_each_coefficient():
+def test_sform_stretched_limit_reads_the_shifted_coefficients():
+    # the sigma^i coefficient of f(t^a * sigma) is f's s^i coefficient times
+    # t^(i*a); stretched_limit reads the t^level term of each of them
+    rng = random.Random(5)
+    for _ in range(30):
+        f = random_form(rng, rng.randint(1, 6), rng.randint(1, 5))
+        if f.is_zero():
+            continue
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        full = stretched(f, a)
+        level = full.min_coeff_val()
+        assert f.stretched_limit(a, level, f.degree) == full.shift_t(-level).limit0()
     f = SForm(3, [TLaurent.one, TLaurent.term(2, 1), TLaurent.zero, TLaurent.one])
-    g = f.substitute_scaled(Fraction(1, 3))
-    for i in range(4):
-        assert g.coeffs[i] == f.coeffs[i].shift(Fraction(i, 3))
+    assert f.stretched_limit(Fraction(-1, 3), Fraction(-1), 3) == SForm(3, [0, 0, 0, 1])
+    with pytest.raises(DegreeError):
+        f.stretched_limit(Fraction(-1, 3), Fraction(-1), 2)
 
 
 def test_sform_inverted_reverses_and_is_involutive():
@@ -316,7 +351,7 @@ def _sympy_nonminimal(f: FamilyPair) -> bool:
     for pair in (f, f.inverted()):
         common = sympy.Poly(0, S, T)
         for form, order in ((pair.g12, 6), (pair.g8, 4)):
-            terms = {(i, int(e)): c for i, co in enumerate(form.coeffs) for e, c in co.items()}
+            terms = {(i, int(e)): c for i, e, c in form.terms()}
             poly = sympy.Poly.from_dict(terms, S, T, domain=sympy.QQ)
             for _ in range(order):
                 common = sympy.gcd(common, poly)
@@ -367,10 +402,9 @@ def test_sparse_regular_exponents_cost_what_dense_ones_do():
     text = "g8 = 3*s^4 + t^%s*(1 + s^8)\ng12 = s^6 + t^%s*(1 + s^12)\n"
     base = analyze(parse_family(text % (1, 1)))
     pair = parse_family(text % (200000, 200000))
-    # the kernel sees the pair in u = t^200000: every u-array has length <= 2
-    step, polys = _integer_polys(pair.g8, pair.g12)
-    assert step == 200000
-    assert max(len(arr) for poly, _, _ in polys for arr in poly) == 2
+    # each form is stored in u = t^200000: every u-array has length <= 2
+    assert pair.g8.step == pair.g12.step == 200000
+    assert max(len(arr) for form in (pair.g8, pair.g12) for arr in form.poly) == 2
     # parsing included: the parser keeps its own values in the same step
     for e in ("200000", "100000000", "100000000*t"):
         start = time.perf_counter()

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import stretched
 from k3seg.errors import UnrecognizedCuspError, ZeroFormError
 from k3seg.symalg import INF, NEG_INF, SForm, TLaurent, parse_family
 from k3seg.tropics import (
     end_exponents,
     modified_polygon,
     newton_polygon,
+    pair_polygons,
     root_valuations,
 )
 
@@ -56,16 +58,16 @@ def test_root_valuations_count_matches_formal_degree():
 
 def test_end_exponents_of_named_families(named):
     for name, e in (("ds_split", 1), ("d_mixed", 1), ("d_constant", 1)):
-        ends = end_exponents(named[name].normalized())
+        ends = end_exponents(*pair_polygons(named[name].normalized()))
         assert (ends.at_zero, ends.at_infinity) == (e, e)
-    ends = end_exponents(named["tent"])
+    ends = end_exponents(*pair_polygons(named["tent"]))
     assert (ends.at_zero, ends.at_infinity) == (Fraction(1, 6), Fraction(1, 6))
 
 
 def test_end_exponents_reject_non_degenerating_pair():
     f = parse_family("g8 = s^8 + 1\ng12 = s^12 + 1\n")
     with pytest.raises(UnrecognizedCuspError, match="not both positive"):
-        end_exponents(f)
+        end_exponents(*pair_polygons(f))
 
 
 def test_end_exponents_reject_infinite_speed():
@@ -73,15 +75,15 @@ def test_end_exponents_reject_infinite_speed():
     # bound at the zero end either
     f = parse_family("g8 = 9*s^4 + t*s^5\ng12 = s^6\n")
     with pytest.raises(UnrecognizedCuspError, match="infinite"):
-        end_exponents(f)
+        end_exponents(*pair_polygons(f))
 
 
 def test_end_exponents_ignore_vanishing_form():
     f = parse_family("g8 = 3*s^4\ng12 = s^6 - s^6\n")
     g = parse_family("g8 = 3*s^4 + t*(1 + s^8)\ng12 = s^6 - s^6\n")
     with pytest.raises(UnrecognizedCuspError):
-        end_exponents(f)  # g8 alone: infinite speeds
-    ends = end_exponents(g)
+        end_exponents(*pair_polygons(f))  # g8 alone: infinite speeds
+    ends = end_exponents(*pair_polygons(g))
     assert ends == (Fraction(1, 4), Fraction(1, 4))
 
 
@@ -100,11 +102,12 @@ def test_polygon_evaluation_is_stretched_minimum():
         if f.is_zero():
             continue
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        assert newton_polygon(f).eval_at(a) == f.substitute_scaled(a).min_coeff_val()
+        assert newton_polygon(f).eval_at(a) == stretched(f, a).min_coeff_val()
 
 
 def clamped(pair):
-    return modified_polygon(newton_polygon(pair.discriminant24()), end_exponents(pair))
+    ends = end_exponents(*pair_polygons(pair))
+    return modified_polygon(newton_polygon(pair.discriminant24()), ends)
 
 
 def test_modified_polygon_frozen_hulls(named):
@@ -127,7 +130,7 @@ def test_modified_polygon_extends_degree_drop(named):
 def test_modified_polygon_slopes_are_clamped(named):
     for name in ("ds_split", "ds_circle", "tent", "d_mixed"):
         g = named[name].normalized()
-        ends = end_exponents(g)
+        ends = end_exponents(*pair_polygons(g))
         mp = clamped(g)
         assert mp.hull[0][0] == 0 and mp.hull[-1][0] == 24
         for slope in mp.slopes():
