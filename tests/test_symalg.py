@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import family_text, stretched
@@ -396,6 +396,52 @@ def test_minimality_agrees_with_sympy_on_constructed_pairs():
         for pair in (near, near.inverted()):
             assert not _sympy_nonminimal(pair)
             minimality_check(pair)
+
+
+_T_POLY = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def _t_forms(draw, degree: int) -> SForm:
+    """A form whose coefficients are polynomials in t of degree <= 2; any of
+    them, the top and bottom ones included, may vanish."""
+    return SForm(degree, [laurent(draw(_T_POLY)) for _ in range(degree + 1)])
+
+
+@st.composite
+def _minimality_pairs(draw) -> FamilyPair:
+    """(P^a h8, P^b h12) with (a, b) = (4, 6), a near miss (4, 5) or (3, 6),
+    or a random pair; either form may be replaced by 0. P is s, a general
+    linear or quadratic form with t-coefficients, or the factor at s =
+    infinity: the pair built with P = s and then inverted."""
+    kind = draw(st.sampled_from(("s", "infinity", "linear", "quadratic")))
+    if kind in ("s", "infinity"):
+        p = SForm.monomial(1, 1)
+    else:
+        p = draw(_t_forms(1 if kind == "linear" else 2))
+        assume(p)
+    a, b = draw(st.sampled_from(((4, 6), (4, 5), (3, 6), (0, 0))))
+    g8 = p**a * draw(_t_forms(8 - a * p.degree))
+    g12 = p**b * draw(_t_forms(12 - b * p.degree))
+    zero = draw(st.sampled_from((None, None, "g8", "g12")))
+    if zero == "g8":
+        g8 = SForm.zero(8)
+    elif zero == "g12":
+        g12 = SForm.zero(12)
+    assume(g8 or g12)
+    pair = FamilyPair(g8, g12)
+    return pair.inverted() if kind == "infinity" else pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_minimality_pairs())
+def test_minimality_agrees_with_sympy_on_random_pairs(pair):
+    try:
+        minimality_check(pair)
+        rejected = False
+    except NotMinimalError:
+        rejected = True
+    assert rejected == _sympy_nonminimal(pair)
 
 
 def test_sparse_regular_exponents_cost_what_dense_ones_do():
