@@ -12,13 +12,12 @@ from typing import NamedTuple
 
 from .density import DensityFunction
 from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
-from .symalg.field import sdeg
+from .symalg.field import sderiv, sgcd
 from .symalg.forms import (
     INF,
     FamilyPair,
     SForm,
     _nonminimal,
-    _repeated_factor_gcd,
     extract_cusp_quartic,
 )
 from .tropics import EndExponents
@@ -48,7 +47,7 @@ def cuspidal_kind(quartic: SForm) -> CuspKind:
     """CUSPIDAL when the limit of the cusp quartic G has degree exactly 4 and
     no repeated root (four distinct finite roots), else CUSPIDAL_TO_MAXIMAL."""
     limit = quartic.limit0()
-    if limit.s_degree() == 4 and sdeg(_repeated_factor_gcd(limit.poly, 2)) < 1:
+    if limit.s_degree() == 4 and len(sgcd(limit.poly, sderiv(limit.poly))) == 1:
         return CuspKind.CUSPIDAL
     return CuspKind.CUSPIDAL_TO_MAXIMAL
 

@@ -17,6 +17,8 @@ from .errors import BadIndexError
 
 Gram = tuple[tuple[int, ...], ...]
 
+MAX_INDEX = 24
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -58,10 +60,14 @@ def root_lattice(kind: str, n: int) -> Lattice:
     sum sublattice of Z^n with basis e1+e2, e2-e1, e3-e2, ...; D(1) is the even
     integers with the square form. E(n) is the orthogonal complement of
     -3l + e1 + ... + en inside the rank-(n+1) form diag(1, -1, ..., -1), with
-    the overall sign flipped; it is defined for n up to 8.
+    the overall sign flipped; it is defined for n up to 8. Indices past
+    MAX_INDEX are refused before any matrix is built: the charges of a
+    stable type sum to 24, so no component index exceeds 17.
     """
     if n < 0:
         raise BadIndexError("negative index %d" % n)
+    if n > MAX_INDEX:
+        raise BadIndexError("index %d exceeds %d" % (n, MAX_INDEX))
     name = "%s%d" % (kind, n)
     if n == 0:
         return Lattice(name, ())

@@ -128,10 +128,6 @@ def snorm(p: list) -> list:
     return p
 
 
-def sdeg(p: list) -> int:
-    return len(p) - 1
-
-
 def sderiv(p: list[list[int]]) -> list[list[int]]:
     return snorm([[x * i for x in p[i]] for i in range(1, len(p))])
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import Iterable, Union
 
 from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
-from .field import sadd, sdeg, sderiv, sdiv_exact, sgcd, smul, snorm, spow, uspread
+from .field import sadd, sderiv, sdiv_exact, sgcd, smul, snorm, spow, uspread
 
 Scalar = Union[int, Fraction]
 
@@ -379,51 +380,42 @@ def _on_common_step(g8: SForm, g12: SForm) -> tuple[Fraction, list, list]:
     return step, g8._on(g8.low, step, g8.den), g12._on(g12.low, step, g12.den)
 
 
-def _repeated_factor_gcd(p: list, order: int) -> list:
-    """gcd of p with its first (order-1) derivatives.
-
-    A nonconstant common divisor here is exactly a factor of multiplicity
-    >= order in p (characteristic zero).
-    """
-    g = list(p)
-    d = list(p)
-    for _ in range(order - 1):
-        d = sderiv(d)
-        g = sgcd(g, d)
-        if sdeg(g) < 1:
-            break
-    return g
-
-
-def _affine_nonminimal(g8p: list, g12p: list) -> bool:
-    if not g8p and not g12p:
-        return False
-    if not g8p:
-        return sdeg(_repeated_factor_gcd(g12p, 6)) >= 1
-    if not g12p:
-        return sdeg(_repeated_factor_gcd(g8p, 4)) >= 1
-    g4 = _repeated_factor_gcd(g8p, 4)
-    if sdeg(g4) < 1:
-        return False
-    g6 = _repeated_factor_gcd(g12p, 6)
-    if sdeg(g6) < 1:
-        return False
-    return sdeg(sgcd(g4, g6)) >= 1
+def _derivatives(p: list, count: int):
+    """p and its first count - 1 s-derivatives."""
+    for _ in range(count):
+        yield p
+        p = sderiv(p)
 
 
 def _nonminimal(g8: SForm, g12: SForm) -> bool:
     """True when a nonconstant form P has P^4 | g8 and P^6 | g12.
 
-    The affine test catches factors P(s); running it again on the reversed
-    coefficient lists catches the factor supported at s = infinity.
+    P = s and the factor at s = infinity show as orders of vanishing at the
+    two ends of the coefficient lists, at least 4 in g8 and 6 in g12 (a zero
+    form vanishes to every order). Any other P divides the parts with both
+    ends stripped, and in characteristic 0 an irreducible P has P^k | f
+    exactly when P divides f, f', ..., f^(k-1). So one gcd chain over the
+    stripped g8, g12 and their derivatives up to the third and the fifth
+    decides the rest; it stops once the gcd is constant, which sgcd's
+    modular screen settles at the first step for most minimal pairs.
     """
     _, p8, p12 = _on_common_step(g8, g12)
-    charts = ((list(p8), list(p12)), (p8[::-1], p12[::-1]))
-    return any(_affine_nonminimal(snorm(a), snorm(b)) for a, b in charts)
+    if not any(p8[:4] + p12[:6]) or not any(p8[-4:] + p12[-6:]):
+        return True
+    core8, core12 = (p[f.s_valuation() : f.s_degree() + 1] for f, p in ((g8, p8), (g12, p12)))
+    steps = zip_longest(_derivatives(core8, 4), _derivatives(core12, 6))
+    g: list = []
+    # None pads g8's shorter run; a zero part is divisible by every P
+    for part in filter(None, chain.from_iterable(steps)):
+        g = sgcd(g, part) if g else part
+        if len(g) == 1:
+            return False
+    return True
 
 
 def minimality_check(f: FamilyPair) -> None:
-    """Reject pairs with a common quartic/sextic power factor, at any point of P^1.
+    """Reject pairs with a common quartic/sextic power factor, at any point of
+    P^1: orders at s = 0 and s = infinity, then one gcd chain (_nonminimal).
 
     A degenerate pair (identically vanishing discriminant) needs no further
     test here: g8^3 = 27 g12^2 over the UFD Q(u)[s] forces (g8, g12) =

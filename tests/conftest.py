@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -18,6 +19,27 @@ def family_path(name: str) -> str:
 
 def family_text(name: str) -> str:
     return (FAMILY_DIR / (name + ".family")).read_text(encoding="utf-8")
+
+
+def count_calls(run, *functions):
+    """Calls of each function while run() runs, keyed by function name.
+
+    Calls are matched on the code object, so it does not matter which module
+    namespace a caller looked the function up in, or whether it was wrapped.
+    """
+    names = {fn.__code__: fn.__name__ for fn in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
 
 
 def tropical_data(pair):

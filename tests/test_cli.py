@@ -227,6 +227,10 @@ def test_lattice_gram_of_empty_lattice(capsys):
 def test_lattice_bad_index(capsys):
     assert main(["lattice", "E", "9"]) == 2
     assert capsys.readouterr().err == "E_BAD_INDEX: E-series index 9 exceeds 8\n"
+    assert main(["lattice", "A", "25"]) == 2
+    assert capsys.readouterr().err == "E_BAD_INDEX: index 25 exceeds 24\n"
+    assert main(["lattice", "D", "24", "--gram"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 24
 
 
 def test_lattice_wps_weights(capsys):

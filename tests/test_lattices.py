@@ -56,6 +56,15 @@ def test_bad_indices():
         root_lattice("F", 4)
 
 
+def test_index_is_bounded_before_any_matrix_is_built():
+    # a stable type never needs an index past 17; 24 is the last one accepted
+    assert root_lattice("A", 24).determinant() == 25
+    assert root_lattice("D", 24).determinant() == 4
+    for kind in "AD":
+        with pytest.raises(BadIndexError, match="^index 25 exceeds 24$"):
+            root_lattice(kind, 25)
+
+
 def test_root_lattices_are_even_and_positive():
     for kind, n in (("A", 5), ("D", 7), ("E", 6), ("E", 8), ("D", 1), ("E", 2)):
         lat = root_lattice(kind, n)

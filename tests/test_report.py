@@ -2,38 +2,17 @@
 the deriving stages, and which check fires first on inputs that several
 checks refuse."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import count_calls
 from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
 from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
 from k3seg.symalg import FamilyPair, SForm, canonical_text, extract_cusp_quartic, parse_family
 from k3seg.tropics import end_exponents, newton_polygon, root_valuations
-
-
-def count_calls(run, *functions):
-    """Calls of each function while run() runs, keyed by function name.
-
-    Calls are matched on the code object, so it does not matter which module
-    namespace a caller looked the function up in, or whether it was wrapped.
-    """
-    names = {fn.__code__: fn.__name__ for fn in functions}
-    counts = dict.fromkeys(names.values(), 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return counts
 
 
 def test_analyze_derives_each_quantity_once(named):

@@ -14,7 +14,8 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import family_text, stretched
+from conftest import count_calls, family_text, stretched
+from k3seg.corpus import generate_corpus
 from k3seg.errors import DegreeError, NotMinimalError, ZeroFormError
 from k3seg.report import analyze
 from k3seg.symalg import (
@@ -27,6 +28,7 @@ from k3seg.symalg import (
     minimality_check,
     parse_family,
 )
+from k3seg.symalg.field import spdivmod
 
 S, T = sympy.symbols("s t")
 
@@ -398,6 +400,29 @@ def test_minimality_agrees_with_sympy_on_constructed_pairs():
             minimality_check(pair)
 
 
+def _rejected(pair: FamilyPair) -> bool:
+    try:
+        minimality_check(pair)
+    except NotMinimalError:
+        return True
+    return False
+
+
+def test_minimal_pairs_run_no_pseudo_remainder_sequence():
+    # the end orders and the modular screen in the chain's first gcd settle
+    # every corpus pair in both charts; a pair that shares a factor away from
+    # s = 0 and s = infinity still reaches the PRS
+    pairs = [g for f in generate_corpus(10, seed=1729) for g in (f, f.inverted())]
+    counts = count_calls(lambda: [minimality_check(f) for f in pairs], spdivmod)
+    assert counts == {"spdivmod": 0}
+    shared = "let p(x) = x^2 + t*x + 1\ng8 = p(s)^4\ng12 = %s\n"
+    for g12, nonminimal in (("p(s)^6", True), ("(1 + t*s)*(s - 2)*p(s)^5", False)):
+        pair = parse_family(shared % g12)
+        verdicts = []
+        counts = count_calls(lambda: verdicts.append(_rejected(pair)), spdivmod)
+        assert verdicts == [nonminimal] and counts["spdivmod"] > 0
+
+
 _T_POLY = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
 
 
@@ -436,12 +461,7 @@ def _minimality_pairs(draw) -> FamilyPair:
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(_minimality_pairs())
 def test_minimality_agrees_with_sympy_on_random_pairs(pair):
-    try:
-        minimality_check(pair)
-        rejected = False
-    except NotMinimalError:
-        rejected = True
-    assert rejected == _sympy_nonminimal(pair)
+    assert _rejected(pair) == _sympy_nonminimal(pair)
 
 
 def test_sparse_regular_exponents_cost_what_dense_ones_do():
