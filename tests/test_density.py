@@ -1,7 +1,10 @@
 """The density invariant: canonical breakpoints, the two construction routes,
 the cuspidal branch, scale comparison, and the CSV/SVG emitters."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,8 +18,9 @@ from k3seg.density import (
     emit_svg,
     same_up_to_scale,
 )
-from k3seg.errors import CuspidalInteriorError
+from k3seg.errors import CuspidalInteriorError, NegativeDensityError
 from k3seg.symalg import SForm, TLaurent, extract_cusp_quartic
+from k3seg.tropics import EndExponents, newton_polygon
 from tests.conftest import tropical_data
 
 
@@ -159,6 +163,67 @@ def test_both_routes_share_the_slope_profile(named):
         master = profile_of(g)
         other = density_from_positions(positions_of(g))
         assert other.slope_profile() == master.slope_profile()
+
+
+def random_polygon(rng, degree):
+    """Newton polygon of a random sparse form: each coefficient is c*t^e with
+    probability 0.3, e a small rational, and at least one is nonzero."""
+    def coefficient():
+        if rng.random() >= 0.3:
+            return 0
+        c = rng.choice((-2, -1, 1, 3))
+        return TLaurent.term(c, Fraction(rng.randint(-12, 12), rng.randint(1, 3)))
+
+    while True:
+        f = SForm(degree, [coefficient() for _ in range(degree + 1)])
+        if f:
+            return newton_polygon(f)
+
+
+def density_by_definition(trop_d, trop8, trop12, ends):
+    """V = [psi_Delta(a) - min(3*psi8(a), 2*psi12(a))] / e0 at a = -w*e0, sampled
+    wherever two of the lines of psi_Delta, or two of the lines 3*psi8 and
+    2*psi12 are made of, meet: V is linear between those abscissas."""
+    e0, einf = ends
+    delta = trop_d.points
+    envelope = [(3 * i, 3 * v) for i, v in trop8.points]
+    envelope += [(2 * j, 2 * w) for j, w in trop12.points]
+
+    def meets(lines):
+        pairs = combinations(lines, 2)
+        return {(v2 - v1) / (i1 - i2) for (i1, v1), (i2, v2) in pairs if i1 != i2}
+
+    def value(a):
+        return (min(v + i * a for i, v in delta) - min(v + i * a for i, v in envelope)) / e0
+
+    grid = {a for a in meets(delta) | meets(envelope) if -einf < a < e0} | {-einf, e0}
+    fn = DensityFunction(sorted((-a / e0, value(a)) for a in grid))
+    if fn.min_value() < 0:
+        raise NegativeDensityError("V dips below zero")
+    return fn
+
+
+def test_density_profile_matches_its_definition():
+    # Delta is drawn independently of g8 and g12, so V may bend the wrong way
+    # (ValueError from DensityFunction) or dip below zero
+    rng = random.Random(1)
+    seen = Counter()
+    for _ in range(400):
+        data = (
+            random_polygon(rng, 24),
+            random_polygon(rng, 8),
+            random_polygon(rng, 12),
+            EndExponents(*(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in "01")),
+        )
+        outcomes = []
+        for construct in (density_by_definition, density_profile):
+            try:
+                outcomes.append(construct(*data).breakpoints)
+            except (ValueError, NegativeDensityError) as err:
+                outcomes.append(type(err))
+        assert outcomes[0] == outcomes[1], data
+        seen[outcomes[0] if isinstance(outcomes[0], type) else "V"] += 1
+    assert set(seen) == {"V", ValueError, NegativeDensityError}, seen
 
 
 # ---------------------------------------------------------------------------

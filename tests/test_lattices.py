@@ -1,6 +1,7 @@
 """Root lattices and their exact invariants, cross-checked against sympy
 determinants and against the classical root counts."""
 
+import itertools
 import random
 
 import pytest
@@ -72,16 +73,85 @@ def test_root_lattices_are_even_and_positive():
         assert lat.signature() == (lat.rank, 0, 0)
 
 
+def random_symmetric(rng, n):
+    """A random symmetric integer matrix of order n: about a third with a zero
+    diagonal and sparse entries, a third forced singular (C^T diag(e) C with C
+    of fewer rows than n), the rest dense."""
+    kind = rng.randrange(3)
+    if kind == 2 and n > 1:
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        e = [rng.choice((-2, -1, 1, 3)) for _ in c]
+        return tuple(
+            tuple(sum(ek * ck[i] * ck[j] for ek, ck in zip(e, c)) for j in range(n))
+            for i in range(n)
+        )
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice((-1, 0, 0, 1, 2)) if kind == 0 else rng.randint(-3, 3)
+        if kind == 0:
+            m[i][i] = 0
+    return tuple(tuple(row) for row in m)
+
+
+def descartes_inertia(m):
+    """(positive, negative, zero) roots of the characteristic polynomial by
+    Descartes' rule of signs, which is exact here: every root is real."""
+    coeffs = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
+    zero = 0
+    while coeffs[-1 - zero] == 0:
+        zero += 1
+    coeffs = coeffs[: len(coeffs) - zero]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    mirrored = [c * (-1) ** k for k, c in enumerate(reversed(coeffs))]
+    return sign_changes(coeffs), sign_changes(mirrored), zero
+
+
 def test_determinant_against_sympy_on_random_symmetric_matrices():
-    rng = random.Random(41)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = rng.randint(-4, 4)
-        gram = tuple(tuple(row) for row in m)
-        assert determinant(gram) == int(sympy.Matrix(m).det())
+    rng = random.Random(88)
+    for _ in range(300):
+        gram = random_symmetric(rng, rng.randint(1, 7))
+        assert determinant(gram) == int(sympy.Matrix(gram).det()), gram
+
+
+def test_inertia_against_descartes_on_random_symmetric_matrices():
+    rng = random.Random(88)
+    for _ in range(300):
+        gram = random_symmetric(rng, rng.randint(1, 7))
+        assert inertia(gram) == descartes_inertia(gram), gram
+
+
+def test_norm_counts_against_box_enumeration():
+    # |x_i| <= sqrt(N * (G^-1)_ii) for every x with x^T G x <= N
+    rng = random.Random(5)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 3)
+        b = sympy.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+        if b.det() == 0:
+            continue
+        checked += 1
+        g = b * b.T
+        inv = g.inv()
+        lat = Lattice("L", tuple(tuple(int(v) for v in row) for row in g.tolist()))
+        for target in range(1, 7):
+            radii = [int(sympy.floor(sympy.sqrt(target * inv[i, i]))) for i in range(n)]
+            box = itertools.product(*(range(-r, r + 1) for r in radii))
+            expected = sum(
+                1 for x in box
+                if sum(x[i] * lat.gram[i][j] * x[j] for i in range(n) for j in range(n)) == target
+            )
+            assert count_norm_vectors(lat, target) == expected, (lat.gram, target)
+
+
+def test_norm_count_refuses_an_indefinite_form():
+    for gram in (((0, 1), (1, 0)), ((2, 1), (1, 0)), ((1, 0), (0, 0)), ((-2,),)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            count_norm_vectors(Lattice("L", gram), 2)
 
 
 def test_inertia_on_known_shapes():
