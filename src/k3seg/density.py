@@ -8,12 +8,14 @@ integers, strictly decreasing left to right, and the function is nonnegative.
 
 Two independent constructions are kept side by side on purpose:
 
-  density_profile      builds V from min-plus evaluations of the three Newton
-                       polygons (the primary definition);
+  density_profile      builds V from two min-plus polynomials (the primary
+                       definition): the discriminant polygon, and the envelope
+                       min(3*psi8, 2*psi12) as one polynomial on the points of
+                       g8 and g12; V is evaluated at every slope of either;
   density_from_positions  rebuilds the same shape from the 24 clamped root
                        positions alone (cut_positions reads them off the
-                       discriminant polygon), the way a root-tracking
-                       measurement would see it.
+                       discriminant polygon with its steep tails clamped), the
+                       way a root-tracking measurement would see it.
 
 They must agree bend for bend and slope for slope; the position route carries
 its own additive normalization (the top-coefficient level), so values may sit
@@ -41,6 +43,8 @@ from .tropics import (
     EndExponents,
     TropicalPolynomial,
     _cross,
+    _lower_hull,
+    modified_polygon,
     newton_polygon,
     root_valuations,
 )
@@ -181,18 +185,11 @@ class CutData:
 
 
 def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
-    """The clamped root positions read off the discriminant polygon trop_d."""
+    """The clamped root positions: the root valuations v of the discriminant
+    polygon trop_d with its steep tails clamped, at -v/e0."""
     e0, einf = ends.at_zero, ends.at_infinity
     wp = einf / e0
-    xs: list[Fraction] = []
-    for v in root_valuations(trop_d):
-        if v == INF:
-            xs.append(Fraction(-1))
-        elif v == NEG_INF:
-            xs.append(wp)
-        else:
-            xs.append(min(max(-v / e0, Fraction(-1)), wp))
-    xs.sort()
+    xs = sorted(-v / e0 for v in root_valuations(modified_polygon(trop_d, ends)))
     return CutData(
         positions=tuple(xs),
         negatives=sum(1 for x in xs if x < 0),
@@ -208,6 +205,17 @@ def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
 # ---------------------------------------------------------------------------
 
 
+def _envelope(trop8: TropicalPolynomial, trop12: TropicalPolynomial) -> TropicalPolynomial:
+    """min(3*psi8, 2*psi12) as one min-plus polynomial: the points (3i, 3v) of
+    trop8 and (2j, 2w) of trop12, the lower height where 3i = 2j."""
+    heights: dict[int, Fraction] = {}
+    for c, poly in ((3, trop8), (2, trop12)):
+        for i, v in poly.points:
+            heights[c * i] = min(c * v, heights.get(c * i, c * v))
+    points = sorted(heights.items())
+    return TropicalPolynomial(24, tuple(points), tuple(_lower_hull(points)))
+
+
 def density_profile(
     trop_d: TropicalPolynomial,
     trop8: TropicalPolynomial,
@@ -220,28 +228,10 @@ def density_profile(
     taken on w in [-1, w+].
     """
     e0, einf = ends.at_zero, ends.at_infinity
-
-    def h(a: Fraction) -> Fraction:
-        return min(3 * trop8.eval_at(a), 2 * trop12.eval_at(a))
-
-    bends: set[Fraction] = set()
-    for poly in (trop_d, trop8, trop12):
-        for slope in poly.slopes():
-            a = -slope
-            if -einf < a < e0:
-                bends.add(a)
-    grid = sorted(bends | {-einf, e0})
-
-    # a kink of h can also sit where its two branches cross inside a cell
-    crossings: set[Fraction] = set()
-    for a1, a2 in zip(grid, grid[1:]):
-        d1 = 3 * trop8.eval_at(a1) - 2 * trop12.eval_at(a1)
-        d2 = 3 * trop8.eval_at(a2) - 2 * trop12.eval_at(a2)
-        if (d1 < 0 < d2) or (d2 < 0 < d1):
-            crossings.add(a1 + (a2 - a1) * d1 / (d1 - d2))
-    grid = sorted(set(grid) | crossings)
-
-    points = [(-a / e0, (trop_d.eval_at(a) - h(a)) / e0) for a in reversed(grid)]
+    envelope = _envelope(trop8, trop12)
+    bends = {-slope for poly in (trop_d, envelope) for slope in poly.slopes()}
+    grid = sorted({a for a in bends if -einf < a < e0} | {-einf, e0})
+    points = [(-a / e0, (trop_d.eval_at(a) - envelope.eval_at(a)) / e0) for a in reversed(grid)]
     fn = DensityFunction(points)
     if fn.min_value() < 0:
         raise NegativeDensityError(

@@ -2,9 +2,10 @@
 (D1, D2, D3, E1..E5) that the usual tables skip, plus the rank-18 hyperbolic
 lattice attached to the segment boundary and two weight recipes.
 
-All linear algebra here is exact: integer Bareiss determinants, rational
-congruence diagonalization for signatures, and an exact LDL-based enumeration
-for counting short vectors.
+All linear algebra here is exact and runs through one routine, _eliminate: a
+fraction-free symmetric elimination whose leading principal minors D_k give
+the determinant (D_n), the signature (the signs of D_k / D_(k-1)) and the
+LDL^T factors that bound the short-vector enumeration.
 """
 
 from __future__ import annotations
@@ -143,86 +144,59 @@ def segment_lattice() -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def determinant(gram: Gram) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    n = len(gram)
-    if n == 0:
-        return 1
+def _eliminate(gram: Gram) -> tuple[list[int], list[list[int]]]:
+    """One fraction-free (Bareiss) pass over a congruent copy of a Gram matrix.
+
+    Returns the nonzero leading principal minors D_1..D_r of the copy and its
+    reduced integer rows: row k holds D_k * u_kj right of the diagonal, where
+    the copy's form is sum_k (D_k / D_(k-1)) (x_k + sum_(j>k) u_kj x_j)^2. A
+    zero pivot is traded for a later nonzero diagonal entry, swapping rows and
+    columns together; if the whole remaining diagonal is zero, row and column
+    j are added to row and column i for some nonzero entry (i, j). Neither
+    move changes the determinant or the inertia, and a positive-definite Gram
+    needs neither. r < n means the remaining block vanished.
+    """
     m = [list(row) for row in gram]
-    sign = 1
+    n = len(m)
+    minors: list[int] = []
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
+            p = next((i for i in range(k + 1, n) if m[i][i]), None)
+            if p is None:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
+                if off is None:
+                    break
+                p, j = off
+                for row in m:
+                    row[p] += row[j]
+                m[p] = [a + b for a, b in zip(m[p], m[j])]
+            m[k], m[p] = m[p], m[k]
+            for row in m:
+                row[k], row[p] = row[p], row[k]
+        pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        minors.append(pivot)
+        prev = pivot
+    return minors, m
+
+
+def determinant(gram: Gram) -> int:
+    """Determinant of a Gram (symmetric integer) matrix."""
+    minors, _ = _eliminate(gram)
+    if len(minors) < len(gram):
+        return 0
+    return minors[-1] if minors else 1
 
 
 def inertia(gram: Gram) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts, by exact congruence
-    reduction (Sylvester's law makes the counts basis-independent)."""
-    a = [[Fraction(v) for v in row] for row in gram]
-    pos = neg = zero = 0
-    while a:
-        n = len(a)
-        piv = next((i for i in range(n) if a[i][i]), None)
-        if piv is None:
-            off = None
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                zero += n
-                break
-            i, j = off
-            for col in range(n):
-                a[i][col] += a[j][col]
-            for row in range(n):
-                a[row][i] += a[row][j]
-            piv = i
-        if piv != 0:
-            a[0], a[piv] = a[piv], a[0]
-            for row in a:
-                row[0], row[piv] = row[piv], row[0]
-        d = a[0][0]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        a = [
-            [a[i][j] - a[i][0] * a[0][j] / d for j in range(1, n)]
-            for i in range(1, n)
-        ]
-    return pos, neg, zero
-
-
-def _ldl(gram: Gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose a positive-definite Gram as sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = len(gram)
-    q = [[Fraction(v) for v in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] /= q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    u = [[q[i][j] for j in range(n)] for i in range(n)]
-    return d, u
+    """(positive, negative, zero) eigenvalue counts: the signs of the pivots
+    D_k / D_(k-1) of a congruent copy (Sylvester's law of inertia)."""
+    minors, _ = _eliminate(gram)
+    pos = sum(1 for a, b in zip([1] + minors, minors) if (a > 0) == (b > 0))
+    return pos, len(minors) - pos, len(gram) - len(minors)
 
 
 def count_norm_vectors(lattice: Lattice, target: int) -> int:
@@ -230,7 +204,11 @@ def count_norm_vectors(lattice: Lattice, target: int) -> int:
     n = lattice.rank
     if n == 0:
         return 0
-    d, u = _ldl(lattice.gram)
+    minors, m = _eliminate(lattice.gram)
+    if len(minors) < n or min(minors) <= 0:
+        raise ValueError("matrix is not positive definite")
+    d = [Fraction(b, a) for a, b in zip([1] + minors, minors)]
+    u = [[Fraction(x, dk) for x in row] for row, dk in zip(m, minors)]
     x = [0] * n
     count = 0
 
