@@ -13,13 +13,7 @@ from typing import NamedTuple
 from .density import DensityFunction
 from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
 from .symalg.field import sderiv, sgcd
-from .symalg.forms import (
-    INF,
-    FamilyPair,
-    SForm,
-    _nonminimal,
-    extract_cusp_quartic,
-)
+from .symalg.forms import FamilyPair, SForm, _nonminimal, extract_cusp_quartic
 from .tropics import EndExponents
 
 
@@ -98,29 +92,31 @@ class EndSurface:
     is_nodal: bool
 
 
-def end_surface_data(f: FamilyPair, side: str, ends: EndExponents) -> EndSurface:
+def end_surface_data(f: FamilyPair, side: str, ends: EndExponents, polygons: tuple) -> EndSurface:
     """Limit surface at the given end ("left" = toward s = 0, "right" = toward
     s = infinity).
 
-    ends holds the end exponents (e0, einf) of f. The base coordinate is
-    stretched by s = t^e * sigma with e = e0 (on the right, the inverted
-    family is stretched by einf the same way), which moves the valuation of
-    the s^i coefficient to val_i + i*e. The pair is regauged jointly by
-    t^(-2c), t^(-3c) with c = min(mu8/2, mu12/3), mu the smallest stretched
-    valuation, and the t = 0 limit of the sigma^i coefficient is the
-    coefficient of s^i * t^(2c - i*e) (t^(3c - i*e) for g12). With valid end
-    exponents the surviving coefficients sit in degrees at most (4, 6).
+    ends holds the end exponents (e0, einf) of f and polygons the Newton
+    polygons of its g8 and g12. The base coordinate is stretched by
+    s = t^e * sigma with e = e0 (on the right, the inverted family is
+    stretched by einf the same way), which moves the valuation of the s^i
+    coefficient to val_i + i*e. The pair is regauged jointly by t^(-2c),
+    t^(-3c) with c = min(mu8/2, mu12/3), mu the smallest stretched valuation:
+    the min-plus value at e of the polygon on the left, and on the right,
+    where the inverted form's points are (d - i, v), d*einf plus its value at
+    -einf. The t = 0 limit of the sigma^i coefficient is the coefficient of
+    s^i * t^(2c - i*e) (t^(3c - i*e) for g12). With valid end exponents the
+    surviving coefficients sit in degrees at most (4, 6).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side == "right":
         f = f.inverted()
         e = ends.at_infinity
+        mu8, mu12 = (p.degree * e + p.eval_at(-e) for p in polygons)
     else:
         e = ends.at_zero
-    mu8, mu12 = (
-        min((v + i * e for i, v in g.hull_points()), default=INF) for g in (f.g8, f.g12)
-    )
+        mu8, mu12 = (p.eval_at(e) for p in polygons)
     c = min(mu8 / 2, mu12 / 3)
     try:
         g4 = f.g8.stretched_limit(e, 2 * c, 4)

@@ -23,7 +23,7 @@ from .moduli import (
     enumerate_divisors,
     normalization_preimage_count,
 )
-from .oracle import oracle_compare
+from .oracle import check_t_samples, oracle_compare
 from .report import analyze
 from .symalg import parse_family
 
@@ -145,11 +145,10 @@ def cmd_oracle(args) -> int:
     except ValueError:
         print("usage error: --t expects comma-separated numbers", file=sys.stderr)
         return 2
-    if not t_list or any(not 0 < t < 1 for t in t_list):
-        print("usage error: every t must satisfy 0 < t < 1", file=sys.stderr)
-        return 2
-    if any(b >= a for a, b in zip(t_list, t_list[1:])):
-        print("usage error: t samples must be strictly decreasing", file=sys.stderr)
+    try:
+        check_t_samples(t_list)
+    except ValueError as err:
+        print("usage error: %s" % err, file=sys.stderr)
         return 2
     pair = _load(args.file)
     if cusp_type(pair.normalized()) is CuspKind.NO_DEGENERATION:

@@ -4,15 +4,15 @@ lattice attached to the segment boundary and two weight recipes.
 
 All linear algebra here is exact and runs through one routine, _eliminate: a
 fraction-free symmetric elimination whose leading principal minors D_k give
-the determinant (D_n), the signature (the signs of D_k / D_(k-1)) and the
-LDL^T factors that bound the short-vector enumeration.
+the determinant (D_n), the signature (the signs of D_k / D_(k-1)) and, with
+its reduced rows, the integer LDL^T form that the short-vector enumeration
+walks (Fincke-Pohst): each coordinate ranges over one integer interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadIndexError
 
@@ -207,32 +207,29 @@ def count_norm_vectors(lattice: Lattice, target: int) -> int:
     minors, m = _eliminate(lattice.gram)
     if len(minors) < n or min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
-    d = [Fraction(b, a) for a, b in zip([1] + minors, minors)]
-    u = [[Fraction(x, dk) for x in row] for row, dk in zip(m, minors)]
+    # norm = sum_k y_k^2 / (D_(k-1) D_k) with y_k = D_k x_k + sum_(j>k) m_kj x_j;
+    # scaled by L, every weight w_k = L / (D_(k-1) D_k) is an integer
+    pairs = [a * b for a, b in zip([1] + minors, minors)]
+    scale = math.lcm(*pairs)
+    w = [scale // p for p in pairs]
     x = [0] * n
     count = 0
 
-    def descend(i: int, rem: Fraction) -> None:
+    def descend(k: int, rem: int) -> None:
         nonlocal count
-        if i < 0:
+        if k < 0:
             if rem == 0 and any(x):
                 count += 1
             return
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        start = math.floor(-c)
-        xi = start
-        while d[i] * (xi + c) ** 2 <= rem:
-            x[i] = xi
-            descend(i - 1, rem - d[i] * (xi + c) ** 2)
-            xi -= 1
-        xi = start + 1
-        while d[i] * (xi + c) ** 2 <= rem:
-            x[i] = xi
-            descend(i - 1, rem - d[i] * (xi + c) ** 2)
-            xi += 1
-        x[i] = 0
+        c = sum(m[k][j] * x[j] for j in range(k + 1, n))
+        dk = minors[k]
+        bound = math.isqrt(rem // w[k])  # |D_k x_k + c| <= bound
+        for xk in range(-((bound + c) // dk), (bound - c) // dk + 1):
+            x[k] = xk
+            descend(k - 1, rem - w[k] * (dk * xk + c) ** 2)
+        x[k] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, scale * target)
     return count
 
 

@@ -142,7 +142,9 @@ def _evaluated_discriminant(f: FamilyPair, t0):
 
 
 def _root_data(f: FamilyPair, t0):
-    """(count at s=0, finite roots, count at s=inf, reconstruction error)."""
+    """The 24 discriminant roots at t0, roots at s = 0 as exact zeros and the
+    degree drop as mp.inf markers, and the reconstruction error of the
+    finite ones."""
     coeffs = _evaluated_discriminant(f, t0)
     support = [i for i, c in enumerate(coeffs) if c != 0]
     if not support:
@@ -151,21 +153,30 @@ def _root_data(f: FamilyPair, t0):
     inner = coeffs[lo : hi + 1]
     finite = _find_roots(inner)
     recon = _reconstruction_error(inner, finite) if finite else mp.mpf(0)
-    return lo, finite, 24 - hi, recon
+    return [mp.mpc(0)] * lo + finite + [mp.inf] * (24 - hi), recon
+
+
+def check_t_samples(t_list) -> None:
+    """ValueError unless the t samples are nonempty, each strictly between 0
+    and 1, and strictly decreasing."""
+    if not t_list:
+        raise ValueError("need at least one t sample")
+    if any(not 0 < t < 1 for t in t_list):
+        raise ValueError("t samples must lie strictly between 0 and 1")
+    if any(b >= a for a, b in zip(t_list, t_list[1:])):
+        raise ValueError("t samples must be strictly decreasing")
 
 
 def roots_at(f: FamilyPair, t0) -> list:
     """The 24 roots of the discriminant at t = t0, as mpmath complex numbers;
     roots at s = 0 appear as exact zeros, degree drop as mp.inf markers."""
-    if not 0 < t0 < 1:
-        raise ValueError("t must lie strictly between 0 and 1")
+    check_t_samples([t0])
     if f.discriminant24().is_zero():
         raise CuspidalFamilyError(
             "discriminant is identically zero; there are no roots to track"
         )
     with mp.workdps(_DPS):
-        zeros, finite, at_inf, _ = _root_data(f, _to_mpf(t0))
-    return [mp.mpc(0)] * zeros + finite + [mp.inf] * at_inf
+        return _root_data(f, _to_mpf(t0))[0]
 
 
 def empirical_positions(roots, e0: Fraction, einf: Fraction, t0) -> list:
@@ -200,12 +211,7 @@ def oracle_compare(
     pipeline and the numerics disagree and this raises OracleMismatchError.
     """
     samples = [float(t) for t in t_list]
-    if not samples:
-        raise ValueError("need at least one t sample")
-    if any(not 0 < t < 1 for t in samples):
-        raise ValueError("t samples must lie strictly between 0 and 1")
-    if any(b >= a for a, b in zip(samples, samples[1:])):
-        raise ValueError("t samples must be strictly decreasing")
+    check_t_samples(samples)
 
     f = f.normalized()
     delta = f.discriminant24()
@@ -221,8 +227,7 @@ def oracle_compare(
         recon_errors = []
         for t0 in samples:
             t_val = _to_mpf(t0)
-            zeros, finite, at_inf, recon = _root_data(f, t_val)
-            roots = [mp.mpc(0)] * zeros + finite + [mp.inf] * at_inf
+            roots, recon = _root_data(f, t_val)
             emp = empirical_positions(roots, cut.e0, cut.einf, t_val)
             if len(emp) != len(exact_mp):
                 raise OracleMismatchError(

@@ -131,8 +131,8 @@ def analyze(f: FamilyPair) -> AnalysisReport:
 
     st = stable_type(fn)
     lat = stable_type_lattice(st)
-    left = end_surface_data(g, "left", ends_exp)
-    right = end_surface_data(g, "right", ends_exp)
+    left = end_surface_data(g, "left", ends_exp, (trop8, trop12))
+    right = end_surface_data(g, "right", ends_exp, (trop8, trop12))
 
     warnings = []
     if kind is CuspKind.SEGMENT and any(c.kind == "D" for c in st.components):

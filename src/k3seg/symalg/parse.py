@@ -141,10 +141,12 @@ def _pow(x: tuple, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # tokenizer and recursive-descent parser to a small tuple AST; a run of
-# sums (or of products) is one flat "chain" node, evaluated left to right
+# sums (or of products) is one flat "chain" node: a sum's terms are added in
+# a balanced tree, a product's factors left to right
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()=")
+_RESERVED = ("s", "t", "g8", "g12", "let")  # neither macro names nor parameters
 
 
 def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
@@ -184,11 +186,17 @@ def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, toks: list[tuple[str, object, int]], stmt: str, offset: int = 0):
+    """Parses one statement, checking each name as it is read against the
+    macros defined so far; in a macro body, name and param are the macro's
+    own name and parameter."""
+
+    def __init__(self, toks: list[tuple[str, object, int]], stmt: str, offset: int, macros: dict):
         self.toks = toks
         self.pos = 0
         self.depth = 0
         self.end_col = offset + len(stmt.rstrip()) + 1
+        self.macros = macros
+        self.name = self.param = None
 
     def peek(self) -> str | None:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -272,10 +280,18 @@ class _Parser:
         if k == "name":
             name = self.take()
             if self.peek() == "(":
+                if name == self.name:
+                    raise ParseError("macro %r may not call itself" % name)
+                if name not in self.macros:
+                    raise ParseError("macro %r is not defined (define before use)" % name)
                 self.take()
                 arg = self.nested(self.expr)
                 self.take(")")
                 return ("call", name, arg)
+            if name not in ("s", "t") and name != self.param:
+                if name in self.macros or name == self.name:
+                    raise ParseError("macro %r used without an argument" % name)
+                raise ParseError("unknown name %r" % name)
             return ("var", name)
         if self.pos < len(self.toks):
             raise ParseError(
@@ -284,37 +300,14 @@ class _Parser:
         raise ParseError("column %d: unexpected end of statement" % self.end_col)
 
 
-def _check_names(node, macros: dict, param: str | None, self_name: str | None):
-    kind = node[0]
-    if kind == "var":
-        name = node[1]
-        if name not in ("s", "t") and name != param:
-            if name in macros or name == self_name:
-                raise ParseError("macro %r used without an argument" % name)
-            raise ParseError("unknown name %r" % name)
-    elif kind == "call":
-        name = node[1]
-        if name == self_name:
-            raise ParseError("macro %r may not call itself" % name)
-        if name not in macros:
-            raise ParseError("macro %r is not defined (define before use)" % name)
-        _check_names(node[2], macros, param, self_name)
-    elif kind == "neg":
-        _check_names(node[1], macros, param, self_name)
-    elif kind == "chain":
-        _check_names(node[1], macros, param, self_name)
-        for _, operand in node[2]:
-            _check_names(operand, macros, param, self_name)
-    elif kind == "pow":
-        _check_names(node[1], macros, param, self_name)
-
-
-_BINARY = {
-    "+": _add,
-    "-": lambda x, y: _add(x, _neg(y)),
-    "*": _mul,
-    "/": lambda x, y: _mul(x, _inverse(y)),
-}
+def _sum(terms: list) -> tuple:
+    """The terms added pairwise, neighbours first, in a balanced tree: n terms
+    cost O(n log n), where a left-to-right sum re-aligns and copies its
+    growing total n times."""
+    while len(terms) > 1:
+        pairs = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[-1:] if len(terms) % 2 else pairs
+    return terms[0]
 
 
 def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
@@ -333,8 +326,15 @@ def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
         return _pow(_eval(node[1], macros, env, depth), node[2])
     if kind == "chain":
         value = _eval(node[1], macros, env, depth)
+        if node[2][0][0] in "+-":
+            terms = [value]
+            for op, operand in node[2]:
+                y = _eval(operand, macros, env, depth)
+                terms.append(_neg(y) if op == "-" else y)
+            return _sum(terms)
         for op, operand in node[2]:
-            value = _BINARY[op](value, _eval(operand, macros, env, depth))
+            y = _eval(operand, macros, env, depth)
+            value = _mul(value, _inverse(y) if op == "/" else y)
         return value
     # call: eager single-argument application
     _, name, arg = node
@@ -384,26 +384,26 @@ def parse_family(text: str) -> FamilyPair:
     for lineno, offset, stmt in statements:
         try:
             toks = _tokenize(stmt, offset)
-            p = _Parser(toks, stmt, offset)
+            p = _Parser(toks, stmt, offset, macros)
             head = p.take("name")
             if head == "let":
                 name = p.take("name")
-                if name in ("s", "t", "g8", "g12", "let"):
+                if name in _RESERVED:
                     raise ParseError("%r cannot be a macro name" % name)
                 if name in macros:
                     raise ParseError("macro %r defined twice" % name)
                 p.take("(")
                 param = p.take("name")
-                if param in ("s", "t", "let", "g8", "g12"):
+                if param in _RESERVED:
                     raise ParseError("%r cannot be a macro parameter" % param)
                 p.take(")")
                 p.take("=")
+                p.name, p.param = name, param
                 body = p.expr()
                 if not p.done():
                     raise ParseError(
                         "column %d: trailing input after %r definition" % (p.col(), name)
                     )
-                _check_names(body, macros, param, name)
                 macros[name] = (param, body)
             elif head in ("g8", "g12"):
                 if head in slots:
@@ -414,7 +414,6 @@ def parse_family(text: str) -> FamilyPair:
                     raise ParseError(
                         "column %d: trailing input after %s assignment" % (p.col(), head)
                     )
-                _check_names(node, macros, None, None)
                 slots[head] = _eval(node, macros, {})
                 slot_lines[head] = lineno
             else:

@@ -10,6 +10,7 @@ from k3seg.classify import (
     end_surface_data,
     stable_type,
 )
+from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import (
     CuspidalInteriorError,
@@ -18,7 +19,7 @@ from k3seg.errors import (
 )
 from k3seg.report import analyze
 from k3seg.symalg import SForm, parse_family
-from k3seg.tropics import end_exponents, pair_polygons
+from k3seg.tropics import EndExponents, end_exponents, pair_polygons
 
 
 SEGMENT_TEXT = "g8 = 9*s^4 + t*(1 + s^8)\ng12 = s^6 + t*(1 + s^12)\n"
@@ -102,7 +103,8 @@ def test_segment_family_is_refused_whole():
 
 def test_tent_end_surfaces(named):
     tent = named["tent"]
-    left = end_surface_data(tent, "left", end_exponents(*pair_polygons(tent)))
+    polygons = pair_polygons(tent)
+    left = end_surface_data(tent, "left", end_exponents(*polygons), polygons)
     assert left.g4 == SForm(4, [0, 0, 0, 0, 3])
     assert left.g6 == SForm(6, [1, 0, 0, 0, 0, 0, 1])
     assert not left.is_nodal
@@ -110,23 +112,39 @@ def test_tent_end_surfaces(named):
     delta = left.g4**3 - (left.g6 * left.g6).scale(27)
     assert delta == SForm(12, [-27, 0, 0, 0, 0, 0, -54])
     # the family is chart-symmetric, so the right end matches
-    right = end_surface_data(tent, "right", end_exponents(*pair_polygons(tent)))
+    right = end_surface_data(tent, "right", end_exponents(*polygons), polygons)
     assert (right.g4, right.g6) == (left.g4, left.g6)
 
 
 def test_d_mixed_left_end_is_a_square_cube_pair(named):
     g = named["d_mixed"].normalized()
-    left = end_surface_data(g, "left", end_exponents(*pair_polygons(g)))
+    polygons = pair_polygons(g)
+    left = end_surface_data(g, "left", end_exponents(*polygons), polygons)
     p2 = SForm(2, [6, -9, 3])  # 3*(sigma - 1)*(sigma - 2)
     assert left.g4 == (p2 * p2).scale(3)
     assert left.g6 == p2**3
     assert left.is_nodal
 
 
+def test_right_end_is_the_left_end_of_the_inverted_family(named):
+    # the right end reads its gauge off f's own polygons; the inverted
+    # family's left end reads it off the inverted polygons
+    for f in [*named.values(), *generate_corpus(10, 1729)]:
+        g = f.normalized()
+        polygons = pair_polygons(g)
+        ends = end_exponents(*polygons)
+        right = end_surface_data(g, "right", ends, polygons)
+        inv = g.inverted()
+        swapped = EndExponents(ends.at_infinity, ends.at_zero)
+        left = end_surface_data(inv, "left", swapped, pair_polygons(inv))
+        assert right == left
+
+
 def test_end_surface_side_validation(named):
     with pytest.raises(ValueError):
         tent = named["tent"]
-        end_surface_data(tent, "top", end_exponents(*pair_polygons(tent)))
+        polygons = pair_polygons(tent)
+        end_surface_data(tent, "top", end_exponents(*polygons), polygons)
 
 
 def test_end_surface_nodal_matches_density_endpoint(named_reports):

@@ -163,9 +163,10 @@ def test_inertia_on_known_shapes():
 
 
 def test_norm_two_counts_match_the_root_numbers():
-    assert count_norm_vectors(root_lattice("A", 1), 2) == 2
-    assert count_norm_vectors(root_lattice("A", 2), 2) == 6
-    assert count_norm_vectors(root_lattice("D", 4), 2) == 24
+    for n in range(1, 25):
+        assert count_norm_vectors(root_lattice("A", n), 2) == n * (n + 1)
+    for n in range(2, 25):
+        assert count_norm_vectors(root_lattice("D", n), 2) == 2 * n * (n - 1)
     assert count_norm_vectors(root_lattice("E", 6), 2) == 72
     assert count_norm_vectors(root_lattice("E", 7), 2) == 126
     assert count_norm_vectors(root_lattice("E", 8), 2) == 240

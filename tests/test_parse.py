@@ -161,6 +161,15 @@ def test_long_sums_and_products_do_not_nest():
     assert f.g8 == parse_family("g8 = s^4\ng12 = s^6").g8
 
 
+def test_long_sum_parses_fast():
+    # a sum's terms are added in a balanced tree, not into one growing total
+    terms = ("%d*t^%d*s^%d" % (k + 1, k, k % 9) for k in range(3000))
+    start = time.perf_counter()
+    f = parse_family("g8 = " + " + ".join(terms) + "\ng12 = s^6")
+    assert time.perf_counter() - start < 2
+    assert coeff(f.g8, 2999 % 9, 2999) == 3000
+
+
 def test_unknown_statement_head():
     msg = err_message("foo = 3\ng8 = s^4; g12 = s^6", ParseError)
     assert "must be a let or a g8/g12 assignment" in msg
@@ -199,6 +208,17 @@ def test_macro_redefinition():
 def test_macro_needs_argument():
     msg = err_message("let f(x) = x^2\ng8 = f\ng12 = s^6", ParseError)
     assert "used without an argument" in msg
+
+
+def test_macro_parameter_may_share_a_macro_name():
+    f = parse_family("let f(x) = x; let g(f) = f*2\ng8 = g(s^4); g12 = s^6")
+    assert coeff(f.g8, 4, 0) == 2
+
+
+def test_names_are_checked_as_they_are_read():
+    # the unknown name comes before the unfinished parenthesis
+    msg = err_message("g8 = foo + (\ng12 = s^6", ParseError)
+    assert msg == "line 1: unknown name 'foo'"
 
 
 def test_reserved_macro_names():

@@ -17,12 +17,16 @@ from k3seg.tropics import end_exponents, newton_polygon, root_valuations
 
 def test_analyze_derives_each_quantity_once(named):
     counts = count_calls(
-        lambda: analyze(named["tent"]), end_exponents, newton_polygon, root_valuations
+        lambda: analyze(named["tent"]),
+        end_exponents, newton_polygon, root_valuations, SForm.hull_points,
     )
     # one polygon each for g8, g12 and the discriminant, shared by the end
-    # exponents and the density routes; three valuation reads: g8 and g12
-    # for the end exponents, the discriminant for the positions
-    assert counts == {"end_exponents": 1, "newton_polygon": 3, "root_valuations": 3}
+    # exponents, the density routes and the end surfaces; three valuation
+    # reads: g8 and g12 for the end exponents, the discriminant for the
+    # positions
+    assert counts == {
+        "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "hull_points": 3,
+    }
 
 
 def test_analyze_extracts_the_cusp_quartic_once(named):
