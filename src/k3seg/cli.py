@@ -150,8 +150,8 @@ def cmd_oracle(args) -> int:
     except ValueError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
-    pair = _load(args.file)
-    if cusp_type(pair.normalized()) is CuspKind.NO_DEGENERATION:
+    pair = _load(args.file).normalized()
+    if cusp_type(pair) is CuspKind.NO_DEGENERATION:
         print("family has no degeneration at t = 0; nothing to track")
         return 0
     rep = oracle_compare(pair, t_list)

@@ -10,8 +10,9 @@ Two independent constructions are kept side by side on purpose:
 
   density_profile      builds V from two min-plus polynomials (the primary
                        definition): the discriminant polygon, and the envelope
-                       min(3*psi8, 2*psi12) as one polynomial on the points of
-                       g8 and g12; V is evaluated at every slope of either;
+                       min(3*psi8, 2*psi12) as one polynomial on the hull
+                       vertices of g8 and g12; V is evaluated at every slope
+                       of either;
   density_from_positions  rebuilds the same shape from the 24 clamped root
                        positions alone (cut_positions reads them off the
                        discriminant polygon with its steep tails clamped), the
@@ -173,31 +174,21 @@ class DensityFunction:
 @dataclass(frozen=True)
 class CutData:
     """The 24 discriminant-root positions after clamping to [-1, w_plus],
-    sorted ascending, with the count of negative ones and the valuation level
-    of the top discriminant coefficient (divided by e0)."""
+    sorted ascending, and the valuation level of the top discriminant
+    coefficient divided by e0. Which positions are negative is read off the
+    positions themselves."""
 
     positions: tuple[Fraction, ...]
-    negatives: int
     w_plus: Fraction
     level: Fraction
-    e0: Fraction
-    einf: Fraction
 
 
 def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
     """The clamped root positions: the root valuations v of the discriminant
     polygon trop_d with its steep tails clamped, at -v/e0."""
-    e0, einf = ends.at_zero, ends.at_infinity
-    wp = einf / e0
+    e0 = ends.at_zero
     xs = sorted(-v / e0 for v in root_valuations(modified_polygon(trop_d, ends)))
-    return CutData(
-        positions=tuple(xs),
-        negatives=sum(1 for x in xs if x < 0),
-        w_plus=wp,
-        level=trop_d.points[-1][1] / e0,
-        e0=e0,
-        einf=einf,
-    )
+    return CutData(tuple(xs), ends.at_infinity / e0, trop_d.hull[-1][1] / e0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +197,15 @@ def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
 
 
 def _envelope(trop8: TropicalPolynomial, trop12: TropicalPolynomial) -> TropicalPolynomial:
-    """min(3*psi8, 2*psi12) as one min-plus polynomial: the points (3i, 3v) of
-    trop8 and (2j, 2w) of trop12, the lower height where 3i = 2j."""
+    """min(3*psi8, 2*psi12) as one min-plus polynomial: the hull vertices
+    (3i, 3v) of trop8 and (2j, 2w) of trop12, the lower height where 3i = 2j.
+    The points off either hull lie above its hull, scaled or not, so they
+    could not reach the lower hull of the union."""
     heights: dict[int, Fraction] = {}
     for c, poly in ((3, trop8), (2, trop12)):
-        for i, v in poly.points:
+        for i, v in poly.hull:
             heights[c * i] = min(c * v, heights.get(c * i, c * v))
-    points = sorted(heights.items())
-    return TropicalPolynomial(24, tuple(points), tuple(_lower_hull(points)))
+    return TropicalPolynomial(24, tuple(_lower_hull(sorted(heights.items()))))
 
 
 def density_profile(
@@ -244,20 +236,21 @@ def density_profile(
 def density_from_positions(c: CutData) -> DensityFunction:
     """The same shape rebuilt from clamped positions only.
 
-    With the positions sorted ascending and the first k of them negative, the
-    value at w is  12w + level - sum_{j<=k} max(w, x_j) - sum_{j>k} max(0, w - x_j),
-    so each segment has slope 12 - #{x_j < w}. The additive level is carried
-    along as computed but only the slope profile is certified.
+    The value at w is  12w + level - sum_{x_j < 0} max(w, x_j)
+    - sum_{x_j >= 0} max(0, w - x_j), so each segment has slope
+    12 - #{x_j < w}. The additive level is carried along as computed but only
+    the slope profile is certified.
     """
     grid = sorted({Fraction(-1), c.w_plus} | set(c.positions))
+    negative = [x for x in c.positions if x < 0]
+    nonnegative = [x for x in c.positions if x >= 0]
 
     def value(w: Fraction) -> Fraction:
         total = 12 * w + c.level
-        for j, x in enumerate(c.positions):
-            if j < c.negatives:
-                total -= max(w, x)
-            else:
-                total -= max(Fraction(0), w - x)
+        for x in negative:
+            total -= max(w, x)
+        for x in nonnegative:
+            total -= max(Fraction(0), w - x)
         return total
 
     return DensityFunction([(w, value(w)) for w in grid])

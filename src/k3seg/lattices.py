@@ -199,11 +199,12 @@ def inertia(gram: Gram) -> tuple[int, int, int]:
     return pos, len(minors) - pos, len(gram) - len(minors)
 
 
-def count_norm_vectors(lattice: Lattice, target: int) -> int:
-    """Number of nonzero lattice vectors of the given (even, positive) norm."""
+def _norm_vectors(lattice: Lattice, target: int):
+    """Coordinate tuples of the nonzero lattice vectors of the given (even,
+    positive) norm, in the lattice's basis."""
     n = lattice.rank
     if n == 0:
-        return 0
+        return
     minors, m = _eliminate(lattice.gram)
     if len(minors) < n or min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
@@ -213,24 +214,26 @@ def count_norm_vectors(lattice: Lattice, target: int) -> int:
     scale = math.lcm(*pairs)
     w = [scale // p for p in pairs]
     x = [0] * n
-    count = 0
 
-    def descend(k: int, rem: int) -> None:
-        nonlocal count
+    def descend(k: int, rem: int):
         if k < 0:
             if rem == 0 and any(x):
-                count += 1
+                yield tuple(x)
             return
         c = sum(m[k][j] * x[j] for j in range(k + 1, n))
         dk = minors[k]
         bound = math.isqrt(rem // w[k])  # |D_k x_k + c| <= bound
         for xk in range(-((bound + c) // dk), (bound - c) // dk + 1):
             x[k] = xk
-            descend(k - 1, rem - w[k] * (dk * xk + c) ** 2)
+            yield from descend(k - 1, rem - w[k] * (dk * xk + c) ** 2)
         x[k] = 0
 
-    descend(n - 1, scale * target)
-    return count
+    yield from descend(n - 1, scale * target)
+
+
+def count_norm_vectors(lattice: Lattice, target: int) -> int:
+    """Number of nonzero lattice vectors of the given (even, positive) norm."""
+    return sum(1 for _ in _norm_vectors(lattice, target))
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +267,9 @@ def wps_weights(kind: str, n: int) -> tuple[int, ...]:
                 queue.append(j)
     if len(seen) != r:
         raise BadIndexError("%s has a disconnected diagram" % lat.name)
-
-    def norm(v: tuple[int, ...]) -> int:
-        return sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
-
-    simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        base = frontier.pop()
-        for s in simples:
-            cand = tuple(a + b for a, b in zip(base, s))
-            if cand not in roots and norm(cand) == 2:
-                roots.add(cand)
-                frontier.append(cand)
-    highest = max(roots, key=sum)
+    # the basis is a simple system, so the root of largest coefficient sum is
+    # the highest root
+    highest = max(_norm_vectors(lat, 2), key=sum)
     return tuple([1] + sorted(highest))
 
 

@@ -22,6 +22,7 @@ from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
 _DPS = 60
 _RESIDUAL_TARGET = 1e-12
 _MAX_ITERATIONS = 500
+_TOLERANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -198,16 +199,12 @@ def empirical_positions(roots, e0: Fraction, einf: Fraction, t0) -> list:
         return sorted(out)
 
 
-def oracle_compare(
-    f: FamilyPair,
-    t_list=(1e-3, 1e-5, 1e-7),
-    tolerance: float = 0.2,
-) -> OracleReport:
+def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
     """Track the discriminant roots at each t sample and compare the sorted
     empirical positions with the exact ones.
 
     Deviations must not increase along the (strictly decreasing) t samples
-    and the last one must land within the tolerance; otherwise the exact
+    and the last one must land within the tolerance 0.2; otherwise the exact
     pipeline and the numerics disagree and this raises OracleMismatchError.
     """
     samples = [float(t) for t in t_list]
@@ -219,7 +216,8 @@ def oracle_compare(
         raise CuspidalFamilyError(
             "discriminant vanishes identically; use the cusp-quartic route"
         )
-    cut = cut_positions(newton_polygon(delta), end_exponents(*pair_polygons(f)))
+    ends = end_exponents(*pair_polygons(f))
+    cut = cut_positions(newton_polygon(delta), ends)
     with mp.workdps(_DPS):
         exact_mp = [_to_mpf(x) for x in cut.positions]
         per_sample = []
@@ -228,7 +226,7 @@ def oracle_compare(
         for t0 in samples:
             t_val = _to_mpf(t0)
             roots, recon = _root_data(f, t_val)
-            emp = empirical_positions(roots, cut.e0, cut.einf, t_val)
+            emp = empirical_positions(roots, ends.at_zero, ends.at_infinity, t_val)
             if len(emp) != len(exact_mp):
                 raise OracleMismatchError(
                     "tracked %d roots but expected %d" % (len(emp), len(exact_mp))
@@ -243,10 +241,10 @@ def oracle_compare(
                 raise OracleMismatchError(
                     "deviation grew from %.3g to %.3g as t decreased" % (a, b)
                 )
-        if deviations[-1] > tolerance:
+        if deviations[-1] > _TOLERANCE:
             raise OracleMismatchError(
                 "final deviation %.3g exceeds tolerance %.3g"
-                % (deviations[-1], tolerance)
+                % (deviations[-1], _TOLERANCE)
             )
         fitted = max(
             dev * float(abs(mp.log(_to_mpf(t)))) for dev, t in zip(deviations, samples)
@@ -259,5 +257,5 @@ def oracle_compare(
         deviations=tuple(deviations),
         reconstruction_errors=tuple(recon_errors),
         fitted_c=fitted,
-        tolerance=float(tolerance),
+        tolerance=_TOLERANCE,
     )

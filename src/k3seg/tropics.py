@@ -2,6 +2,11 @@
 roots: root valuations, the two end exponents of a degenerating family, and
 the clamped discriminant polygon.
 
+A polygon is stored as its lower hull alone: one _lower_hull pass builds it,
+and every other quantity is read off the hull vertices (evaluation through
+eval_at, root valuations through the edges and the two end indices, the clamp
+through the two support lines of slopes -e0 and einf).
+
 Everything here is exact. Heights are Fractions; the two improper valuations
 are represented by the module constants INF and NEG_INF (math.inf floats,
 which compare correctly against Fractions).
@@ -35,17 +40,18 @@ def _lower_hull(points: list[Point]) -> list[Point]:
 
 @dataclass(frozen=True)
 class TropicalPolynomial:
-    """Lower Newton polygon of a form: finite points (index, coefficient
-    valuation) and the vertex chain of their lower convex hull."""
+    """Lower Newton polygon of a form: the vertex chain of the lower convex
+    hull of its finite points (index, coefficient valuation). The chain keeps
+    the first and last points, and every value of the min-plus polynomial is
+    attained at one of its vertices, so the other points carry nothing."""
 
     degree: int
-    points: tuple[Point, ...]
     hull: tuple[Point, ...]
 
     def eval_at(self, a) -> Fraction:
-        """min-plus evaluation: min over points of height + index * a."""
+        """min-plus evaluation: min over hull vertices of height + index * a."""
         a = Fraction(a)
-        return min(v + i * a for i, v in self.points)
+        return min(v + i * a for i, v in self.hull)
 
     def edges(self) -> list[tuple[Point, Point, Fraction]]:
         return [
@@ -61,7 +67,7 @@ def newton_polygon(p: SForm) -> TropicalPolynomial:
     points = p.hull_points()
     if not points:
         raise ZeroFormError("Newton polygon of the zero form")
-    return TropicalPolynomial(p.degree, tuple(points), tuple(_lower_hull(points)))
+    return TropicalPolynomial(p.degree, tuple(_lower_hull(points)))
 
 
 def root_valuations(poly: TropicalPolynomial) -> tuple:
@@ -72,10 +78,10 @@ def root_valuations(poly: TropicalPolynomial) -> tuple:
     and roots at s = infinity (degree drop at the top) carry NEG_INF. The
     total count is always the formal degree of the source form.
     """
-    vals: list = [INF] * poly.points[0][0]
+    vals: list = [INF] * poly.hull[0][0]
     for (i1, _), (i2, _), slope in poly.edges():
         vals.extend([-slope] * (i2 - i1))
-    vals.extend([NEG_INF] * (poly.degree - poly.points[-1][0]))
+    vals.extend([NEG_INF] * (poly.degree - poly.hull[-1][0]))
     return tuple(vals)
 
 
@@ -123,28 +129,16 @@ def end_exponents(
 def modified_polygon(trop_d: TropicalPolynomial, ends: EndExponents) -> TropicalPolynomial:
     """The discriminant polygon trop_d with its steep tails clamped.
 
-    Hull slopes at most -e0 are replaced by a single slope -e0 edge reaching
-    index 0, and slopes at least einf by a slope einf edge reaching the full
-    degree 24; the infinite vertical parts at either end (missing bottom or
-    top coefficients) are flattened out by the same extension. Interior slopes
-    are untouched, so the result is still convex with slopes in [-e0, einf].
+    The support line of slope -e0 meets index 0 at psi(e0), and the support
+    line of slope einf meets index 24 at 24*einf + psi(-einf), psi being
+    trop_d.eval_at. Every hull vertex lies on or above both lines, so the
+    lower hull of the hull with those two points added replaces the slopes at
+    most -e0 by one slope -e0 edge reaching index 0 and the slopes at least
+    einf by one slope einf edge reaching the full degree 24; missing bottom or
+    top coefficients are flattened out the same way. Interior slopes are
+    untouched, so the result is convex with slopes in [-e0, einf].
     """
     e0, einf = ends.at_zero, ends.at_infinity
-    hull = list(trop_d.hull)
-    left = hull[0]
-    for (p, q, slope) in trop_d.edges():
-        if slope <= -e0:
-            left = q
-    right = hull[-1]
-    for (p, q, slope) in reversed(trop_d.edges()):
-        if slope >= einf:
-            right = p
-    keep = [v for v in hull if left[0] <= v[0] <= right[0]]
-    chain = (
-        [(0, left[1] + left[0] * e0)]
-        + keep
-        + [(24, right[1] + (24 - right[0]) * einf)]
-    )
-    # the chain is convex, so the hull only merges its collinear vertices
-    chain = tuple(_lower_hull(chain))
-    return TropicalPolynomial(24, chain, chain)
+    psi = trop_d.eval_at
+    chain = [(0, psi(e0))] + list(trop_d.hull) + [(24, 24 * einf + psi(-einf))]
+    return TropicalPolynomial(24, tuple(_lower_hull(chain)))

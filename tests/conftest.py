@@ -1,10 +1,11 @@
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
 from k3seg.report import analyze
-from k3seg.symalg import SForm, parse_family
+from k3seg.symalg import SForm, TLaurent, parse_family
 from k3seg.tropics import end_exponents, newton_polygon, pair_polygons
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -51,6 +52,21 @@ def tropical_data(pair):
         newton_polygon(pair.g12),
         end_exponents(*pair_polygons(pair)),
     )
+
+
+def random_form(rng, degree):
+    """A random sparse form: each coefficient is c*t^e with probability 0.3, e
+    a small rational, and at least one is nonzero."""
+    def coefficient():
+        if rng.random() >= 0.3:
+            return 0
+        c = rng.choice((-2, -1, 1, 3))
+        return TLaurent.term(c, Fraction(rng.randint(-12, 12), rng.randint(1, 3)))
+
+    while True:
+        f = SForm(degree, [coefficient() for _ in range(degree + 1)])
+        if f:
+            return f
 
 
 def stretched(f, a):

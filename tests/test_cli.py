@@ -8,7 +8,8 @@ from k3seg.cli import main
 from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import InternalError
-from tests.conftest import family_path, family_text
+from k3seg.symalg import SForm
+from tests.conftest import count_calls, family_path, family_text
 
 ANALYZE_DS_SPLIT = """\
 cusp kind:      maximal
@@ -165,6 +166,16 @@ def test_oracle_run_on_tent(capsys):
     assert "reconstruction error" in lines[0]
     assert lines[2].startswith("fitted C = ")
     assert lines[2].endswith("within tolerance 0.20")
+
+
+def test_oracle_normalizes_the_family_once(capsys):
+    # ds_split sits at t-shift 4; a second normalization would build a second
+    # pair and compute its discriminant, g8^3 - 27 g12^2, a second time
+    counts = count_calls(
+        lambda: main(["oracle", family_path("ds_split"), "--t", "1e-3"]), SForm.__pow__
+    )
+    assert counts == {"__pow__": 1}
+    assert capsys.readouterr().out.endswith("within tolerance 0.20\n")
 
 
 def test_strata_summary(capsys):

@@ -21,7 +21,8 @@ from k3seg.density import (
 from k3seg.errors import CuspidalInteriorError, NegativeDensityError
 from k3seg.symalg import SForm, TLaurent, extract_cusp_quartic
 from k3seg.tropics import EndExponents, newton_polygon
-from tests.conftest import tropical_data
+from k3seg.corpus import generate_corpus
+from tests.conftest import random_form, tropical_data
 
 
 def lin(a, b):
@@ -114,19 +115,22 @@ def profile_of(pair):
     return density_profile(*tropical_data(pair))
 
 
+def negatives(c):
+    return sum(1 for x in c.positions if x < 0)
+
+
 def test_cut_positions_ds_split(named):
     c = positions_of(named["ds_split"].normalized())
     assert sorted(c.positions) == [-1] * 3 + [0] * 18 + [1] * 3
-    assert c.negatives == 3
+    assert negatives(c) == 3
     assert c.w_plus == 1
     assert c.level == 12
-    assert (c.e0, c.einf) == (1, 1)
 
 
 def test_cut_positions_tent(named):
     c = positions_of(named["tent"])
     assert sorted(c.positions) == [-1] * 6 + [0] * 12 + [1] * 6
-    assert c.negatives == 6
+    assert negatives(c) == 6
     assert c.level == 12
 
 
@@ -135,8 +139,19 @@ def test_cut_positions_clamp_degree_drop(named):
     # at s = infinity and clamp to the right endpoint
     c = positions_of(named["d_mixed"].normalized())
     assert sorted(c.positions) == [-1] * 6 + [1] * 18
-    assert c.negatives == 6
+    assert negatives(c) == 6
     assert c.level == 26
+
+
+def test_cut_positions_level_is_the_top_height():
+    # the named families with a discriminant start and end at one height; the
+    # first corpus family runs from height 16 at index 2 to height 3 at index
+    # 18, and the level is the top one over e0 = 8/5
+    trop_d, _, _, ends = tropical_data(generate_corpus(1, 1729)[0].normalized())
+    assert (trop_d.hull[0], trop_d.hull[-1], ends.at_zero) == ((2, 16), (18, 3), Fraction(8, 5))
+    c = cut_positions(trop_d, ends)
+    assert c.level == Fraction(15, 8)
+    assert negatives(c) == 14
 
 
 def test_density_profile_frozen_shapes(named):
@@ -165,29 +180,14 @@ def test_both_routes_share_the_slope_profile(named):
         assert other.slope_profile() == master.slope_profile()
 
 
-def random_polygon(rng, degree):
-    """Newton polygon of a random sparse form: each coefficient is c*t^e with
-    probability 0.3, e a small rational, and at least one is nonzero."""
-    def coefficient():
-        if rng.random() >= 0.3:
-            return 0
-        c = rng.choice((-2, -1, 1, 3))
-        return TLaurent.term(c, Fraction(rng.randint(-12, 12), rng.randint(1, 3)))
-
-    while True:
-        f = SForm(degree, [coefficient() for _ in range(degree + 1)])
-        if f:
-            return newton_polygon(f)
-
-
-def density_by_definition(trop_d, trop8, trop12, ends):
-    """V = [psi_Delta(a) - min(3*psi8(a), 2*psi12(a))] / e0 at a = -w*e0, sampled
-    wherever two of the lines of psi_Delta, or two of the lines 3*psi8 and
-    2*psi12 are made of, meet: V is linear between those abscissas."""
+def density_by_definition(delta, points8, points12, ends):
+    """V = [psi_Delta(a) - min(3*psi8(a), 2*psi12(a))] / e0 at a = -w*e0, from
+    all the points (index, valuation) of Delta, g8 and g12, sampled wherever
+    two of the lines of psi_Delta, or two of the lines 3*psi8 and 2*psi12 are
+    made of, meet: V is linear between those abscissas."""
     e0, einf = ends
-    delta = trop_d.points
-    envelope = [(3 * i, 3 * v) for i, v in trop8.points]
-    envelope += [(2 * j, 2 * w) for j, w in trop12.points]
+    envelope = [(3 * i, 3 * v) for i, v in points8]
+    envelope += [(2 * j, 2 * w) for j, w in points12]
 
     def meets(lines):
         pairs = combinations(lines, 2)
@@ -205,23 +205,23 @@ def density_by_definition(trop_d, trop8, trop12, ends):
 
 def test_density_profile_matches_its_definition():
     # Delta is drawn independently of g8 and g12, so V may bend the wrong way
-    # (ValueError from DensityFunction) or dip below zero
+    # (ValueError from DensityFunction) or dip below zero; the definition reads
+    # every point of each form, density_profile only the hull vertices
     rng = random.Random(1)
     seen = Counter()
     for _ in range(400):
-        data = (
-            random_polygon(rng, 24),
-            random_polygon(rng, 8),
-            random_polygon(rng, 12),
-            EndExponents(*(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in "01")),
-        )
+        forms = (random_form(rng, 24), random_form(rng, 8), random_form(rng, 12))
+        ends = EndExponents(*(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in "01"))
         outcomes = []
-        for construct in (density_by_definition, density_profile):
+        for construct, data in (
+            (density_by_definition, [f.hull_points() for f in forms]),
+            (density_profile, [newton_polygon(f) for f in forms]),
+        ):
             try:
-                outcomes.append(construct(*data).breakpoints)
+                outcomes.append(construct(*data, ends).breakpoints)
             except (ValueError, NegativeDensityError) as err:
                 outcomes.append(type(err))
-        assert outcomes[0] == outcomes[1], data
+        assert outcomes[0] == outcomes[1], (forms, ends)
         seen[outcomes[0] if isinstance(outcomes[0], type) else "V"] += 1
     assert set(seen) == {"V", ValueError, NegativeDensityError}, seen
 

@@ -241,7 +241,7 @@ def test_wps_weights_e_series():
 
 
 def test_wps_weights_d_series():
-    for n in range(3, 13):
+    for n in range(3, 25):
         assert wps_weights("D", n) == tuple([1, 1, 1, 1] + [2] * (n - 3))
 
 

@@ -74,7 +74,8 @@ def test_oracle_compare_is_sharp_on_tent(named):
 
 def test_oracle_compare_flags_excess_deviation(named):
     with pytest.raises(OracleMismatchError):
-        oracle_compare(named["ds_split"], t_list=(1e-2,), tolerance=1e-6)
+        # the final deviation at t = 0.5 is about 0.39, above the fixed 0.2
+        oracle_compare(named["ds_split"], t_list=(0.5,))
 
 
 def test_oracle_compare_validates_sample_list(named):

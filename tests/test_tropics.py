@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import stretched
+from conftest import random_form, stretched
 from k3seg.errors import UnrecognizedCuspError, ZeroFormError
 from k3seg.symalg import INF, NEG_INF, SForm, TLaurent, parse_family
 from k3seg.tropics import (
+    EndExponents,
     end_exponents,
     modified_polygon,
     newton_polygon,
@@ -21,8 +22,8 @@ from k3seg.tropics import (
 def test_newton_polygon_of_tent_g12(named):
     poly = newton_polygon(named["tent"].g12)
     assert poly.degree == 12
-    assert poly.points == ((0, Fraction(1)), (6, Fraction(0)), (12, Fraction(1)))
-    assert poly.hull == poly.points
+    assert poly.hull == ((0, Fraction(1)), (6, Fraction(0)), (12, Fraction(1)))
+    assert list(poly.hull) == named["tent"].g12.hull_points()
     assert poly.slopes() == [Fraction(-1, 6), Fraction(1, 6)]
     assert poly.eval_at(0) == 0
     assert poly.eval_at(Fraction(1, 6)) == 1
@@ -33,7 +34,7 @@ def test_newton_polygon_drops_interior_points():
     f = SForm(4, [TLaurent.term(1, 3), TLaurent.term(1, 5), TLaurent.term(1, 0)])
     poly = newton_polygon(f)
     assert poly.hull == ((0, Fraction(3)), (2, Fraction(0)))
-    assert len(poly.points) == 3
+    assert len(f.hull_points()) == 3
 
 
 def test_newton_polygon_of_zero_form():
@@ -135,3 +136,18 @@ def test_modified_polygon_slopes_are_clamped(named):
         assert mp.hull[0][0] == 0 and mp.hull[-1][0] == 24
         for slope in mp.slopes():
             assert -ends.at_zero <= slope <= ends.at_infinity
+
+
+def test_modified_polygon_is_the_clamp_on_random_polygons():
+    # spans 0..24 with slopes in [-e0, einf], and agrees with the discriminant
+    # polygon wherever the clamp must not act: at every bend in [-einf, e0]
+    rng = random.Random(24)
+    for _ in range(400):
+        trop_d = newton_polygon(random_form(rng, 24))
+        e0, einf = (Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in "01")
+        mp = modified_polygon(trop_d, EndExponents(e0, einf))
+        assert (mp.degree, mp.hull[0][0], mp.hull[-1][0]) == (24, 0, 24)
+        assert all(-e0 <= slope <= einf for slope in mp.slopes())
+        bends = {-slope for poly in (trop_d, mp) for slope in poly.slopes()}
+        for a in {a for a in bends if -einf < a < e0} | {-einf, e0}:
+            assert mp.eval_at(a) == trop_d.eval_at(a), (trop_d, e0, einf, a)
