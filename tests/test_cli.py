@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from k3seg import oracle
 from k3seg.cli import main
 from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
@@ -176,6 +177,15 @@ def test_oracle_normalizes_the_family_once(capsys):
     )
     assert counts == {"__pow__": 1}
     assert capsys.readouterr().out.endswith("within tolerance 0.20\n")
+
+
+def test_oracle_exits_6_without_convergence(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+    assert main(["oracle", family_path("ds_split")]) == 6
+    assert capsys.readouterr().err == (
+        "E_NO_CONVERGENCE: root refinement missed the 1e-12 residual target"
+        " in 1 iterations\n"
+    )
 
 
 def test_strata_summary(capsys):

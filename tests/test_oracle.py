@@ -4,10 +4,15 @@ These tests keep the sample lists short; the expensive three-sample runs
 live in the acceptance suite.
 """
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp, mpc
+from mpmath.libmp import dps_to_prec
 
-from k3seg.errors import CuspidalFamilyError, OracleMismatchError
+from k3seg import oracle
+from k3seg.errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from k3seg.oracle import empirical_positions, oracle_compare, OracleReport, roots_at
 from k3seg.symalg import parse_family
 
@@ -93,3 +98,179 @@ def test_oracle_compare_validates_sample_list(named):
 def test_oracle_compare_refuses_identically_degenerate_family(named):
     with pytest.raises(CuspidalFamilyError):
         oracle_compare(named["d_constant"], t_list=(1e-3,))
+
+
+def test_oracle_compare_keeps_its_stop_point_on_d_mixed(named):
+    # the deviations recorded in bench/reference.json; moving the stop point
+    # of the root refinement by a step moves them in the fifth digit
+    report = oracle_compare(named["d_mixed"])
+    assert report.deviations == (
+        0.10037824697078833,
+        0.060226949063273284,
+        0.043019249330972405,
+    )
+
+
+def test_oracle_compare_reports_no_convergence(named, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+    with pytest.raises(NoConvergenceError) as info:
+        oracle_compare(named["ds_split"])
+    assert info.value.tag == "E_NO_CONVERGENCE"
+    assert info.value.exit_code == 6
+    assert str(info.value) == (
+        "root refinement missed the 1e-12 residual target in 1 iterations"
+    )
+
+
+def _reference_find_roots(coeffs):
+    """The root refinement on mpmath complex numbers: the starts, update order
+    and stop test that oracle._find_roots runs on integer mantissas."""
+    n = len(coeffs) - 1
+    roots = oracle._initial_points(coeffs)
+    abs_coeffs = [abs(c) for c in reversed(coeffs)]
+    for _ in range(oracle._MAX_ITERATIONS):
+        settled = True
+        for i in range(n):
+            z = roots[i]
+            p, dp = coeffs[-1], mp.mpc(0)
+            for c in reversed(coeffs[:-1]):
+                dp = dp * z + p
+                p = p * z + c
+            if abs(p) <= oracle._RESIDUAL_TARGET * mp.polyval(abs_coeffs, abs(z)):
+                continue
+            settled = False
+            if dp == 0:
+                roots[i] = z + (abs(z) + 1) * mp.mpf("1e-6") * mp.mpc(1, 1)
+                continue
+            newton = p / dp
+            repel = mp.mpc(0)
+            for w in roots:
+                if w != z:
+                    repel += 1 / (z - w)
+            denom = 1 - newton * repel
+            roots[i] = z - (newton if denom == 0 else newton / denom)
+        if settled:
+            return roots
+    raise AssertionError("the reference refinement did not settle")
+
+
+def _integer_polynomial(rng, degree):
+    """Ascending integer coefficients in [-99, 99], the first and last nonzero."""
+    coeffs = [rng.randint(-99, 99) for _ in range(degree + 1)]
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    return [mp.mpf(c) for c in coeffs]
+
+
+def _from_roots(roots):
+    """Ascending coefficients of prod (s - r) over the roots."""
+    coeffs = [mp.mpf(1)]
+    for r in roots:
+        coeffs = [mp.mpf(0)] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= r * coeffs[k + 1]
+    return coeffs
+
+
+def _spread_polynomial(rng):
+    """24 real roots of moduli t^((23 - 2k)/12) at t = 1e-7, and the
+    ascending coefficients of the polynomial with these roots. They rise from
+    1 to about t^-12 = 1e84 and fall back, as the discriminant's do at the
+    oracle's smallest sample."""
+    t = mp.mpf("1e-7")
+    roots = [rng.choice((-1, 1)) * t ** (mp.mpf(23 - 2 * k) / 12) for k in range(24)]
+    return roots, _from_roots(roots)
+
+
+def _pairs(found, expected):
+    """Each found root with the nearest expected root not taken before it."""
+    assert len(found) == len(expected)
+    left = list(expected)
+    out = []
+    for z in found:
+        j = min(range(len(left)), key=lambda j: abs(left[j] - z))
+        out.append((z, left.pop(j)))
+    return out
+
+
+def _passes_stop_test(coeffs, z):
+    desc = coeffs[::-1]
+    bound = mp.polyval([abs(c) for c in desc], abs(z))
+    return abs(mp.polyval(desc, z)) <= oracle._RESIDUAL_TARGET * bound
+
+
+def _inclusion_radius(coeffs, z):
+    """n |p(z) / p'(z)|: the disc of this radius about z holds a root."""
+    p, dp = mp.polyval(coeffs[::-1], z, derivative=True)
+    return (len(coeffs) - 1) * abs(p / dp)
+
+
+def test_find_roots_against_polyroots():
+    # the stop test |p(z)| <= 1e-12 sum |c_k| |z|^k leaves a root only as
+    # accurate as its residual allows, about 1e-13 on these, so each found
+    # root is held to the Newton inclusion radius, not to a fixed 1e-30
+    rng = random.Random(1729)
+    with mp.workdps(oracle._DPS):
+        for degree in range(1, 25):
+            coeffs = _integer_polynomial(rng, degree)
+            found = oracle._find_roots(coeffs)
+            assert all(_passes_stop_test(coeffs, z) for z in found)
+            with mp.workdps(30):
+                expected = mp.polyroots(coeffs[::-1], maxsteps=100)
+            for z, ref in _pairs(found, expected):
+                slack = mp.mpf("1e-25") * abs(ref)
+                assert abs(z - ref) <= _inclusion_radius(coeffs, z) + slack
+
+
+def test_find_roots_on_a_coefficient_spread_of_1e84():
+    with mp.workdps(oracle._DPS):
+        roots, coeffs = _spread_polynomial(random.Random(1729))
+        sizes = [abs(c) for c in coeffs]
+        assert 1e83 < max(sizes) / min(sizes) < 1e85
+        found = oracle._find_roots(coeffs)
+        assert all(_passes_stop_test(coeffs, z) for z in found)
+        for z, ref in _pairs(found, roots):
+            slack = mp.mpf("1e-40") * abs(ref)
+            assert abs(z - ref) <= _inclusion_radius(coeffs, z) + slack
+
+
+def test_find_roots_repeats_the_refinement_on_mpmath_numbers():
+    # the same iterates, far below what the stop test resolves: the integer
+    # mantissas carry at least mpmath's 203 bits at 60 digits
+    assert oracle._WORK_BITS >= dps_to_prec(oracle._DPS) == 203
+    rng = random.Random(1729)
+    with mp.workdps(oracle._DPS):
+        cases = [_integer_polynomial(rng, d) for d in (1, 2, 3, 5, 8, 13)]
+        cases.append(_spread_polynomial(rng)[1])
+        # roots 2^600 apart in modulus: each is below the other's last bit
+        cases.append(_from_roots([mp.mpf("1e-90"), mp.mpf(-3), mp.mpf("1e90")]))
+        for coeffs in cases:
+            pairs = _pairs(oracle._find_roots(coeffs), _reference_find_roots(coeffs))
+            assert all(abs(z - ref) <= mp.mpf("1e-45") * abs(ref) for z, ref in pairs)
+
+
+def test_find_roots_steps_off_a_critical_point(monkeypatch):
+    # s^2 - 1 from the starts 0 and 1/2: p'(0) = 0, so the first root takes
+    # the 1e-6 (1 + i) nudge before its first step
+    monkeypatch.setattr(oracle, "_initial_points", lambda coeffs: [mpc(0), mpc(0.5)])
+    with mp.workdps(oracle._DPS):
+        coeffs = [mp.mpf(-1), mp.mpf(0), mp.mpf(1)]
+        found = oracle._find_roots(coeffs)
+        pairs = _pairs(found, _reference_find_roots(coeffs))
+        assert all(abs(z - ref) <= mp.mpf("1e-30") for z, ref in pairs)
+        assert sorted(round(float(z.real)) for z in found) == [-1, 1]
+
+
+class _Mpz(int):
+    """Stands in for the gmpy integer type that mpmath's gmpy backend stores."""
+
+
+def test_mantissas_are_built_in_ints():
+    for sign, value in ((0, 3), (1, -3)):
+        m, e = oracle._mantissa(SimpleNamespace(_mpf_=(sign, _Mpz(3), -2, 2)))
+        assert (m, e) == (value, -2) and type(m) is int
+    with mp.workdps(oracle._DPS):
+        z = mp.mpc("0.1", "-3.5")
+        triple = oracle._to_triple(z)
+        assert all(type(x) is int for x in triple)
+        assert oracle._to_mpc(triple) == z
