@@ -28,7 +28,9 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from typing import Iterable, Union
 
-from ..errors import DegreeError, NotMinimalError, UnrecognizedCuspError, ZeroFormError
+from ..errors import (
+    DegreeError, NotMinimalError, ParseError, UnrecognizedCuspError, ZeroFormError,
+)
 from .field import sadd, sderiv, sdiv_exact, sgcd, smul, snorm, spow, uspread
 
 Scalar = Union[int, Fraction]
@@ -37,6 +39,14 @@ INF = math.inf
 NEG_INF = -math.inf
 
 _ZERO = Fraction(0)
+
+# Longest u-array, less one, that moving a form onto a finer grid may build:
+# two forms on steps of gcd 1 meet on step 1, where an exponent of 10^6
+# would cost a million entries per array. The parser bounds each form alone
+# (MAX_SPAN = 2^14 steps of its own), and the discriminant of a legitimate
+# pair reaches 3 * 2^14 on a common step; past MAX_SPREAD the input is
+# refused as ParseError "expression too large".
+MAX_SPREAD = 1 << 18
 
 
 def _qgcd(*xs: Fraction) -> Fraction:
@@ -175,12 +185,15 @@ class SForm:
     def _on(self, low: Fraction, step: Fraction, den: int) -> list:
         """P rewritten on a coarser grid: t^low / den * Q(t^step, s) is this
         form, for low <= self.low and step dividing self.step and self.low - low,
-        den a multiple of self.den."""
+        den a multiple of self.den. A Q of u-degree past MAX_SPREAD is refused
+        before it is built."""
         j = int((self.low - low) / step) if step else 0
         k = int(self.step / step) if self.step else 1
         m = den // self.den
         if j == 0 and k == 1 and m == 1:
             return self.poly
+        if j + (max(map(len, self.poly)) - 1) * k > MAX_SPREAD:
+            raise ParseError("expression too large")
         return [uspread([x * m for x in arr], j, k) for arr in self.poly]
 
     def __add__(self, other: "SForm") -> "SForm":

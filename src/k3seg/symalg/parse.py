@@ -9,37 +9,48 @@ semicolons, `#` starts a line comment.
     g12 = ...
 
 Expressions are evaluated exactly in the fraction field of Q[s, t], on the
-integer kernel of field.py: a value is s^a * t^b * P(t^d, s) / Q(t^d, s) with
-P, Q in Z[u][s] free of factors s and u, and d the gcd of the gaps between
-its t-exponents (0 when there are none), so t^100000000 is a single entry. No
-evaluation builds an array of s- or u-degree past MAX_SPAN, or runs a product
-whose coefficients could pass MAX_BITS bits, and no expression nests deeper
-than MAX_DEPTH; an input that would is a ParseError. A result is accepted
-only if its reduced denominator is a single monomial c*s^a*t^b, i.e. Q
-divides P; the s-part must then be a true polynomial of degree at most the
-slot's formal degree, while negative (and only integer) t-powers are fine.
+integer kernel of field.py: a value is s^a * t^b * (n/e) * P(t^d, s) / Q(t^d, s)
+with P, Q in Z[u][s] of integer content 1 and free of factors s and u, and d
+the gcd of the gaps between its t-exponents (0 when there are none), so
+t^100000000 is a single entry. A monomial is P = Q = [[1]]: multiplying,
+dividing, negating or raising monomials adds or scales exponents and
+multiplies integers, and a sum of monomials is collected by exponent in one
+pass, like terms cancelling first. Other sums are added pairwise in a
+balanced tree. No evaluation builds an array of s- or u-degree past
+MAX_SPAN, or runs a product whose coefficients could pass MAX_BITS bits, and
+no expression nests deeper than MAX_DEPTH; an input that would is a
+ParseError. A result is accepted only if its reduced denominator is a single
+monomial c*s^a*t^b, i.e. Q divides P; the s-part must then be a true
+polynomial of degree at most the slot's formal degree, while negative (and
+only integer) t-powers are fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
 from .field import sadd, sdiv_exact, smul, snorm, spow, uspread
 from .forms import FamilyPair, SForm
 
 # ---------------------------------------------------------------------------
-# values s^a * t^b * P(t^d, s) / Q(t^d, s) as tuples (a, b, d, P, Q)
+# values s^a * t^b * (n/e) * P(t^d, s) / Q(t^d, s) as tuples (a, b, d, n, e, P, Q)
 # ---------------------------------------------------------------------------
 
-MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build
+MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build (see forms.MAX_SPREAD)
 MAX_BITS = 1 << 9  # largest coefficient size, in bits, a product may build
 MAX_DEPTH = 64  # deepest nesting of an expression, macro calls included
 
-_ZERO = (0, 0, 0, [], [[1]])
-_S = (1, 0, 0, [[1]], [[1]])
-_T = (0, 1, 0, [[1]], [[1]])
+# P and Q have integer content 1 and no factor s or u, and gcd(n, e) = 1. A
+# P or Q of one entry is [[1]], its sign in the scalar, so the monomial
+# c*s^a*t^b is (a, b, 0, n, e, [[1]], [[1]]) with c = n/e; zero has n = 0 and
+# P = []. The size bounds are stated for the numerator n*P and the
+# denominator e*Q, the arrays with the scalars multiplied in.
+_ONE = [[1]]
+_ZERO = (0, 0, 0, 0, 1, [], _ONE)
+_S = (1, 0, 0, 1, 1, _ONE, _ONE)
+_T = (0, 1, 0, 1, 1, _ONE, _ONE)
 
 
 def _fit(*spans: int, bits: int = 0) -> None:
@@ -47,23 +58,41 @@ def _fit(*spans: int, bits: int = 0) -> None:
         raise ParseError("expression too large")
 
 
-def _bits(p: list) -> int:
-    """Bits of p's 1-norm, rounded up. The 1-norm of a product is at most the
-    product of its factors' 1-norms, and bounds every coefficient."""
-    return (sum(abs(x) for c in p for x in c) - 1).bit_length()
+def _bits(c: int, p: list) -> int:
+    """Bits of the 1-norm of c*p, rounded up. The 1-norm of a product is at
+    most the product of its factors' 1-norms, and bounds every coefficient."""
+    norm = 1 if p == _ONE else sum(abs(x) for row in p for x in row)
+    return (abs(c) * norm - 1).bit_length()
 
 
 def _uspan(p: list) -> int:
     return max(map(len, p), default=1) - 1
 
 
-def _value(a: int, b: int, d: int, num: list, den: list) -> tuple:
-    """Move the s- and u-power factors of num and den into (a, b), make d
-    the gcd of the u-exponent gaps, 0 when there are none, and cancel the
-    integer content num and den share."""
+def _scale(c: int, p: list) -> list:
+    return p if c == 1 else [[c * x for x in row] for row in p]
+
+
+def _content(p: list) -> int:
+    g = 0
+    for row in p:
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    return g
+
+
+def _value(a: int, b: int, d: int, n: int, e: int, num: list, den: list) -> tuple:
+    """s^a * t^b * (n/e) * num(t^d, s) / den(t^d, s) as a value: the s- and
+    u-power factors of num and den moved into (a, b), d made the gcd of the
+    u-exponent gaps, 0 when there are none, and the integer contents of num
+    and den moved into n and e, which are then reduced."""
     num = snorm(num)
-    if not num:
+    if not num or not n:
         return _ZERO
+    if num == _ONE and den == _ONE:
+        g = gcd(n, e)
+        return a, b, 0, n // g, e // g, _ONE, _ONE
     parts = []
     for p, sign in ((num, 1), (den, -1)):
         i = next(k for k, c in enumerate(p) if c)
@@ -71,30 +100,37 @@ def _value(a: int, b: int, d: int, num: list, den: list) -> tuple:
         a, b = a + sign * i, b + sign * j * d
         parts.append([c[j:] for c in p[i:]])
     g = gcd(*(k for p in parts for c in p for k, x in enumerate(c) if x))
-    content = 0
-    for c in (c for p in parts for c in p):
-        content = gcd(content, *c)
-        if content == 1:
-            break
-    else:
-        parts = [[[x // content for x in c] for c in p] for p in parts]
-    return (a, b, d * g, *([c[:: g or 1] for c in p] for p in parts))
+    scalars = [n, e]
+    for k, p in enumerate(parts):
+        if len(p) == 1 and len(p[0]) == 1:
+            c, parts[k] = p[0][0], _ONE
+        else:
+            c = _content(p)
+            if c > 1 or g > 1:
+                parts[k] = [[x // c for x in row[:: g or 1]] for row in p]
+        scalars[k] *= c
+    h = gcd(*scalars)
+    return a, b, d * g, scalars[0] // h, scalars[1] // h, *parts
 
 
 def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
-    """x's numerator times s^(xa - a) * t^(xb - b), and its denominator, on
-    the step d, which divides x's."""
-    xa, xb, xd, num, den = x
+    """x's P times s^(xa - a) * t^(xb - b), and its Q, on the step d, which
+    divides x's."""
+    xa, xb, xd, _, _, p, q = x
     i, j, k = xa - a, (xb - b) // d if d else 0, xd // d if xd else 1
-    _fit(i + len(num) - 1, j + _uspan(num) * k, _uspan(den) * k)
-    return [[]] * i + [uspread(c, j, k) for c in num], [uspread(c, 0, k) for c in den]
+    if i == j == 0 and k == 1:  # every value's own arrays fit
+        return p, q
+    _fit(i + len(p) - 1, j + _uspan(p) * k, _uspan(q) * k)
+    return [[]] * i + [uspread(c, j, k) for c in p], [uspread(c, 0, k) for c in q]
 
 
-def _product(p: list, q: list) -> list:
-    if p == [[1]] or q == [[1]]:
-        return q if p == [[1]] else p
-    _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q), bits=_bits(p) + _bits(q))
-    return smul(p, q)
+def _product(c: int, p: list, k: int, q: list) -> list:
+    """p*q: the product of c*p and k*q, less its scalar c*k. Unless c*p or
+    k*q is [[1]], it is refused before it runs if it could pass MAX_SPAN or
+    MAX_BITS."""
+    if not (c == 1 and p == _ONE or k == 1 and q == _ONE):
+        _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q), bits=_bits(c, p) + _bits(k, q))
+    return q if p == _ONE else p if q == _ONE else smul(p, q)
 
 
 def _add(x: tuple, y: tuple) -> tuple:
@@ -102,47 +138,89 @@ def _add(x: tuple, y: tuple) -> tuple:
         return y if not x[3] else x
     a, b = min(x[0], y[0]), min(x[1], y[1])
     d = gcd(x[2], y[2], x[1] - b, y[1] - b)
-    (n1, e1), (n2, e2) = _align(x, a, b, d), _align(y, a, b, d)
+    (p1, q1), (p2, q2) = _align(x, a, b, d), _align(y, a, b, d)
+    n1, e1, n2, e2 = _scale(x[3], p1), _scale(x[4], q1), _scale(y[3], p2), _scale(y[4], q2)
     if e1 == e2:
-        return _value(a, b, d, sadd(n1, n2), e1)
-    return _value(a, b, d, sadd(_product(n1, e2), _product(n2, e1)), _product(e1, e2))
+        return _value(a, b, d, 1, 1, sadd(n1, n2), e1)
+    return _value(
+        a, b, d, 1, 1,
+        sadd(_product(1, n1, 1, e2), _product(1, n2, 1, e1)), _product(1, e1, 1, e2),
+    )
 
 
 def _neg(x: tuple) -> tuple:
-    a, b, d, num, den = x
-    return a, b, d, [[-v for v in c] for c in num], den
+    a, b, d, n, e, p, q = x
+    return a, b, d, -n, e, p, q
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
     if not x[3] or not y[3]:
         return _ZERO
     d = gcd(x[2], y[2])
-    (n1, e1), (n2, e2) = _align(x, x[0], x[1], d), _align(y, y[0], y[1], d)
-    return _value(x[0] + y[0], x[1] + y[1], d, _product(n1, n2), _product(e1, e2))
+    (p1, q1), (p2, q2) = _align(x, x[0], x[1], d), _align(y, y[0], y[1], d)
+    return _value(
+        x[0] + y[0], x[1] + y[1], d, x[3] * y[3], x[4] * y[4],
+        _product(x[3], p1, y[3], p2), _product(x[4], q1, y[4], q2),
+    )
 
 
 def _inverse(x: tuple) -> tuple:
-    a, b, d, num, den = x
-    if not num:
+    a, b, d, n, e, p, q = x
+    if not n:
         raise NotPolynomialError("division by zero in expression")
-    return _value(-a, -b, d, den, num)
+    return -a, -b, d, e, n, q, p
 
 
-def _pow(x: tuple, n: int) -> tuple:
-    if n < 0:
-        x, n = _inverse(x), -n
-    a, b, d, num, den = x
+def _pow(x: tuple, k: int) -> tuple:
+    if k < 0:
+        x, k = _inverse(x), -k
+    a, b, d, n, e, p, q = x
     _fit(
-        n * (len(num) - 1), n * _uspan(num), n * (len(den) - 1), n * _uspan(den),
-        bits=n * max(_bits(num), _bits(den)),
+        k * (len(p) - 1), k * _uspan(p), k * (len(q) - 1), k * _uspan(q),
+        bits=k * max(_bits(n, p), _bits(e, q)),
     )
-    return _value(a * n, b * n, d, spow(num, n), spow(den, n))
+    return _value(a * k, b * k, d, n**k, e**k, spow(p, k), spow(q, k))
+
+
+def _monomial_sum(terms: list) -> tuple:
+    """A sum of monomials, added by exponent in one pass. Like terms cancel
+    first; then the extent of what remains, and its common denominator as
+    it grows, are checked before any array is built. The denominator is
+    refused only once it exceeds every term's own and passes MAX_BITS bits:
+    the balanced tree of _add, whose products are checked, refuses such a
+    sum too."""
+    coeffs: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b, _, n, e, _, _ in terms:
+        if (a, b) in coeffs:  # over the lcm of the two denominators
+            m, f = coeffs[a, b]
+            g = gcd(e, f)
+            n, e = m * (e // g) + n * (f // g), f // g * e
+        coeffs[a, b] = (n, e) if n else (0, 1)  # cancelled: start afresh
+    live = [(a, b, n // g, e // g) for (a, b), (n, e) in coeffs.items() if n for g in [gcd(n, e)]]
+    if not live:
+        return _ZERO
+    a0, b0 = min(t[0] for t in live), min(t[1] for t in live)
+    rows = max(t[0] for t in live) - a0 + 1
+    step = gcd(*(t[1] - b0 for t in live))
+    _fit(rows - 1, (max(t[1] for t in live) - b0) // (step or 1))
+    largest = max(abs(x[4]) for x in terms)
+    den = 1
+    for *_, e in live:
+        den = lcm(den, e)
+        if den > largest:
+            _fit(0, bits=(den - 1).bit_length())
+    num: list[list[int]] = [[] for _ in range(rows)]
+    for a, b, n, e in live:
+        row, k = num[a - a0], (b - b0) // (step or 1)
+        row.extend([0] * (k + 1 - len(row)))
+        row[k] = n * (den // e)
+    return _value(a0, b0, step, 1, den, num, _ONE)
 
 
 # ---------------------------------------------------------------------------
 # tokenizer and recursive-descent parser to a small tuple AST; a run of
-# sums (or of products) is one flat "chain" node: a sum's terms are added in
-# a balanced tree, a product's factors left to right
+# sums (or of products) is one flat "chain" node: a sum's terms are added by
+# _sum, a product's factors left to right
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()=")
@@ -301,9 +379,11 @@ class _Parser:
 
 
 def _sum(terms: list) -> tuple:
-    """The terms added pairwise, neighbours first, in a balanced tree: n terms
-    cost O(n log n), where a left-to-right sum re-aligns and copies its
-    growing total n times."""
+    """The terms added: monomials (zero included) in one pass, any other sum
+    pairwise, neighbours first, in a balanced tree, so n terms cost O(n log n)
+    where a left-to-right sum re-aligns and copies its growing total n times."""
+    if all(x[5] == _ONE and x[6] == _ONE or not x[3] for x in terms):
+        return _monomial_sum(terms)
     while len(terms) > 1:
         pairs = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[-1:] if len(terms) % 2 else pairs
@@ -317,7 +397,7 @@ def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
     kind = node[0]
     depth += 1
     if kind == "num":
-        return (0, 0, 0, [[node[1]]], [[1]]) if node[1] else _ZERO
+        return (0, 0, 0, node[1], 1, _ONE, _ONE) if node[1] else _ZERO
     if kind == "var":
         return env[node[1]] if node[1] in env else _S if node[1] == "s" else _T
     if kind == "neg":
@@ -348,7 +428,8 @@ def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
 
 
 def _finalize(value: tuple, degree: int, slot: str) -> SForm:
-    a, b, d, num, den = value
+    a, b, d, n, e, num, den = value
+    num, den = _scale(n, num), _scale(e, den)
     if len(den) == 1 and len(den[0]) == 1:
         quo, z, c = num, 0, den[0][0]
     else:

@@ -1,10 +1,12 @@
 """The family-file grammar and its error reporting."""
 
 import ast
+import math
 import operator
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -12,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3seg.errors import DegreeError, NotPolynomialError, ParseError
+from k3seg.symalg import parse as parse_module
 from k3seg.symalg import parse_family
-from k3seg.symalg.parse import MAX_BITS, MAX_DEPTH, MAX_SPAN
+from k3seg.symalg.parse import _ONE, MAX_BITS, MAX_DEPTH, MAX_SPAN, _add, _monomial_sum
 
 
 def coeff(form, s_exp, t_exp):
@@ -162,12 +165,14 @@ def test_long_sums_and_products_do_not_nest():
 
 
 def test_long_sum_parses_fast():
-    # a sum's terms are added in a balanced tree, not into one growing total
-    terms = ("%d*t^%d*s^%d" % (k + 1, k, k % 9) for k in range(3000))
-    start = time.perf_counter()
-    f = parse_family("g8 = " + " + ".join(terms) + "\ng12 = s^6")
-    assert time.perf_counter() - start < 2
-    assert coeff(f.g8, 2999 % 9, 2999) == 3000
+    # a sum's terms are not added into one growing total: monomials are
+    # collected in one pass, other terms added in a balanced tree
+    for term in ("%d*t^%d*s^%d", "%d*t^%d*(s^%d + t)"):
+        terms = (term % (k + 1, k, k % 9) for k in range(3000))
+        start = time.perf_counter()
+        f = parse_family("g8 = " + " + ".join(terms) + "\ng12 = s^6")
+        assert time.perf_counter() - start < 2
+        assert coeff(f.g8, 2999 % 9, 2999) == 3000
 
 
 def test_unknown_statement_head():
@@ -280,6 +285,47 @@ def test_oversized_expressions_are_parse_errors():
     # a sum that cancels back to a monomial is a single entry again
     f = parse_family("g8 = s^4*((t + t^2) - t^2 + t^100000000)\ng12 = s^6")
     assert coeff(f.g8, 4, 100000000) == 1
+
+
+def test_monomial_terms_cancel_before_the_size_bound():
+    # the terms of a sum of monomials are added by exponent, so t^2 cancels
+    # before the extent is checked; added pairwise, t + t^2 spans 10^8 steps
+    f = parse_family("g8 = s^4*(t + t^2 - t^2 + t^100000000)\ng12 = s^6")
+    assert coeff(f.g8, 4, 1) == coeff(f.g8, 4, 100000000) == 1
+    assert f.g8.step == 100000000 - 1
+    # one term that does not cancel still spans 10^8 steps
+    text = "g8 = s^4*(t + t^2 - 2*t^2 + t^100000000)\ng12 = s^6"
+    assert err_message(text, ParseError) == "line 1: expression too large"
+
+
+def _primes_above(x, count):
+    odd_primes = math.prod(sympy.primerange(3, 200))
+    primes = []
+    while len(primes) < count:
+        x += 1
+        if x % 2 and math.gcd(x, odd_primes) == 1 and sympy.isprime(x):
+            primes.append(x)
+    return primes
+
+
+def test_products_powers_and_sums_refuse_as_the_bounds_say():
+    # products and powers are checked on the integer sizes alone
+    assert coeff(parse_family("g8 = s^4*2^512\ng12 = s^6").g8, 4, 0) == 2**512
+    for body in ("s^4*2^513*t", "(2^300*t)*(2^300*t)", "(t/2^300)*(t/2^300)", "3^(-400)*3^(-400)"):
+        assert err_message("g8 = %s\ng12 = s^6" % body, ParseError) == "line 1: expression too large"
+    # a sum of monomials over distinct denominators > 2^63: their common
+    # denominator passes MAX_BITS after nine of them
+    primes = _primes_above(2**63, 3000)
+    terms = ("1/%d*t^%d*s^%d" % (p, k, k % 9) for k, p in enumerate(primes))
+    start = time.perf_counter()
+    msg = err_message("g8 = " + " + ".join(terms) + "\ng12 = s^6", ParseError)
+    assert time.perf_counter() - start < 1
+    assert msg == "line 1: expression too large"
+    # one shared denominator of 601 bits is no product: nothing to refuse
+    d = 2**600 + 1
+    terms = ("%d/%d*t^%d*s^%d" % (k + 1, d, k, k % 9) for k in range(50))
+    f = parse_family("g8 = " + " + ".join(terms) + "\ng12 = s^6")
+    assert coeff(f.g8, 49 % 9, 49) == Fraction(50, d)
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +441,109 @@ def test_parser_agrees_with_sympy(body, expr, slot):
     form = getattr(parse_family(text), slot)
     got = {(i, e): c for i, e, c in form.terms()}
     assert got == expected
+
+
+def _monomial_text(c, e, a, b, negative_den):
+    """c/e*t^b*s^a with c > 0, in canonical_text's style; the denominator
+    may be written (-e), and a negative t-exponent as t^-k or t^(-k)."""
+    text = "%d" % c
+    if negative_den:
+        text += "/(-%d)" % e
+    elif e != 1:
+        text += "/%d" % e
+    if b:
+        text += "*t^" + ("%d" % b if b > 0 else "(%d)" % b if b % 2 else "%d" % b)
+    if a:
+        text += "*s^%d" % a
+    return text
+
+
+@st.composite
+def _monomial_sums(draw, degree):
+    """Sums of signed monomials c/e*t^b*s^a: repeated exponents, some of
+    them cancelling (to zero, too), negative t-exponents and s-exponents
+    past the slot degree."""
+    keys = draw(st.lists(st.tuples(st.integers(0, degree + 2), st.integers(-4, 9)),
+                         min_size=1, max_size=6))
+    parts = []
+    for a, b in keys:
+        c = draw(st.integers(-12, 12).filter(bool))
+        e = draw(st.sampled_from((1, 1, 2, 3, 7, 2187)))
+        copies = [(c, e)]
+        if draw(st.booleans()):  # a like term: its negative, or any
+            copies.append((-c, e) if draw(st.booleans()) else (draw(st.integers(-5, 5)) or 1, 3))
+        for c, e in copies:
+            negative_den = draw(st.booleans())
+            sign = -c if negative_den else c
+            parts.append((sign < 0, _monomial_text(abs(c), e, a, b, negative_den)))
+    parts = draw(st.permutations(parts))
+    text = ("-" if parts[0][0] else "") + parts[0][1]
+    return text + "".join((" - " if neg else " + ") + body for neg, body in parts[1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), slot=st.sampled_from(("g8", "g12")))
+@example(data=None, slot="g8")
+def test_monomial_sums_agree_with_sympy(data, slot):
+    degree, other = (8, "g12") if slot == "g8" else (12, "g8")
+    if data is None:
+        # cancels to the zero form, s^9 included
+        expr = "3/(-7)*t^-2*s^4 + 3/7*t^(-2)*s^4 + 2*t*s^9 - 2*t*s^9"
+    else:
+        expr = data.draw(_monomial_sums(degree))
+    text = "%s = %s\n%s = 1\n" % (slot, expr, other)
+    expected = _sympy_outcome("x", expr, degree)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse_family(text)
+        return
+    form = getattr(parse_family(text), slot)
+    assert {(i, e): c for i, e, c in form.terms()} == expected
+
+
+def _tree_sum(terms):
+    """The terms added pairwise, neighbours first, as _add's balanced tree."""
+    while len(terms) > 1:
+        pairs = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[-1:] if len(terms) % 2 else pairs
+    return terms[0]
+
+
+def _outcome(add, terms):
+    """The coefficients {(s_exp, t_exp): c} of a sum of monomials, or None
+    when it is refused."""
+    try:
+        a, b, d, n, e, num, den = add(terms)
+    except ParseError:
+        return None
+    assert den == _ONE
+    return {
+        (a + i, b + k * d): Fraction(n * x, e)
+        for i, row in enumerate(num) for k, x in enumerate(row) if x
+    }
+
+
+# denominators around MAX_BITS bits, alone and as factors of one another
+_BIG = (2**200 + 1, 2**300 + 7, 2**520 + 1, (2**200 + 1) * (2**300 + 7))
+_SPAN = 6  # MAX_SPAN in this test, so that small exponents reach it
+
+
+@st.composite
+def _monomial_values(draw):
+    n = draw(st.sampled_from((1, -1, 2, 3, -6, 2**300, -(2**511))))
+    e = draw(st.sampled_from((1, 1, 3, -3, *_BIG, -_BIG[0])))
+    g = math.gcd(n, e)
+    a = draw(st.integers(0, _SPAN + 2))
+    b = draw(st.one_of(st.integers(-_SPAN - 2, _SPAN + 2), st.sampled_from((10**8, 10**8 + 1))))
+    return (a, b, 0, n // g, e // g, _ONE, _ONE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(terms=st.lists(_monomial_values(), min_size=1, max_size=9), cancel=st.booleans())
+def test_monomial_sum_accepts_what_the_balanced_tree_accepts(terms, cancel):
+    if cancel:  # every term once more with the opposite sign, in between
+        terms = [y for x in terms for y in (x, x[:3] + (-x[3],) + x[4:])]
+    with mock.patch.object(parse_module, "MAX_SPAN", _SPAN):
+        one_pass, tree = _outcome(_monomial_sum, terms), _outcome(_tree_sum, terms)
+    if tree is not None:
+        assert one_pass == tree

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, family_text, stretched
 from k3seg.corpus import generate_corpus
-from k3seg.errors import DegreeError, NotMinimalError, ZeroFormError
+from k3seg.errors import DegreeError, NotMinimalError, ParseError, ZeroFormError
 from k3seg.report import analyze
 from k3seg.symalg import (
     INF,
@@ -29,6 +29,7 @@ from k3seg.symalg import (
     parse_family,
 )
 from k3seg.symalg.field import spdivmod
+from k3seg.symalg.forms import MAX_SPREAD
 
 S, T = sympy.symbols("s t")
 
@@ -478,6 +479,26 @@ def test_sparse_regular_exponents_cost_what_dense_ones_do():
         assert time.perf_counter() - start < 2
         assert wide.stable.label() == base.stable.label() == "E3 A11 E3"
         assert wide.density.breakpoints == base.density.breakpoints
+
+
+def test_forms_on_mismatched_grids_are_refused_before_they_spread():
+    # each form is two entries in its own step, but the two meet on step 1
+    # (or 1/3, after the gauge), where an exponent of 10^6 takes a million
+    # entries per array
+    for text in (
+        "g8 = 3*s^4 + t^1000000*(1 + s^8)\ng12 = s^6 + t^1000001*(1 + s^12)\n",
+        "g8 = t*(3*s^4 + t^1000000*(1 + s^8))\ng12 = t*(s^6 + t^1000000*(1 + s^12))\n",
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="^expression too large$"):
+            analyze(parse_family(text))
+        assert time.perf_counter() - start < 1
+    # the discriminant spreads g8^3, three steps of e each, to e*3 entries
+    text = "g8 = 3*s^4 + t^%d*(1 + s^8)\ng12 = s^6 + t^%d*(1 + s^12)\n"
+    e = MAX_SPREAD // 3
+    assert analyze(parse_family(text % (e, e + 1))).stable.label() == "E3 A1 A7 A1 E3"
+    with pytest.raises(ParseError):
+        analyze(parse_family(text % (e + 1, e + 2)))
 
 
 # ---------------------------------------------------------------------------
