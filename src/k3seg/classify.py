@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .density import DensityFunction
 from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
-from .symalg.field import sderiv, sgcd
+from .symalg.field import sderiv, sgcd, spow
 from .symalg.forms import FamilyPair, SForm, _nonminimal, extract_cusp_quartic
 from .tropics import EndExponents
 
@@ -126,7 +126,16 @@ def end_surface_data(f: FamilyPair, side: str, ends: EndExponents, polygons: tup
             "end-surface limit does not fit in degrees (4, 6); "
             "the end exponents do not govern this family"
         ) from None
-    return EndSurface(g4, g6, is_nodal=not (g4**3 - (g6 * g6).scale(27)))
+    return EndSurface(g4, g6, is_nodal=_is_nodal(g4, g6))
+
+
+def _is_nodal(g4: SForm, g6: SForm) -> bool:
+    """Whether g4^3 = 27*g6^2 for two limits with constant coefficients,
+    g4 = P4/d4 and g6 = P6/d6: exactly when d6^2 * P4^3 = 27 * d4^3 * P6^2
+    in Z[s]."""
+    k4, k6 = g6.den**2, 27 * g4.den**3
+    lhs = [[x * k4 for x in arr] for arr in spow(g4.poly, 3)]
+    return lhs == [[x * k6 for x in arr] for arr in spow(g6.poly, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -238,22 +238,27 @@ def density_from_positions(c: CutData) -> DensityFunction:
 
     The value at w is  12w + level - sum_{x_j < 0} max(w, x_j)
     - sum_{x_j >= 0} max(0, w - x_j), so each segment has slope
-    12 - #{x_j < w}. The additive level is carried along as computed but only
-    the slope profile is certified.
+    12 - #{x_j < w}. The formula is evaluated once, at the left end, and the
+    grid is walked from there with the slope 12 - #{x_j <= w1} on each
+    segment [w1, w2] (no position lies strictly inside one). The additive
+    level is carried along as computed but only the slope profile is
+    certified.
     """
-    grid = sorted({Fraction(-1), c.w_plus} | set(c.positions))
-    negative = [x for x in c.positions if x < 0]
-    nonnegative = [x for x in c.positions if x >= 0]
-
-    def value(w: Fraction) -> Fraction:
-        total = 12 * w + c.level
-        for x in negative:
-            total -= max(w, x)
-        for x in nonnegative:
-            total -= max(Fraction(0), w - x)
-        return total
-
-    return DensityFunction([(w, value(w)) for w in grid])
+    xs = c.positions
+    grid = sorted({Fraction(-1), c.w_plus} | set(xs))
+    w = grid[0]
+    v = 12 * w + c.level
+    for x in xs:
+        v -= max(w, x) if x < 0 else max(0, w - x)
+    points = [(w, v)]
+    below = 0
+    for w2 in grid[1:]:
+        while below < len(xs) and xs[below] <= w:
+            below += 1
+        v += (12 - below) * (w2 - w)
+        w = w2
+        points.append((w, v))
+    return DensityFunction(points)
 
 
 def density_cuspidal(quartic: SForm) -> DensityFunction:

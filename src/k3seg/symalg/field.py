@@ -17,6 +17,13 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   meet in one operation are spread onto a common step with `uspread`; an
   s-gcd over Q(u^d) is the same over Q(u), so no decision depends on the
   step. The parser keeps s^a * t^b * P(t^d, s) / Q(t^d, s);
+* a product (`smul`) runs over the nonzero terms only (Johnson, "Sparse
+  polynomial arithmetic", SIGSAM Bull. 8, 1974): the forms met here are
+  sparse, with fewer than half of their slots nonzero on a typical corpus.
+  Kronecker substitution into one integer product would pack and unpack
+  every slot of the rows-by-width rectangle, zero or not; at these sizes
+  that saves a few per cent over the schoolbook product, while skipping the
+  zeros saves more than half;
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * gcds come from a primitive pseudo-remainder sequence in both variables
   (Brown, "On Euclid's algorithm and the computation of polynomial greatest
@@ -170,13 +177,29 @@ def _zuadd(tgt: list[int], src: list[int]) -> None:
 
 
 def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Schoolbook product in Z[u][s]."""
-    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    """Product in Z[u][s] over the nonzero terms only.
+
+    b's nonzero terms are listed once, by s-row; each nonzero x of a then adds
+    x * y into every output slot its terms reach. An output row is sized by
+    the widest pair of rows that meets in it, so one wide coefficient widens
+    only the rows it reaches."""
+    rows = [(k, len(cb), [(m, y) for m, y in enumerate(cb) if y]) for k, cb in enumerate(b) if cb]
+    widths = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    _zuadd(out[i + j], _zumul(ca, cb))
+            for k, n, _ in rows:
+                widths[i + k] = max(widths[i + k], len(ca) + n - 1)
+    out = [[0] * n for n in widths]
+    for i, ca in enumerate(a):
+        xs = [(j, x) for j, x in enumerate(ca) if x]
+        for k, _, terms in rows:
+            row = out[i + k]
+            for j, x in xs:
+                for m, y in terms:
+                    row[j + m] += x * y
+    for row in out:
+        while row and not row[-1]:
+            row.pop()
     return snorm(out)
 
 
@@ -190,17 +213,20 @@ def sadd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def spow(a: list[list[int]], n: int) -> list[list[int]]:
-    """a^n in Z[u][s], n >= 0, by repeated squaring."""
+    """a^n in Z[u][s], n >= 0, by repeated squaring from a itself (a^3 is
+    two products)."""
+    if not n:
+        return [[1]]
     if len(a) == 1 and len(a[0]) == 1:
         return [[a[0][0] ** n]]
-    out: list[list[int]] = [[1]]
-    while n:
+    out = None
+    while True:
         if n & 1:
-            out = smul(out, a)
+            out = a if out is None else smul(out, a)
         n >>= 1
-        if n:
-            a = smul(a, a)
-    return out
+        if not n:
+            return out
+        a = smul(a, a)
 
 
 def spdivmod(

@@ -138,10 +138,15 @@ class SForm:
     def min_coeff_val(self):
         return self.low if self else INF
 
+    def index_points(self) -> list[tuple[int, int]]:
+        """(i, k) for every nonzero coefficient: the s^i coefficient has
+        valuation low + k * step."""
+        return [(i, _first(arr)) for i, arr in enumerate(self.poly) if arr]
+
     def hull_points(self) -> list[tuple[int, Fraction]]:
         """(i, valuation of the s^i coefficient) for every nonzero coefficient."""
         low, step = self.low, self.step
-        return [(i, low + _first(arr) * step) for i, arr in enumerate(self.poly) if arr]
+        return [(i, low + k * step) for i, k in self.index_points()]
 
     def coeff(self, i: int, e: Scalar = 0) -> Fraction:
         """The coefficient of s^i * t^e."""

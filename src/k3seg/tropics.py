@@ -5,7 +5,9 @@ the clamped discriminant polygon.
 A polygon is stored as its lower hull alone: one _lower_hull pass builds it,
 and every other quantity is read off the hull vertices (evaluation through
 eval_at, root valuations through the edges and the two end indices, the clamp
-through the two support lines of slopes -e0 and einf).
+through the two support lines of slopes -e0 and einf). The hull of a form is
+built on integer points (i, k), k the index of the first nonzero entry of the
+s^i array, and only its vertices are mapped once to the heights low + k*step.
 
 Everything here is exact. Heights are Fractions; the two improper valuations
 are represented by the module constants INF and NEG_INF (math.inf floats,
@@ -64,10 +66,14 @@ class TropicalPolynomial:
 
 
 def newton_polygon(p: SForm) -> TropicalPolynomial:
-    points = p.hull_points()
+    """step >= 0, so the height low + k * step is an increasing affine image
+    of k (constant when step = 0, where every k is 0): the hull of the
+    points (i, k) has the vertices of the hull of the points (i, height)."""
+    points = p.index_points()
     if not points:
         raise ZeroFormError("Newton polygon of the zero form")
-    return TropicalPolynomial(p.degree, tuple(_lower_hull(points)))
+    low, step = p.low, p.step
+    return TropicalPolynomial(p.degree, tuple((i, low + k * step) for i, k in _lower_hull(points)))
 
 
 def root_valuations(poly: TropicalPolynomial) -> tuple:

@@ -1,10 +1,14 @@
 """Cusp classification, end surfaces, and the D/A/E chain read off the
 density function."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from k3seg.classify import (
     CuspKind,
+    _is_nodal,
     component,
     cusp_type,
     end_surface_data,
@@ -153,6 +157,38 @@ def test_end_surface_nodal_matches_density_endpoint(named_reports):
         assert (fn.value_at(fn.lo) == 0) == (not rep.left_end.is_nodal)
         assert (fn.value_at(fn.hi) == 0) == (not rep.right_end.is_nodal)
         assert not rep.warnings
+
+
+def _nodal_by_forms(g4, g6):
+    return not (g4**3 - (g6 * g6).scale(27))
+
+
+def test_integer_nodal_test_matches_the_limit_discriminant(named):
+    for f in named.values():
+        g = f.normalized()
+        polygons = pair_polygons(g)
+        ends = end_exponents(*polygons)
+        for side in ("left", "right"):
+            surface = end_surface_data(g, side, ends, polygons)
+            assert surface.is_nodal == _nodal_by_forms(surface.g4, surface.g6)
+    rng = random.Random(41)
+
+    def coefficients(n):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+                for _ in range(n)]
+
+    pairs = [(SForm.zero(4), SForm.zero(6))]
+    for _ in range(150):
+        pairs.append((SForm(4, coefficients(5)), SForm(6, coefficients(7))))
+        # nodal: (3*c^2*q^2, c^3*q^3) for a quadratic q and a rational c
+        q = SForm(2, coefficients(3))
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        pairs.append(((q * q).scale(3 * c**2), (q**3).scale(c**3)))
+    nodal = [(g4, g6) for g4, g6 in pairs if _nodal_by_forms(g4, g6)]
+    assert any(g4 and g4.den != g6.den for g4, g6 in nodal)
+    assert len(nodal) < len(pairs)
+    for g4, g6 in pairs:
+        assert _is_nodal(g4, g6) == _nodal_by_forms(g4, g6)
 
 
 # ---------------------------------------------------------------------------

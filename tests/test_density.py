@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from k3seg.density import (
+    CutData,
     DensityFunction,
     cut_positions,
     density_cuspidal,
@@ -178,6 +179,42 @@ def test_both_routes_share_the_slope_profile(named):
         master = profile_of(g)
         other = density_from_positions(positions_of(g))
         assert other.slope_profile() == master.slope_profile()
+
+
+def density_at_each_position(c):
+    """The position route evaluated point by point: the docstring formula at
+    every grid point."""
+    grid = sorted({Fraction(-1), c.w_plus} | set(c.positions))
+    negative = [x for x in c.positions if x < 0]
+    nonnegative = [x for x in c.positions if x >= 0]
+
+    def value(w):
+        total = 12 * w + c.level
+        for x in negative:
+            total -= max(w, x)
+        for x in nonnegative:
+            total -= max(Fraction(0), w - x)
+        return total
+
+    return DensityFunction([(w, value(w)) for w in grid])
+
+
+def test_position_sweep_matches_the_formula_at_each_point(named):
+    rng = random.Random(29)
+    cases = [positions_of(f.normalized()) for f in named.values() if f.discriminant24()]
+    for _ in range(300):
+        w_plus = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+        # -1, 0 and w_plus themselves, repeated, beside positions in between
+        pool = [Fraction(-1), Fraction(0), w_plus] + [
+            Fraction(rng.randint(-30, 30 * w_plus.numerator), 30 * w_plus.denominator)
+            for _ in range(4)
+        ]
+        positions = tuple(sorted(rng.choice(pool) for _ in range(24)))
+        level = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+        cases.append(CutData(positions, w_plus, level))
+    assert any(c.positions.count(Fraction(0)) > 1 for c in cases)
+    for c in cases:
+        assert density_from_positions(c) == density_at_each_position(c)
 
 
 def density_by_definition(delta, points8, points12, ends):

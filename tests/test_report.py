@@ -18,14 +18,14 @@ from k3seg.tropics import end_exponents, newton_polygon, root_valuations
 def test_analyze_derives_each_quantity_once(named):
     counts = count_calls(
         lambda: analyze(named["tent"]),
-        end_exponents, newton_polygon, root_valuations, SForm.hull_points,
+        end_exponents, newton_polygon, root_valuations, SForm.index_points,
     )
     # one polygon each for g8, g12 and the discriminant, shared by the end
     # exponents, the density routes and the end surfaces; three valuation
     # reads: g8 and g12 for the end exponents, the discriminant for the
     # positions
     assert counts == {
-        "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "hull_points": 3,
+        "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "index_points": 3,
     }
 
 

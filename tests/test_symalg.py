@@ -28,7 +28,7 @@ from k3seg.symalg import (
     minimality_check,
     parse_family,
 )
-from k3seg.symalg.field import spdivmod
+from k3seg.symalg.field import smul, spdivmod, spow
 from k3seg.symalg.forms import MAX_SPREAD
 
 S, T = sympy.symbols("s t")
@@ -192,6 +192,66 @@ def test_sform_product_and_power_match_sympy(case):
     power = a**n
     assert power.degree == a.degree * n
     assert to_sympy(power, m) == sympy.expand(to_sympy(a, m) ** n)
+
+
+def _trimmed(xs: list) -> list:
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
+
+
+def schoolbook(a: list, b: list) -> list:
+    """Reference product in Z[u][s]: every pair of slots, zero or not, then
+    trimmed to the kernel layout."""
+    width = max(map(len, a + b), default=0)
+    out = [[0] * (2 * width) for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        for j, x in enumerate(ca):
+            for k, cb in enumerate(b):
+                for m, y in enumerate(cb):
+                    out[i + k][j + m] += x * y
+    return _trimmed([_trimmed(row) for row in out])
+
+
+# small coefficients of both signs (zeros inside arrays included) and 600-bit ones
+_COEFF = st.integers(-3, 3) | st.integers(-(1 << 600), 1 << 600)
+_ARRAY = st.lists(_COEFF, max_size=6).map(_trimmed)  # [] is an empty row
+_SPOLY = st.lists(_ARRAY, max_size=6).map(_trimmed)
+_WIDE = [[5], [], [-1] + [0] * ((1 << 12) - 2) + [3], [2]]
+
+
+def _in_layout(p: list) -> bool:
+    return (not p or bool(p[-1])) and all(not row or row[-1] for row in p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_SPOLY, _SPOLY)
+@example(_WIDE, [[1], [7]])
+@example([[1], [-1]], _WIDE)
+@example([[], [0, 0, 1]], [[1, 1], [], [-(1 << 600)]])
+@example([[1], [1]], [[1], [-1]])
+def test_sparse_product_matches_schoolbook(a, b):
+    product = smul(a, b)
+    assert product == schoolbook(a, b)
+    assert _in_layout(product)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_SPOLY, st.integers(0, 6))
+def test_power_starts_from_the_base(a, n):
+    expected = [[1]]
+    for _ in range(n):
+        expected = schoolbook(expected, a)
+    counts = count_calls(lambda: spow(a, n), smul)
+    assert spow(a, n) == expected
+    if len(a) > 1 or a and len(a[0]) > 1:
+        # squarings plus one product per further set bit: g8**3 is two
+        assert counts == {"smul": max(0, n.bit_length() - 1 + bin(n).count("1") - 1)}
+
+
+def test_parser_power_takes_two_products_for_a_cube():
+    counts = count_calls(lambda: parse_family("g8 = (1 + t*s^2)^3\ng12 = s^6\n"), smul)
+    assert counts == {"smul": 2}
 
 
 def test_sform_stretched_limit_reads_the_shifted_coefficients():

@@ -11,6 +11,7 @@ from k3seg.errors import UnrecognizedCuspError, ZeroFormError
 from k3seg.symalg import INF, NEG_INF, SForm, TLaurent, parse_family
 from k3seg.tropics import (
     EndExponents,
+    _lower_hull,
     end_exponents,
     modified_polygon,
     newton_polygon,
@@ -35,6 +36,23 @@ def test_newton_polygon_drops_interior_points():
     poly = newton_polygon(f)
     assert poly.hull == ((0, Fraction(3)), (2, Fraction(0)))
     assert len(f.hull_points()) == 3
+
+
+def test_newton_polygon_on_index_points_has_the_height_hull():
+    # the hull is built on (i, k) and mapped to (i, low + k*step) afterwards
+    rng = random.Random(13)
+    forms = [random_form(rng, rng.randint(0, 12)) for _ in range(200)]
+    one_exponent = SForm(4, [TLaurent.term(2, Fraction(-3, 2)), 0, TLaurent.term(-1, Fraction(-3, 2))])
+    spread = SForm(6, [TLaurent.term(1, Fraction(-5, 3)), TLaurent.term(1, Fraction(1, 2)),
+                       0, TLaurent.term(4, Fraction(-1, 6)), 0, 0, TLaurent.term(1, 2)])
+    assert one_exponent.step == 0 and one_exponent.low == Fraction(-3, 2)
+    assert spread.step == Fraction(1, 6) and spread.low == Fraction(-5, 3)
+    forms += [one_exponent, spread, SForm(3, [0, TLaurent.term(7, 4)])]
+    assert any(f.step == 0 for f in forms)
+    assert any(f.low < 0 and f.low.denominator > 1 for f in forms)
+    assert any(f.step.denominator > 1 for f in forms)
+    for f in forms:
+        assert newton_polygon(f).hull == tuple(_lower_hull(f.hull_points()))
 
 
 def test_newton_polygon_of_zero_form():
