@@ -131,11 +131,14 @@ def end_surface_data(f: FamilyPair, side: str, ends: EndExponents, polygons: tup
 
 def _is_nodal(g4: SForm, g6: SForm) -> bool:
     """Whether g4^3 = 27*g6^2 for two limits with constant coefficients,
-    g4 = P4/d4 and g6 = P6/d6: exactly when d6^2 * P4^3 = 27 * d4^3 * P6^2
-    in Z[s]."""
-    k4, k6 = g6.den**2, 27 * g4.den**3
-    lhs = [[x * k4 for x in arr] for arr in spow(g4.poly, 3)]
-    return lhs == [[x * k6 for x in arr] for arr in spow(g6.poly, 2)]
+    g4 = (n4/d4) P4 and g6 = (n6/d6) P6 with P4 and P6 primitive and their
+    first entries positive. By Gauss's lemma P4^3 and P6^2 are so too, so
+    the identity holds exactly when P4^3 = P6^2 in Z[s] and
+    n4^3 * d6^2 = 27 * n6^2 * d4^3."""
+    return (
+        spow(g4.poly, 3) == spow(g6.poly, 2)
+        and g4.num**3 * g6.den**2 == 27 * g6.num**2 * g4.den**3
+    )
 
 
 # ---------------------------------------------------------------------------

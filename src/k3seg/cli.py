@@ -25,12 +25,12 @@ from .moduli import (
 )
 from .oracle import check_t_samples, oracle_compare
 from .report import analyze
-from .symalg import parse_family
+from .symalg import minimality_check, parse_family
 
 
 def _load(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as err:
         raise ParseError("%s is not UTF-8 text: %s" % (path, err.reason)) from None
@@ -151,6 +151,7 @@ def cmd_oracle(args) -> int:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
     pair = _load(args.file).normalized()
+    minimality_check(pair)
     if cusp_type(pair) is CuspKind.NO_DEGENERATION:
         print("family has no degeneration at t = 0; nothing to track")
         return 0

@@ -28,7 +28,7 @@ from mpmath import mp
 
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
-from .symalg import FamilyPair
+from .symalg import FamilyPair, minimality_check
 from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
 
 _DPS = 60
@@ -294,7 +294,7 @@ def _reconstruction_error(coeffs, roots):
 
 
 def _evaluated_discriminant(f: FamilyPair, t0):
-    """The discriminant's coefficients at t0: t0^low / den * P(t0^step)."""
+    """The discriminant's coefficients at t0: t0^low / den * (num * P)(t0^step)."""
     delta = f.discriminant24()
     scale = mp.power(t0, _to_mpf(delta.low)) / delta.den
     u = mp.power(t0, _to_mpf(delta.step))
@@ -302,7 +302,7 @@ def _evaluated_discriminant(f: FamilyPair, t0):
     for arr in delta.poly:
         acc = mp.mpf(0)
         for x in reversed(arr):
-            acc = acc * u + x
+            acc = acc * u + delta.num * x
         out.append(acc * scale)
     return out
 
@@ -371,11 +371,13 @@ def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
     Deviations must not increase along the (strictly decreasing) t samples
     and the last one must land within the tolerance 0.2; otherwise the exact
     pipeline and the numerics disagree and this raises OracleMismatchError.
+    A non-minimal pair raises NotMinimalError, as in analyze.
     """
     samples = [float(t) for t in t_list]
     check_t_samples(samples)
 
     f = f.normalized()
+    minimality_check(f)
     delta = f.discriminant24()
     if not delta:
         raise CuspidalFamilyError(

@@ -9,14 +9,16 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
 * layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
   [] is zero) whose entries are integer arrays in u, each a list indexed by
   u-degree (no trailing zeros, [] is zero);
-* a form is stored in this layout: `SForm` keeps t^low / den * P(t^step, s)
-  with step the gcd of its exponent gaps, so the arrays stay short when the
-  exponents are sparse but regular (t^200000 costs what t does). Its P is
-  padded with [] up to the formal degree, so reversed it is the form at
-  s = infinity; a gcd or a division runs on a trimmed copy. Forms that
-  meet in one operation are spread onto a common step with `uspread`; an
-  s-gcd over Q(u^d) is the same over Q(u), so no decision depends on the
-  step. The parser keeps s^a * t^b * P(t^d, s) / Q(t^d, s);
+* one canonical value, t^low * (num/den) * P(t^step, s): P primitive (content
+  1, its first nonzero entry, lowest in s and then in u, positive),
+  gcd(num, den) = 1, den > 0, step the gcd of the exponent gaps (t^200000
+  costs what t does). `shape` and `reduce` take u^j, the gap gcd and the
+  signed content out of any P, for `SForm` and the parser alike. The parser
+  keeps s^a * t^b * (n/e) * P(t^d, s) / Q(t^d, s); an `SForm` is the case
+  Q = 1 with s^a as a leading empty rows, padded with [] to the formal
+  degree, so reversed it is the form at s = infinity. Forms that meet are
+  spread onto a common step with `uspread`; an s-gcd over Q(u^d) is the same
+  over Q(u), so no decision depends on the step;
 * a product (`smul`) runs over the nonzero terms only (Johnson, "Sparse
   polynomial arithmetic", SIGSAM Bull. 8, 1974): the forms met here are
   sparse, with fewer than half of their slots nonzero on a typical corpus.
@@ -36,8 +38,72 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
+
+# ---------------------------------------------------------------------------
+# canonical values: the first entry, the content, u^j and the gap gcd
+# ---------------------------------------------------------------------------
+
+
+def snorm(p: list) -> list:
+    """p without its trailing zeros, in place: integers of an array or rows
+    of an s-polynomial."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def first(seq: list) -> int:
+    """Index of the first nonzero entry of a nonzero list: an integer of an
+    array, or a row of an s-polynomial."""
+    for k, x in enumerate(seq):
+        if x:
+            return k
+
+
+def lead(p: list[list[int]]) -> int:
+    """The first nonzero entry of a nonzero p in Z[u][s], lowest in s and
+    then in u."""
+    row = p[first(p)]
+    return row[first(row)]
+
+
+def content(rows: list[list[int]]) -> int:
+    """gcd of every entry of the integer arrays rows (0 when all are zero)."""
+    g = 0
+    for row in rows:
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    return g
+
+
+def shape(p: list[list[int]], g: int = 0) -> tuple[int, int, int]:
+    """(j, g, c) for a nonzero p in Z[u][s]: u^j the largest power of u that
+    divides p, g the gcd of the given g and p's u-exponent gaps (0 when there
+    are none), c p's content signed like its first nonzero entry. Then
+    p = c * u^j * P(u^g, s) with P primitive and its first entry positive."""
+    rows = [row for row in p if row]
+    j = min(map(first, rows))
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *(k - j for k, x in enumerate(row) if x))
+    c = content(rows)
+    return j, g, c if lead(rows) > 0 else -c
+
+
+def reduce(p: list[list[int]], j: int, g: int, c: int) -> list[list[int]]:
+    """The P of p = c * u^j * P(u^g, s), for j, g and c from `shape`."""
+    if j or g > 1 or c != 1:
+        return [[x // c for x in row[j :: g or 1]] for row in p]
+    return p
+
+
+def sscale(c: int, p: list[list[int]]) -> list[list[int]]:
+    """c * p in Z[u][s]; p itself when c is 1."""
+    return p if c == 1 else [[c * x for x in row] for row in p]
+
 
 # ---------------------------------------------------------------------------
 # Z[u]: integer arrays
@@ -45,16 +111,9 @@ from math import gcd
 
 
 def _zprim(p: list[int]) -> list[int]:
-    """Strip the integer content (in place is fine, inputs are scratch)."""
-    g = 0
-    for c in p:
-        if c:
-            g = gcd(g, c)
-            if g == 1:
-                return p
-    if g > 1:
-        p = [c // g for c in p]
-    return p
+    """p without its integer content (p itself when that is 1)."""
+    c = content([p])
+    return p if c < 2 else [x // c for x in p]
 
 
 def _ziprem(a: list[int], b: list[int]) -> list[int]:
@@ -67,8 +126,7 @@ def _ziprem(a: list[int], b: list[int]) -> list[int]:
         a = [c * lb for c in a]
         for i, cb in enumerate(b):
             a[shift + i] -= la * cb
-        while a and not a[-1]:
-            a.pop()
+        snorm(a)
     return a
 
 
@@ -94,9 +152,7 @@ def _zumul(a: list[int], b: list[int]) -> list[int]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return snorm(out)
 
 
 def uspread(c: list[int], j: int, k: int) -> list[int]:
@@ -119,20 +175,13 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int] | None:
         q[d] = c
         for i, cb in enumerate(b):
             a[d + i] -= c * cb
-        while a and not a[-1]:
-            a.pop()
+        snorm(a)
     return None if a else q
 
 
 # ---------------------------------------------------------------------------
 # Z[u][s]: s-polynomials with integer-array coefficients
 # ---------------------------------------------------------------------------
-
-
-def snorm(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
 
 
 def sderiv(p: list[list[int]]) -> list[list[int]]:
@@ -142,9 +191,7 @@ def sderiv(p: list[list[int]]) -> list[list[int]]:
 def _spp_z(p: list[list[int]]) -> list[list[int]]:
     """Primitive part over Z[u] in the s-variable: strip the common divisor of
     all coefficient polynomials (their gcd in Z[u], integer content included)."""
-    while p and not p[-1]:
-        p.pop()
-    if not p:
+    if not snorm(p):
         return p
     cont: list[int] = []
     for c in p:
@@ -154,16 +201,7 @@ def _spp_z(p: list[list[int]]) -> list[list[int]]:
             break
     if len(cont) > 1:
         p = [_zdiv_exact(c, cont) if c else [] for c in p]
-    icont = 0
-    for c in p:
-        for x in c:
-            if x:
-                icont = gcd(icont, x)
-        if icont == 1:
-            return p
-    if icont > 1:
-        p = [[x // icont for x in c] for c in p]
-    return p
+    return reduce(p, 0, 0, content(p))
 
 
 def _zuadd(tgt: list[int], src: list[int]) -> None:
@@ -172,8 +210,7 @@ def _zuadd(tgt: list[int], src: list[int]) -> None:
         tgt.extend([0] * (len(src) - len(tgt)))
     for k, x in enumerate(src):
         tgt[k] += x
-    while tgt and not tgt[-1]:
-        tgt.pop()
+    snorm(tgt)
 
 
 def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -198,8 +235,7 @@ def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for m, y in terms:
                     row[j + m] += x * y
     for row in out:
-        while row and not row[-1]:
-            row.pop()
+        snorm(row)
     return snorm(out)
 
 
@@ -249,8 +285,7 @@ def spdivmod(
         for i, cb in enumerate(b):
             if cb:
                 _zuadd(r[shift + i], _zumul(neg, cb))
-        while r and not r[-1]:
-            r.pop()
+        snorm(r)
         j += 1
     return q, r, j
 
@@ -263,11 +298,11 @@ def sdiv_exact(a: list[list[int]], b: list[list[int]]) -> tuple[list, int, int] 
     q, r, j = spdivmod(a, b)
     if r:
         return None
-    lead = reduce(_zumul, [b[-1]] * j, [1])
-    z = next(k for k, x in enumerate(lead) if x)
-    w = _zprim(lead[z:])
+    lbj = spow([b[-1]], j)[0]
+    z = first(lbj)
+    w = _zprim(lbj[z:])
     parts = [_zdiv_exact(c, w) if c else [] for c in q]
-    return None if None in parts else (parts, z, lead[-1] // w[-1])
+    return None if None in parts else (parts, z, lbj[-1] // w[-1])
 
 
 _SCREEN_PRIME = (1 << 61) - 1
@@ -289,8 +324,7 @@ def _fp_coprime(a: list[int], b: list[int], p: int) -> bool:
             d = len(a) - len(b)
             for i, cb in enumerate(b):
                 a[d + i] = (a[d + i] - c * cb) % p
-            while a and not a[-1]:
-                a.pop()
+            snorm(a)
         a, b = b, a
     return len(a) == 1
 

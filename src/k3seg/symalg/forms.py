@@ -5,20 +5,21 @@ An SForm of formal degree d is a binary form of degree d written in the affine
 chart s. Keeping the formal degree around (instead of trimming to the actual
 s-degree) is what lets a degree drop at the top encode zeros at s = infinity.
 
-A form is stored as one value of the integer kernel (field.py):
+A form is stored as one canonical value of the integer kernel (field.py), the
+parser's value with denominator Q = 1:
 
-    t^low / den * P(t^step, s),  P in Z[u][s],
+    t^low * (num/den) * P(t^step, s),  P in Z[u][s],
 
 with P listing one integer u-array per s-degree up to the formal degree, so
-reversing P gives the form in the chart at s = infinity. The value is
-canonical: low is the smallest t-exponent present, step is the gcd of the
-gaps between the exponents (0 when there are none) and den > 0 is the lcm of
-the coefficient denominators; the zero form has low = step = 0 and den = 1.
-So equal forms have equal fields, the valuation of the s^i coefficient is
-low + step * (first nonzero index of P[i]), and the arrays stay short when
-the exponents are large but regular (t^200000 + 1 is [1, 1] in u = t^200000).
-A Laurent polynomial in t is a form of degree 0; TLaurent holds its
-constructors.
+reversing P gives the form in the chart at s = infinity. P is primitive (its
+integer content is 1 and its first nonzero entry, lowest in s and then in u,
+is positive), low is the smallest t-exponent present, step the gcd of the
+gaps between the exponents (0 when there are none), gcd(num, den) = 1 and
+den > 0; the zero form alone has num = 0, and low = step = 0, den = 1. So
+equal forms have equal fields, scaling or negating a form changes only num
+and den, the valuation of the s^i coefficient is low + step * (first nonzero
+index of P[i]), and t^200000 + 1 is [1, 1] in u = t^200000. A Laurent
+polynomial in t is a form of degree 0; TLaurent holds its constructors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from typing import Iterable, Union
 from ..errors import (
     DegreeError, NotMinimalError, ParseError, UnrecognizedCuspError, ZeroFormError,
 )
-from .field import sadd, sderiv, sdiv_exact, sgcd, smul, snorm, spow, uspread
+from .field import (
+    first, lead, reduce, sadd, sderiv, sdiv_exact, sgcd, shape, smul, snorm, spow, sscale,
+    uspread,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -55,13 +59,8 @@ def _qgcd(*xs: Fraction) -> Fraction:
     return Fraction(math.gcd(*(x.numerator * (m // x.denominator) for x in xs)), m)
 
 
-def _first(arr: list[int]) -> int:
-    """Index of the first nonzero entry of a nonzero array."""
-    return next(k for k, x in enumerate(arr) if x)
-
-
 class SForm:
-    __slots__ = ("degree", "low", "step", "den", "poly")
+    __slots__ = ("degree", "low", "step", "num", "den", "poly")
 
     def __init__(self, degree: int, coeffs: Iterable = ()):
         """The form with the given coefficients from s^0 upward: forms of
@@ -79,61 +78,57 @@ class SForm:
                     )
                 placed.append((i, c))
         poly: list[list[int]] = [[]] * (degree + 1)
-        low, step, den = _ZERO, _ZERO, 1
+        low, step, num, den = _ZERO, _ZERO, 0, 1
         if placed:
-            low, step, den, arrays = _grid([c for _, c in placed])
+            low, step, num, den, arrays = _grid([c for _, c in placed])
             for (i, _), (arr,) in zip(placed, arrays):
                 poly[i] = arr
         self.degree = degree
-        self.low, self.step, self.den, self.poly = _canonical(low, step, den, poly)
+        self.low, self.step, self.num, self.den, self.poly = _canonical(low, step, num, den, poly)
 
     @classmethod
-    def _new(cls, degree: int, low: Fraction, step: Fraction, den: int, poly: list) -> "SForm":
+    def _new(cls, degree: int, low, step, num: int, den: int, poly: list) -> "SForm":
         """Wrap fields that are already canonical."""
         out = cls.__new__(cls)
-        out.degree, out.low, out.step, out.den, out.poly = degree, low, step, den, poly
+        out.degree, out.low, out.step, out.num, out.den, out.poly = degree, low, step, num, den, poly
         return out
 
     @classmethod
-    def _of(cls, degree: int, low: Fraction, step: Fraction, den: int, poly: list) -> "SForm":
-        """The form t^low / den * P(t^step, s); P's arrays are trimmed and P
-        is at most degree + 1 long."""
+    def _of(cls, degree: int, low, step, num: int, den: int, poly: list) -> "SForm":
+        """The form t^low * (num/den) * P(t^step, s), den != 0; P's arrays
+        are trimmed and P is at most degree + 1 long."""
         poly = poly + [[]] * (degree + 1 - len(poly))
-        return cls._new(degree, *_canonical(low, step, den, poly))
+        return cls._new(degree, *_canonical(low, step, num, den, poly))
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def zero(cls, degree: int) -> "SForm":
-        return cls._new(degree, _ZERO, _ZERO, 1, [[]] * (degree + 1))
+        return cls._new(degree, _ZERO, _ZERO, 0, 1, [[]] * (degree + 1))
 
     @classmethod
     def monomial(cls, degree: int, i: int, c: Scalar = 1, e: Scalar = 0) -> "SForm":
         c = Fraction(c)
-        poly = [[]] * i + [[c.numerator] if c else []]
-        return cls._of(degree, Fraction(e), _ZERO, c.denominator, poly)
+        if not c:
+            return cls.zero(degree)
+        poly = [[]] * i + [[1]] + [[]] * (degree - i)
+        return cls._new(degree, Fraction(e), _ZERO, c.numerator, c.denominator, poly)
 
     # -- inspection ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.poly)
+        return self.num != 0
 
     def is_zero(self) -> bool:
         return not self
 
     def s_degree(self) -> int:
         """Largest s-exponent with a nonzero coefficient; -1 for the zero form."""
-        for i in range(self.degree, -1, -1):
-            if self.poly[i]:
-                return i
-        return -1
+        return self.degree - first(self.poly[::-1]) if self else -1
 
     def s_valuation(self) -> int:
         """Smallest s-exponent with a nonzero coefficient; -1 for the zero form."""
-        for i in range(self.degree + 1):
-            if self.poly[i]:
-                return i
-        return -1
+        return first(self.poly) if self else -1
 
     def min_coeff_val(self):
         return self.low if self else INF
@@ -141,7 +136,7 @@ class SForm:
     def index_points(self) -> list[tuple[int, int]]:
         """(i, k) for every nonzero coefficient: the s^i coefficient has
         valuation low + k * step."""
-        return [(i, _first(arr)) for i, arr in enumerate(self.poly) if arr]
+        return [(i, first(arr)) for i, arr in enumerate(self.poly) if arr]
 
     def hull_points(self) -> list[tuple[int, Fraction]]:
         """(i, valuation of the s^i coefficient) for every nonzero coefficient."""
@@ -156,7 +151,7 @@ class SForm:
             k /= self.step
         if k < 0 or k >= len(arr) or k.denominator != 1:
             return _ZERO
-        return Fraction(arr[int(k)], self.den)
+        return Fraction(self.num * arr[int(k)], self.den)
 
     def terms(self):
         """(s-exponent, t-exponent, coefficient) of every nonzero term, by
@@ -164,22 +159,21 @@ class SForm:
         for i, arr in enumerate(self.poly):
             for k, x in enumerate(arr):
                 if x:
-                    yield i, self.low + k * self.step, Fraction(x, self.den)
+                    yield i, self.low + k * self.step, Fraction(self.num * x, self.den)
 
     @property
     def coeffs(self) -> tuple["SForm", ...]:
         """The coefficients from s^0 upward, as forms of degree 0."""
-        return tuple(SForm._of(0, self.low, self.step, self.den, [arr]) for arr in self.poly)
+        low, step, num, den = self.low, self.step, self.num, self.den
+        return tuple(SForm._of(0, low, step, num, den, [arr]) for arr in self.poly)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SForm):
             return NotImplemented
-        return (self.degree, self.low, self.step, self.den, self.poly) == (
-            other.degree, other.low, other.step, other.den, other.poly
-        )
+        return all(getattr(self, k) == getattr(other, k) for k in SForm.__slots__)
 
     def __hash__(self):
-        return hash((self.degree, self.low, self.step, self.den, tuple(map(tuple, self.poly))))
+        return hash((self.degree, self.low, self.step, self.num, tuple(map(tuple, self.poly))))
 
     def __repr__(self):
         parts = ["(%s)*s^%d*t^%s" % (c, i, e) for i, e, c in self.terms()]
@@ -187,19 +181,18 @@ class SForm:
 
     # -- ring operations -----------------------------------------------------
 
-    def _on(self, low: Fraction, step: Fraction, den: int) -> list:
-        """P rewritten on a coarser grid: t^low / den * Q(t^step, s) is this
-        form, for low <= self.low and step dividing self.step and self.low - low,
-        den a multiple of self.den. A Q of u-degree past MAX_SPREAD is refused
-        before it is built."""
+    def _on(self, low: Fraction, step: Fraction) -> list:
+        """P rewritten on a coarser grid: t^low * Q(t^step, s) is
+        t^self.low * P(t^self.step, s), for low <= self.low and step dividing
+        self.step and self.low - low. A Q of u-degree past MAX_SPREAD is
+        refused before it is built."""
         j = int((self.low - low) / step) if step else 0
         k = int(self.step / step) if self.step else 1
-        m = den // self.den
-        if j == 0 and k == 1 and m == 1:
+        if j == 0 and k == 1:
             return self.poly
         if j + (max(map(len, self.poly)) - 1) * k > MAX_SPREAD:
             raise ParseError("expression too large")
-        return [uspread([x * m for x in arr], j, k) for arr in self.poly]
+        return [uspread(arr, j, k) for arr in self.poly]
 
     def __add__(self, other: "SForm") -> "SForm":
         if self.degree != other.degree:
@@ -208,54 +201,55 @@ class SForm:
             return self
         if not self:
             return other
-        low, step, den, (p, q) = _grid((self, other))
-        return SForm._of(self.degree, low, step, den, sadd(p, q))
+        low, step, num, den, (p, q) = _grid((self, other))
+        return SForm._of(self.degree, low, step, num, den, sadd(p, q))
 
     def __neg__(self) -> "SForm":
-        return SForm._new(
-            self.degree, self.low, self.step, self.den, [[-x for x in arr] for arr in self.poly]
-        )
+        return SForm._new(self.degree, self.low, self.step, -self.num, self.den, self.poly)
 
     def __sub__(self, other: "SForm") -> "SForm":
         return self + (-other)
 
     def __mul__(self, other: "SForm") -> "SForm":
-        step = _qgcd(self.step, other.step)
-        p = self._on(self.low, step, self.den)
-        q = other._on(other.low, step, other.den)
+        step, p, q = _on_common_step(self, other)
         return SForm._of(
-            self.degree + other.degree, self.low + other.low, step, self.den * other.den,
-            smul(p, q),
+            self.degree + other.degree, self.low + other.low, step,
+            self.num * other.num, self.den * other.den, smul(p, q),
         )
 
     def __pow__(self, n: int) -> "SForm":
         if n < 0:
             raise ValueError("negative power of a form")
-        return SForm._of(self.degree * n, self.low * n, self.step, self.den**n, spow(self.poly, n))
+        return SForm._of(
+            self.degree * n, self.low * n, self.step, self.num**n, self.den**n,
+            spow(self.poly, n),
+        )
 
     def scale(self, c: Scalar) -> "SForm":
-        c = Fraction(c)
-        num = c.numerator
-        return SForm._of(
-            self.degree, self.low, self.step, self.den * c.denominator,
-            [[x * num for x in arr] for arr in self.poly] if num else [],
-        )
+        q = Fraction(self.num, self.den) * c
+        if not q:
+            return SForm.zero(self.degree)
+        return SForm._new(self.degree, self.low, self.step, q.numerator, q.denominator, self.poly)
 
     def shift_t(self, e: Scalar) -> "SForm":
         """Multiply the whole form by t^e."""
         if not self:
             return self
-        return SForm._new(self.degree, self.low + e, self.step, self.den, self.poly)
+        return SForm._new(self.degree, self.low + e, self.step, self.num, self.den, self.poly)
 
     def inverted(self) -> "SForm":
-        """The form pulled back along s -> 1/s (coefficient list reversed)."""
-        return SForm._new(self.degree, self.low, self.step, self.den, self.poly[::-1])
+        """The form pulled back along s -> 1/s (coefficient list reversed; P
+        is negated, and num with it, only when the reversed P starts negative)."""
+        poly, num = self.poly[::-1], self.num
+        if num and lead(poly) < 0:
+            poly, num = sscale(-1, poly), -num
+        return SForm._new(self.degree, self.low, self.step, num, self.den, poly)
 
     def rescale_exponents(self, r: Scalar) -> "SForm":
         """Substitute t -> t^r (base change), r a positive rational."""
         if r <= 0:
             raise ValueError("exponent rescale factor must be positive")
-        return SForm._new(self.degree, self.low * r, self.step * r, self.den, self.poly)
+        return SForm._new(self.degree, self.low * r, self.step * r, self.num, self.den, self.poly)
 
     def stretched_limit(self, e: Fraction, level: Fraction, degree: int) -> "SForm":
         """The t = 0 limit of t^-level * self(t^e * sigma), a form in sigma of
@@ -273,7 +267,7 @@ class SForm:
             column.append([arr[k]] if not r and 0 <= k < len(arr) and arr[k] else [])
         if any(column[degree + 1 :]):
             raise DegreeError("the limit has a nonzero coefficient past s^%d" % degree)
-        return SForm._of(degree, _ZERO, _ZERO, self.den, column[: degree + 1])
+        return SForm._of(degree, _ZERO, _ZERO, self.num, self.den, column[: degree + 1])
 
     def limit0(self) -> "SForm":
         """The value at t = 0, coefficientwise. Requires every valuation >= 0."""
@@ -282,40 +276,28 @@ class SForm:
         return self.stretched_limit(_ZERO, _ZERO, self.degree)
 
 
-def _canonical(low: Fraction, step: Fraction, den: int, poly: list) -> tuple:
-    """(low, step, den, P) made canonical: the first exponent present moved
-    into low, the gcd of the exponent gaps into step, the integer content
-    into den and den's sign into P."""
-    nonzero = [arr for arr in poly if arr]
-    if not nonzero:
-        return _ZERO, _ZERO, 1, poly
-    j = min(map(_first, nonzero))
-    g = 0
-    for arr in nonzero:
-        for k, x in enumerate(arr):
-            if x:
-                g = math.gcd(g, k - j)
-        if g == 1:
-            break
-    c = den
-    for arr in nonzero:
-        if c == 1:
-            break
-        c = math.gcd(c, *arr)
-    if den < 0:
-        c = -c
-    if j or g > 1 or c != 1:
-        poly = [[x // c for x in arr[j :: g or 1]] if arr else arr for arr in poly]
-    return Fraction(low + j * step), Fraction(step * g), den // c, poly
+def _canonical(low: Fraction, step: Fraction, num: int, den: int, poly: list) -> tuple:
+    """(low, step, num, den, P) made canonical: the first exponent present
+    moved into low, the gcd of the exponent gaps into step and P's signed
+    content into num, then num/den reduced with den > 0."""
+    if not num or not any(poly):
+        return _ZERO, _ZERO, 0, 1, poly
+    j, g, c = shape(poly)
+    num *= c
+    h = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return low + j * step, step * g, num // h, den // h, reduce(poly, j, g, c)
 
 
 def _grid(forms) -> tuple:
-    """(low, step, den, Ps): one grid holding every nonzero form given, and
-    each form's P on it."""
+    """(low, step, num, den, Ps): one value t^low * (num/den) * P(t^step, s)
+    whose grid holds every nonzero form given, and each form's P on that
+    grid, times what its own num/den leaves over."""
     low = min(f.low for f in forms)
     step = _qgcd(*(f.step for f in forms), *(f.low - low for f in forms))
     den = math.lcm(*(f.den for f in forms))
-    return low, step, den, [f._on(low, step, den) for f in forms]
+    ms = [f.num * (den // f.den) for f in forms]
+    num = math.gcd(*ms)
+    return low, step, num, den, [sscale(m // num, f._on(low, step)) for f, m in zip(forms, ms)]
 
 
 class TLaurent:
@@ -391,11 +373,11 @@ class FamilyPair:
 # ---------------------------------------------------------------------------
 
 
-def _on_common_step(g8: SForm, g12: SForm) -> tuple[Fraction, list, list]:
-    """Both P on one step, each over its own low and den (units for every
-    divisibility question over Q(u))."""
-    step = _qgcd(g8.step, g12.step)
-    return step, g8._on(g8.low, step, g8.den), g12._on(g12.low, step, g12.den)
+def _on_common_step(f: SForm, g: SForm) -> tuple[Fraction, list, list]:
+    """Both P on one step, each over its own low, num and den: the factors
+    of a product, and units for every divisibility question over Q(u)."""
+    step = _qgcd(f.step, g.step)
+    return step, f._on(f.low, step), g._on(g.low, step)
 
 
 def _derivatives(p: list, count: int):
@@ -454,9 +436,8 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     # g8 != 0 (else g12 = 0) and 3*g12 = G*g8 with G Laurent, so the division
     # is exact over Q[u, 1/u]
     parts, z, c = sdiv_exact(snorm(list(p12)), snorm(list(p8)))
-    m = 3 * g8.den
     quartic = SForm._of(
-        4, g12.low - g8.low - z * step, step, g12.den * c, [[x * m for x in arr] for arr in parts]
+        4, g12.low - g8.low - z * step, step, 3 * g12.num * g8.den, g12.den * g8.num * c, parts
     )
     if (quartic * quartic).scale(3) != g8:
         raise UnrecognizedCuspError("3*G^2 differs from g8")

@@ -10,19 +10,21 @@ semicolons, `#` starts a line comment.
 
 Expressions are evaluated exactly in the fraction field of Q[s, t], on the
 integer kernel of field.py: a value is s^a * t^b * (n/e) * P(t^d, s) / Q(t^d, s)
-with P, Q in Z[u][s] of integer content 1 and free of factors s and u, and d
-the gcd of the gaps between its t-exponents (0 when there are none), so
-t^100000000 is a single entry. A monomial is P = Q = [[1]]: multiplying,
-dividing, negating or raising monomials adds or scales exponents and
-multiplies integers, and a sum of monomials is collected by exponent in one
-pass, like terms cancelling first. Other sums are added pairwise in a
-balanced tree. No evaluation builds an array of s- or u-degree past
-MAX_SPAN, or runs a product whose coefficients could pass MAX_BITS bits, and
-no expression nests deeper than MAX_DEPTH; an input that would is a
-ParseError. A result is accepted only if its reduced denominator is a single
-monomial c*s^a*t^b, i.e. Q divides P; the s-part must then be a true
-polynomial of degree at most the slot's formal degree, while negative (and
-only integer) t-powers are fine.
+with P, Q in Z[u][s] primitive (integer content 1, first nonzero entry
+positive) and free of factors s and u, and d the gcd of the gaps between its
+t-exponents (0 when there are none), so t^100000000 is a single entry. The
+kernel's shape/reduce pair normalizes it as it does a form: a value with
+Q = 1 is the SForm t^b * (n/e) * P(t^d, s), its s^a a leading empty rows. A
+monomial is P = Q = [[1]]: multiplying, dividing, negating or raising
+monomials adds or scales exponents and multiplies integers, and a sum of
+monomials is collected by exponent in one pass, like terms cancelling first.
+Other sums are added pairwise in a balanced tree. No evaluation builds an
+array of s- or u-degree past MAX_SPAN, or runs a product whose coefficients
+could pass MAX_BITS bits, and no expression nests deeper than MAX_DEPTH; an
+input that would is a ParseError. A result is accepted only if its reduced
+denominator is a single monomial c*s^a*t^b, i.e. Q divides P; the s-part
+must then be a true polynomial of degree at most the slot's formal degree,
+while negative (and only integer) t-powers are fine.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
-from .field import sadd, sdiv_exact, smul, snorm, spow, uspread
+from .field import first, reduce, sadd, sdiv_exact, shape, smul, snorm, spow, sscale, uspread
 from .forms import FamilyPair, SForm
 
 # ---------------------------------------------------------------------------
@@ -42,8 +44,8 @@ MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build (see forms.
 MAX_BITS = 1 << 9  # largest coefficient size, in bits, a product may build
 MAX_DEPTH = 64  # deepest nesting of an expression, macro calls included
 
-# P and Q have integer content 1 and no factor s or u, and gcd(n, e) = 1. A
-# P or Q of one entry is [[1]], its sign in the scalar, so the monomial
+# P and Q are primitive, first nonzero entry positive, with no factor s or
+# u, and gcd(n, e) = 1. A P or Q of one entry is [[1]], so the monomial
 # c*s^a*t^b is (a, b, 0, n, e, [[1]], [[1]]) with c = n/e; zero has n = 0 and
 # P = []. The size bounds are stated for the numerator n*P and the
 # denominator e*Q, the arrays with the scalars multiplied in.
@@ -69,48 +71,26 @@ def _uspan(p: list) -> int:
     return max(map(len, p), default=1) - 1
 
 
-def _scale(c: int, p: list) -> list:
-    return p if c == 1 else [[c * x for x in row] for row in p]
-
-
-def _content(p: list) -> int:
-    g = 0
-    for row in p:
-        g = gcd(g, *row)
-        if g == 1:
-            break
-    return g
-
-
 def _value(a: int, b: int, d: int, n: int, e: int, num: list, den: list) -> tuple:
     """s^a * t^b * (n/e) * num(t^d, s) / den(t^d, s) as a value: the s- and
     u-power factors of num and den moved into (a, b), d made the gcd of the
-    u-exponent gaps, 0 when there are none, and the integer contents of num
-    and den moved into n and e, which are then reduced."""
+    u-exponent gaps of both, 0 when there are none, and the signed integer
+    contents of num and den moved into n and e, which are then reduced."""
     num = snorm(num)
     if not num or not n:
         return _ZERO
     if num == _ONE and den == _ONE:
         g = gcd(n, e)
         return a, b, 0, n // g, e // g, _ONE, _ONE
-    parts = []
-    for p, sign in ((num, 1), (den, -1)):
-        i = next(k for k, c in enumerate(p) if c)
-        j = min(next(k for k, x in enumerate(c) if x) for c in p if c)
-        a, b = a + sign * i, b + sign * j * d
-        parts.append([c[j:] for c in p[i:]])
-    g = gcd(*(k for p in parts for c in p for k, x in enumerate(c) if x))
-    scalars = [n, e]
-    for k, p in enumerate(parts):
-        if len(p) == 1 and len(p[0]) == 1:
-            c, parts[k] = p[0][0], _ONE
-        else:
-            c = _content(p)
-            if c > 1 or g > 1:
-                parts[k] = [[x // c for x in row[:: g or 1]] for row in p]
-        scalars[k] *= c
-    h = gcd(*scalars)
-    return a, b, d * g, scalars[0] // h, scalars[1] // h, *parts
+    i, k = first(num), first(den)
+    num, den = num[i:], den[k:]
+    j, g, c = shape(num)
+    l, g, f = shape(den, g)
+    h = gcd(n * c, e * f)
+    return (
+        a + i - k, b + (j - l) * d, d * g, n * c // h, e * f // h,
+        reduce(num, j, g, c), reduce(den, l, g, f),
+    )
 
 
 def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
@@ -139,7 +119,7 @@ def _add(x: tuple, y: tuple) -> tuple:
     a, b = min(x[0], y[0]), min(x[1], y[1])
     d = gcd(x[2], y[2], x[1] - b, y[1] - b)
     (p1, q1), (p2, q2) = _align(x, a, b, d), _align(y, a, b, d)
-    n1, e1, n2, e2 = _scale(x[3], p1), _scale(x[4], q1), _scale(y[3], p2), _scale(y[4], q2)
+    n1, e1, n2, e2 = sscale(x[3], p1), sscale(x[4], q1), sscale(y[3], p2), sscale(y[4], q2)
     if e1 == e2:
         return _value(a, b, d, 1, 1, sadd(n1, n2), e1)
     return _value(
@@ -429,22 +409,20 @@ def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
 
 def _finalize(value: tuple, degree: int, slot: str) -> SForm:
     a, b, d, n, e, num, den = value
-    num, den = _scale(n, num), _scale(e, den)
-    if len(den) == 1 and len(den[0]) == 1:
-        quo, z, c = num, 0, den[0][0]
-    else:
+    z, c = 0, 1
+    if den != _ONE:
         # den has no monomial factor, so value is Laurent only when den | num
         exact = sdiv_exact(num, den)
         if exact is None:
             raise NotPolynomialError("%s does not reduce to a monomial denominator" % slot)
-        quo, z, c = exact
+        num, z, c = exact
     if a < 0:
         raise NotPolynomialError("%s has a pole in s (negative s-power remains)" % slot)
-    if a + len(quo) - 1 > degree:
+    if a + len(num) - 1 > degree:
         raise DegreeError(
-            "%s has s-degree %d, limit is %d" % (slot, a + len(quo) - 1, degree)
+            "%s has s-degree %d, limit is %d" % (slot, a + len(num) - 1, degree)
         )
-    return SForm._of(degree, Fraction(b - z * d), Fraction(d), c, [[]] * a + quo)
+    return SForm._of(degree, Fraction(b - z * d), Fraction(d), n, e * c, [[]] * a + num)
 
 
 def parse_family(text: str) -> FamilyPair:

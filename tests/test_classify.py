@@ -184,6 +184,9 @@ def test_integer_nodal_test_matches_the_limit_discriminant(named):
         q = SForm(2, coefficients(3))
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         pairs.append(((q * q).scale(3 * c**2), (q**3).scale(c**3)))
+        # the same shapes, g4 off by a factor w: P4^3 = P6^2 but not nodal
+        w = rng.choice((2, -1, Fraction(1, 3)))
+        pairs.append(((q * q).scale(3 * c**2 * w), (q**3).scale(c**3)))
     nodal = [(g4, g6) for g4, g6 in pairs if _nodal_by_forms(g4, g6)]
     assert any(g4 and g4.den != g6.den for g4, g6 in nodal)
     assert len(nodal) < len(pairs)

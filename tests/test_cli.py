@@ -8,8 +8,8 @@ from k3seg import oracle
 from k3seg.cli import main
 from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
-from k3seg.errors import InternalError
-from k3seg.symalg import SForm
+from k3seg.errors import InternalError, NotMinimalError
+from k3seg.symalg import SForm, parse_family
 from tests.conftest import count_calls, family_path, family_text
 
 ANALYZE_DS_SPLIT = """\
@@ -110,6 +110,16 @@ def test_analyze_non_utf8_file(tmp_path, capsys):
     assert err == "E_PARSE: %s is not UTF-8 text: invalid continuation byte\n" % f
 
 
+def test_analyze_file_with_byte_order_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a leading U+FEFF
+    f = tmp_path / "bom.family"
+    f.write_bytes(b"\xef\xbb\xbf" + family_text("ds_split").encode("utf-8"))
+    assert main(["analyze", str(f)]) == 0
+    assert capsys.readouterr().out == ANALYZE_DS_SPLIT
+    assert main(["analyze", str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == family_text("ds_split")
+
+
 def test_route_disagreement_is_an_internal_error(monkeypatch, capsys):
     flat = DensityFunction([(-1, 0), (1, 0)])
     monkeypatch.setattr("k3seg.report.density_from_positions", lambda positions: flat)
@@ -156,6 +166,22 @@ def test_oracle_reports_missing_degeneration(tmp_path, capsys):
     assert main(["oracle", str(f)]) == 0
     out = capsys.readouterr().out
     assert out == "family has no degeneration at t = 0; nothing to track\n"
+
+
+NON_MINIMAL = "g8 = (s-1)^4*(3*s^4 + t + t*s^4)\ng12 = (s-1)^6*(s^6 + t + t*s^6)\n"
+
+
+def test_oracle_refuses_non_minimal_family(tmp_path, capsys):
+    # (s - 1)^4 | g8 and (s - 1)^6 | g12: both commands refuse it with exit 3
+    f = tmp_path / "nonmin.family"
+    f.write_text(NON_MINIMAL)
+    for command in ("analyze", "oracle"):
+        assert main([command, str(f)]) == 3
+        assert capsys.readouterr().err == (
+            "E_NOT_MINIMAL: a nonconstant form P has P^4 | g8 and P^6 | g12\n"
+        )
+    with pytest.raises(NotMinimalError):
+        oracle.oracle_compare(parse_family(NON_MINIMAL))
 
 
 def test_oracle_run_on_tent(capsys):

@@ -5,6 +5,7 @@ expand gives a canonical form for integer t-exponents, so forms with
 exponents in (1/m)Z are compared after substituting t = T^m.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -114,24 +115,32 @@ def test_sform_degree_guard():
 
 
 def test_sform_fields_are_canonical():
-    # t^low / den * P(t^step, s): low the first exponent, step the gcd of the
-    # gaps, den the lcm of the coefficient denominators, P padded to degree 2
-    f = SForm(2, [laurent({Fraction(1, 2): 2, Fraction(5, 2): 4}), 0,
-                  TLaurent.term(Fraction(-1, 3), Fraction(3, 2))])
-    assert (f.low, f.step, f.den, f.poly) == (Fraction(1, 2), 1, 3, [[6, 0, 12], [], [0, -1]])
+    # t^low * (num/den) * P(t^step, s): low the first exponent, step the gcd
+    # of the gaps, P primitive with its first entry positive, padded to
+    # degree 2, and num/den the rest, reduced with den > 0
+    f = SForm(2, [laurent({Fraction(1, 2): -4, Fraction(5, 2): 8}), 0,
+                  TLaurent.term(Fraction(2, 3), Fraction(3, 2))])
+    fields = (f.low, f.step, f.num, f.den, f.poly)
+    assert fields == (Fraction(1, 2), 1, -2, 3, [[6, 0, -12], [], [0, -1]])
     assert f.hull_points() == [(0, Fraction(1, 2)), (2, Fraction(3, 2))]
-    assert f.coeff(0, Fraction(5, 2)) == 4 and f.coeff(2, 2) == 0
+    assert f.coeff(0, Fraction(5, 2)) == 8 and f.coeff(2, 2) == 0
     wide = laurent({0: 1, 200000: 1})
-    assert (wide.low, wide.step, wide.poly) == (0, 200000, [[1, 1]])
+    assert (wide.low, wide.step, wide.num, wide.poly) == (0, 200000, 1, [[1, 1]])
     z = SForm.zero(3)
-    assert (z.low, z.step, z.den, z.poly) == (0, 0, 1, [[], [], [], []])
+    assert (z.low, z.step, z.num, z.den, z.poly) == (0, 0, 0, 1, [[], [], [], []])
     # the same form reached two ways has the same fields
     square = laurent({0: 1, 1: 1}) * laurent({0: 1, 1: -1})
     assert square == laurent({0: 1, 2: -1}) and (square.step, square.poly) == (2, [[1, -1]])
     assert hash(square) == hash(laurent({0: 1, 2: -1}))
+    # scaling and negating change only the scalars
     half = f.scale(Fraction(-3, 2))
-    assert (half.den, half.poly) == (2, [[-6, 0, -12], [], [0, 1]])
-    assert f.inverted().poly == f.poly[::-1] and f.shift_t(1).low == Fraction(3, 2)
+    assert (half.num, half.den) == (1, 1) and half.poly is f.poly
+    assert (-f).num == 2 and (-f).poly is f.poly
+    # reversed, P starts with -1: the sign moves into num
+    flipped = f.inverted()
+    assert (flipped.num, flipped.poly) == (2, [[0, 1], [], [-6, 0, 12]])
+    assert flipped.coeff(0, Fraction(3, 2)) == Fraction(2, 3)
+    assert f.shift_t(1).low == Fraction(3, 2)
 
 
 def test_sform_degree_and_valuation():
@@ -192,6 +201,65 @@ def test_sform_product_and_power_match_sympy(case):
     power = a**n
     assert power.degree == a.degree * n
     assert to_sympy(power, m) == sympy.expand(to_sympy(a, m) ** n)
+
+
+def _assert_canonical(f: SForm) -> None:
+    """The fields of f obey the layout, checked without the kernel's helpers."""
+    assert len(f.poly) == f.degree + 1
+    assert all(not arr or arr[-1] for arr in f.poly)
+    assert isinstance(f.low, Fraction) and isinstance(f.step, Fraction) and f.step >= 0
+    if not f.num:
+        assert (f.low, f.step, f.den, f.poly) == (0, 0, 1, [[]] * (f.degree + 1))
+        assert not f
+        return
+    entries = [(k, x) for arr in f.poly for k, x in enumerate(arr) if x]
+    assert entries and f.den > 0 and math.gcd(f.num, f.den) == 1
+    assert math.gcd(*(x for _, x in entries)) == 1 and entries[0][1] > 0
+    gaps = math.gcd(*(k for k, _ in entries))
+    assert min(k for k, _ in entries) == 0
+    assert gaps == 1 and f.step > 0 or gaps == 0 == f.step
+
+
+def _as_text(f: SForm) -> str:
+    """f in the file grammar, one term per monomial, each coefficient over -1
+    so that the parser meets negative denominators; f has integer exponents."""
+    terms = ("(%s)/(-1)*s^%d*t^(%d)" % (-c, i, e) for i, e, c in f.terms())
+    return " + ".join(terms) or "0"
+
+
+_SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.sampled_from((1, 2, 3)).flatmap(lambda m: st.tuples(grid_forms(m), grid_forms(m))),
+    st.tuples(grid_forms(1), grid_forms(1)),
+    _SCALARS,
+    st.integers(0, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_sform_operations_keep_fields_canonical(forms, integral, c, n, e):
+    f, g = forms
+    if f.degree != g.degree:
+        g = SForm(f.degree, list(g.coeffs[: f.degree + 1]))
+    results = [f, g, f + g, f - g, f * g, f**n, f.scale(c), f.inverted(), f.shift_t(e)]
+    if f:
+        level = min(v + i * e for i, v in f.hull_points())
+        results.append(f.stretched_limit(e, level, f.degree))
+    a, b = integral
+    pair = parse_family("g8 = (%s)*(%s)\ng12 = (%s) - (%s) + s^6\n" % (
+        _as_text(a), _as_text(b), _as_text(a), _as_text(b)))
+    assert pair.g8 == SForm(8, list((a * b).coeffs))
+    for h in results + [pair.g8, pair.g12]:
+        _assert_canonical(h)
+        rebuilt = SForm(h.degree, h.coeffs)
+        assert rebuilt == h and hash(rebuilt) == hash(h)
+        assert h.scale(c).scale(1 / c) == h
+        assert h.inverted().inverted() == h
+        diff = h - h
+        zero = SForm.zero(h.degree)
+        assert (diff.degree, diff.low, diff.step, diff.num, diff.den, diff.poly) == (
+            zero.degree, zero.low, zero.step, zero.num, zero.den, zero.poly)
 
 
 def _trimmed(xs: list) -> list:
