@@ -62,17 +62,16 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     except ValueError:
         return CuspKind.UNRECOGNIZED
 
-    # every valuation is >= 0 here, so t -> 0 commutes with the discriminant
-    if delta.limit0() and not _nonminimal(lim8, lim12):
+    # every valuation is >= 0 here, so t -> 0 commutes with the discriminant:
+    # the limit of (c1*s^4, c2*s^6) has discriminant (c1^3 - 27*c2^2)*s^12
+    nodal = not delta.limit0()
+    if not nodal and not _nonminimal(lim8, lim12):
         return CuspKind.NO_DEGENERATION
 
     mono8 = lim8.s_valuation() == lim8.s_degree() == 4
     mono12 = lim12.s_valuation() == lim12.s_degree() == 6
     if mono8 and mono12:
-        c1, c2 = lim8.coeff(4), lim12.coeff(6)
-        if c1 ** 3 == 27 * c2 ** 2:
-            return CuspKind.MAXIMAL
-        return CuspKind.SEGMENT
+        return CuspKind.MAXIMAL if nodal else CuspKind.SEGMENT
     return CuspKind.UNRECOGNIZED
 
 

@@ -135,10 +135,6 @@ def analyze(f: FamilyPair) -> AnalysisReport:
     right = end_surface_data(g, "right", ends_exp, (trop8, trop12))
 
     warnings = []
-    if kind is CuspKind.SEGMENT and any(c.kind == "D" for c in st.components):
-        warnings.append(
-            "interior-segment limit with a D-type end; both are reported as computed"
-        )
     if (fn.value_at(fn.lo) == 0) == left.is_nodal:
         warnings.append("left end: density endpoint disagrees with the nodal test")
     if (fn.value_at(fn.hi) == 0) == right.is_nodal:

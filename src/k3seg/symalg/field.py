@@ -19,13 +19,13 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   degree, so reversed it is the form at s = infinity. Forms that meet are
   spread onto a common step with `uspread`; an s-gcd over Q(u^d) is the same
   over Q(u), so no decision depends on the step;
-* a product (`smul`) runs over the nonzero terms only (Johnson, "Sparse
-  polynomial arithmetic", SIGSAM Bull. 8, 1974): the forms met here are
-  sparse, with fewer than half of their slots nonzero on a typical corpus.
-  Kronecker substitution into one integer product would pack and unpack
-  every slot of the rows-by-width rectangle, zero or not; at these sizes
-  that saves a few per cent over the schoolbook product, while skipping the
-  zeros saves more than half;
+* every product, pseudo-division's too, is `smul` over the nonzero terms
+  only (Johnson, "Sparse polynomial arithmetic", SIGSAM Bull. 8, 1974): the
+  forms met here are sparse, with fewer than half of their slots nonzero on
+  a typical corpus. Kronecker substitution into one integer product would
+  pack and unpack every slot of the rows-by-width rectangle, zero or not;
+  at these sizes that saves a few per cent over the schoolbook product,
+  while skipping the zeros saves more than half;
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * gcds come from a primitive pseudo-remainder sequence in both variables
   (Brown, "On Euclid's algorithm and the computation of polynomial greatest
@@ -146,15 +146,6 @@ def _zugcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _zumul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return snorm(out)
-
-
 def uspread(c: list[int], j: int, k: int) -> list[int]:
     """u^j * c(u^k), k >= 1."""
     out = [0] * (j + (len(c) - 1) * k + 1) if c else []
@@ -204,22 +195,15 @@ def _spp_z(p: list[list[int]]) -> list[list[int]]:
     return reduce(p, 0, 0, content(p))
 
 
-def _zuadd(tgt: list[int], src: list[int]) -> None:
-    """tgt += src in Z[u], in place."""
-    if len(tgt) < len(src):
-        tgt.extend([0] * (len(src) - len(tgt)))
-    for k, x in enumerate(src):
-        tgt[k] += x
-    snorm(tgt)
-
-
 def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Product in Z[u][s] over the nonzero terms only.
 
     b's nonzero terms are listed once, by s-row; each nonzero x of a then adds
     x * y into every output slot its terms reach. An output row is sized by
     the widest pair of rows that meets in it, so one wide coefficient widens
-    only the rows it reaches."""
+    only the rows it reaches. A constant a is a scaling."""
+    if len(a) == 1 and len(a[0]) == 1:
+        return sscale(a[0][0], b)
     rows = [(k, len(cb), [(m, y) for m, y in enumerate(cb) if y]) for k, cb in enumerate(b) if cb]
     widths = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -240,11 +224,17 @@ def smul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def sadd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Sum in Z[u][s]."""
-    out = [list(c) for c in a] + [[] for _ in range(len(b) - len(a))]
+    """Sum in Z[u][s]; the rows b leaves alone are shared with a."""
+    out = list(a) + [[] for _ in range(len(b) - len(a))]
     for i, cb in enumerate(b):
         if cb:
-            _zuadd(out[i], cb)
+            ca = out[i]
+            if len(ca) < len(cb):
+                ca, cb = cb, ca
+            row = list(ca)
+            for k, x in enumerate(cb):
+                row[k] += x
+            out[i] = snorm(row)
     return snorm(out)
 
 
@@ -270,22 +260,15 @@ def spdivmod(
 ) -> tuple[list[list[int]], list[list[int]], int]:
     """Pseudo-division in Z[u][s]: returns (q, r, j) with lb^j * a = q * b + r,
     lb the s-leading coefficient of b and j the number of reduction steps.
-    Scaling by lb per step keeps the reduction inside the polynomial ring."""
-    r = [list(c) for c in a]
-    q: list[list[int]] = [[] for _ in range(len(a) - len(b) + 1)]
-    lb = b[-1]
-    j = 0
+    Each step scales by lb, which keeps it in the polynomial ring: with la
+    r's leading row and top = s^(len r - len b) * la, it sets q <- q*lb + top
+    and r <- r*lb - top*b."""
+    lb, neg_b = [b[-1]], sscale(-1, b)
+    q, r, j = [], a, 0
     while len(r) >= len(b):
-        la = r[-1]
-        shift = len(r) - len(b)
-        r = [_zumul(c, lb) if c else [] for c in r]
-        q = [_zumul(c, lb) if c else [] for c in q]
-        q[shift] = la
-        neg = [-x for x in la]
-        for i, cb in enumerate(b):
-            if cb:
-                _zuadd(r[shift + i], _zumul(neg, cb))
-        snorm(r)
+        pad, la = [[]] * (len(r) - len(b)), [r[-1]]
+        q = sadd(smul(lb, q), pad + la)
+        r = sadd(smul(lb, r), pad + smul(la, neg_b))
         j += 1
     return q, r, j
 

@@ -111,6 +111,8 @@ class SForm:
         c = Fraction(c)
         if not c:
             return cls.zero(degree)
+        if not 0 <= i <= degree:
+            raise DegreeError("form of degree %d has a nonzero coefficient at s^%d" % (degree, i))
         poly = [[]] * i + [[1]] + [[]] * (degree - i)
         return cls._new(degree, Fraction(e), _ZERO, c.numerator, c.denominator, poly)
 

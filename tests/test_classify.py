@@ -47,6 +47,41 @@ def test_segment_kind():
     assert cusp_type(f.normalized()) is CuspKind.SEGMENT
 
 
+def _monomial_limit_kind(c1: Fraction, c2: Fraction) -> CuspKind:
+    text = "g8 = (%s)*s^4 + t*(1 + s^8)\ng12 = (%s)*s^6 + t*(1 + s^12)\n" % (c1, c2)
+    return cusp_type(parse_family(text).normalized())
+
+
+@pytest.mark.parametrize(
+    "c1, c2, kind",
+    [
+        ("3/4", "1/8", CuspKind.MAXIMAL),
+        ("3/4", "-1/8", CuspKind.MAXIMAL),
+        ("4/3", "-8/27", CuspKind.MAXIMAL),
+        ("3/4", "1/7", CuspKind.SEGMENT),
+        ("3/4", "9/64", CuspKind.SEGMENT),
+        ("5/6", "1/8", CuspKind.SEGMENT),
+        ("-3/4", "1/8", CuspKind.SEGMENT),
+    ],
+)
+def test_monomial_limit_kind_with_fractional_coefficients(c1, c2, kind):
+    # (c1*s^4, c2*s^6) is maximal exactly when c1^3 = 27*c2^2
+    assert _monomial_limit_kind(Fraction(c1), Fraction(c2)) is kind
+
+
+def test_monomial_limit_kind_is_the_coefficient_identity():
+    rng = random.Random(15)
+    for _ in range(200):
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        c1, c2 = 3 * a**2, a**3  # on the curve c1^3 = 27*c2^2
+        if rng.random() < 0.5:
+            c1, c2 = c1 + Fraction(rng.randint(-3, 3), rng.randint(1, 50)), c2
+        if not c1:
+            continue
+        expected = CuspKind.MAXIMAL if c1**3 == 27 * c2**2 else CuspKind.SEGMENT
+        assert _monomial_limit_kind(c1, c2) is expected, (c1, c2)
+
+
 def test_no_degeneration_kind():
     f = parse_family("g8 = s^8 + 1\ng12 = s^12 + 1\n")
     assert cusp_type(f.normalized()) is CuspKind.NO_DEGENERATION

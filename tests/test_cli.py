@@ -214,6 +214,13 @@ def test_oracle_exits_6_without_convergence(monkeypatch, capsys):
     )
 
 
+def test_oracle_exits_6_past_the_final_tolerance(capsys):
+    assert main(["oracle", family_path("d_mixed"), "--t", "0.5"]) == 6
+    assert capsys.readouterr().err == (
+        "E_ORACLE_MISMATCH: final deviation 1.01 exceeds tolerance 0.2\n"
+    )
+
+
 def test_strata_summary(capsys):
     assert main(["strata"]) == 0
     assert capsys.readouterr().out == (

@@ -78,9 +78,12 @@ def test_oracle_compare_is_sharp_on_tent(named):
 
 
 def test_oracle_compare_flags_excess_deviation(named):
-    with pytest.raises(OracleMismatchError):
-        # the final deviation at t = 0.5 is about 0.39, above the fixed 0.2
+    # the final deviation at t = 0.5 is about 0.39, above the fixed 0.2
+    with pytest.raises(OracleMismatchError, match=r"^final deviation 0\.39 exceeds tolerance 0\.2$"):
         oracle_compare(named["ds_split"], t_list=(0.5,))
+    # deviations 2 then 1.01 shrink, so they pass the monotone gate first
+    with pytest.raises(OracleMismatchError, match=r"^final deviation 1\.01 exceeds tolerance 0\.2$"):
+        oracle_compare(named["d_mixed"], t_list=(0.9, 0.5))
 
 
 def test_oracle_compare_validates_sample_list(named):

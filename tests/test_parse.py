@@ -126,6 +126,20 @@ def test_unexpected_end_of_statement():
     assert "line 1" in msg and "unexpected end of statement" in msg
 
 
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("g8", "line 1: column 3: unexpected end of statement"),
+        ("let", "line 1: column 4: unexpected end of statement"),
+        ("let f x) = x", "line 1: column 7: expected ( but found 'x'"),
+        ("g8 = *s", "line 1: column 6: unexpected '*'"),
+        ("let f(x) = x x", "line 1: column 14: trailing input after 'f' definition"),
+    ],
+)
+def test_statement_syntax_errors(statement, message):
+    assert err_message(statement + "\ng12 = s^6", ParseError) == message
+
+
 def test_columns_count_from_line_start_after_semicolons():
     msg = err_message("g8 = s^4; g12 = s^6 +", ParseError)
     assert "column 22" in msg

@@ -29,7 +29,8 @@ from k3seg.symalg import (
     minimality_check,
     parse_family,
 )
-from k3seg.symalg.field import smul, spdivmod, spow
+from k3seg.symalg import field
+from k3seg.symalg.field import sdiv_exact, sgcd, smul, spdivmod, spow
 from k3seg.symalg.forms import MAX_SPREAD
 
 S, T = sympy.symbols("s t")
@@ -112,6 +113,14 @@ def test_sform_degree_guard():
     SForm(2, [1, 0, 1, 0, 0])
     with pytest.raises(DegreeError):
         SForm(2, [1, 0, 1, 5])
+
+
+@pytest.mark.parametrize("i", [5, -1])
+def test_sform_monomial_degree_guard(i):
+    # the constructor's check: a nonzero coefficient outside s^0..s^degree
+    with pytest.raises(DegreeError, match=r"^form of degree 2 has a nonzero coefficient at s\^%d$" % i):
+        SForm.monomial(2, i)
+    assert SForm.monomial(2, i, 0) == SForm.zero(2)
 
 
 def test_sform_fields_are_canonical():
@@ -298,6 +307,8 @@ def _in_layout(p: list) -> bool:
 @example([[1], [-1]], _WIDE)
 @example([[], [0, 0, 1]], [[1, 1], [], [-(1 << 600)]])
 @example([[1], [1]], [[1], [-1]])
+@example([[-3]], [[1, 0, 2], [], [4]])  # a constant a is a scaling
+@example([[1]], [[], [7]])
 def test_sparse_product_matches_schoolbook(a, b):
     product = smul(a, b)
     assert product == schoolbook(a, b)
@@ -315,6 +326,64 @@ def test_power_starts_from_the_base(a, n):
     if len(a) > 1 or a and len(a[0]) > 1:
         # squarings plus one product per further set bit: g8**3 is two
         assert counts == {"smul": max(0, n.bit_length() - 1 + bin(n).count("1") - 1)}
+
+
+def reference_spdivmod(a: list, b: list) -> tuple:
+    """Reference pseudo-division in Z[u][s]: rows scaled one by one with a
+    schoolbook Z[u] product, the leading term subtracted slot by slot."""
+
+    def umul(x: list, y: list) -> list:
+        out = [0] * (len(x) + len(y) - 1)
+        for i, cx in enumerate(x):
+            for k, cy in enumerate(y):
+                out[i + k] += cx * cy
+        return _trimmed(out)
+
+    r = [list(c) for c in a]
+    q = [[] for _ in range(len(a) - len(b) + 1)]
+    lb = b[-1]
+    j = 0
+    while len(r) >= len(b):
+        la = r[-1]
+        shift = len(r) - len(b)
+        r = [umul(c, lb) if c else [] for c in r]
+        q = [umul(c, lb) if c else [] for c in q]
+        q[shift] = la
+        for i, cb in enumerate(b):
+            if cb:
+                row = r[shift + i] + [0] * max(0, len(la) + len(cb) - 1 - len(r[shift + i]))
+                for k, x in enumerate(umul(la, cb)):
+                    row[k] -= x
+                r[shift + i] = _trimmed(row)
+        _trimmed(r)
+        j += 1
+    return q, r, j
+
+
+# up to 40-bit coefficients; empty rows and inner zeros as in _SPOLY
+_COEFF40 = st.integers(-3, 3) | st.integers(-(1 << 40), 1 << 40)
+_SPOLY40 = st.lists(st.lists(_COEFF40, max_size=5).map(_trimmed), max_size=5).map(_trimmed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_SPOLY40, _SPOLY40.filter(bool), _SPOLY40, st.booleans())
+@example([[1], [2]], [[1], [], [3]], [], False)  # len(a) < len(b)
+@example([], [[0, 1], [], [0, 0, 2]], [], False)
+@example([[1, 0, -1], [], [0, 5]], [[], [7, 0, 3]], [[0, 0, 1 << 40]], True)
+def test_pseudo_division_matches_the_reference(a, b, c, exact):
+    if exact:  # a = c * b: sdiv_exact finds a quotient
+        a = smul(c, b)
+    q, r, j = spdivmod(a, b)
+    assert (q, r, j) == reference_spdivmod(a, b)
+    assert _in_layout(q) and _in_layout(r)
+    # sgcd's operands share the factor c, so the modular screen rarely settles them
+    g_a, g_b = smul(a, c), smul(b, c)
+    found = sdiv_exact(a, b), sgcd(g_a, g_b), sgcd(a, b)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(field, "spdivmod", reference_spdivmod)
+        assert found == (sdiv_exact(a, b), sgcd(g_a, g_b), sgcd(a, b))
+    if exact and c:
+        assert found[0] is not None
 
 
 def test_parser_power_takes_two_products_for_a_cube():
@@ -660,6 +729,10 @@ def test_canonical_text_round_trips(named):
 
 def test_canonical_text_of_tent(named):
     assert canonical_text(named["tent"]) == "g8 = 3*s^4\ng12 = t*s^12 + s^6 + t\n"
+
+
+def test_canonical_text_prints_a_zero_form():
+    assert canonical_text(parse_family("g8 = 0\ng12 = s^6")) == "g8 = 0\ng12 = s^6\n"
 
 
 def test_canonical_text_rejects_fractional_exponents():
