@@ -60,7 +60,7 @@ class DensityFunction:
     functions are equal iff their breakpoint tuples are.
     """
 
-    __slots__ = ("breakpoints",)
+    __slots__ = ("breakpoints", "_slopes")
 
     def __init__(self, breakpoints):
         pts = [(Fraction(w), Fraction(v)) for w, v in breakpoints]
@@ -87,6 +87,7 @@ class DensityFunction:
             if s2 >= s1:
                 raise ValueError("slopes must strictly decrease (%s then %s)" % (s1, s2))
         self.breakpoints = tuple(merged)
+        self._slopes = tuple(s.numerator for s in slopes)
 
     # -- inspection ------------------------------------------------------------
 
@@ -99,10 +100,7 @@ class DensityFunction:
         return self.breakpoints[-1][0]
 
     def slopes(self) -> list[int]:
-        return [
-            int((v2 - v1) / (w2 - w1))
-            for (w1, v1), (w2, v2) in zip(self.breakpoints, self.breakpoints[1:])
-        ]
+        return list(self._slopes)
 
     def slope_profile(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
         """Breakpoint abscissas plus the slope between each adjacent pair.
@@ -112,7 +110,7 @@ class DensityFunction:
         on."""
         return (
             tuple(w for w, _ in self.breakpoints),
-            tuple(self.slopes()),
+            self._slopes,
         )
 
     def value_at(self, w) -> Fraction:
@@ -133,7 +131,7 @@ class DensityFunction:
 
     def slope_drops(self) -> list[tuple[Fraction, int]]:
         """Interior breakpoints with the (positive) slope decrease at each."""
-        s = self.slopes()
+        s = self._slopes
         return [
             (self.breakpoints[i + 1][0], s[i] - s[i + 1])
             for i in range(len(s) - 1)

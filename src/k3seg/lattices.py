@@ -2,6 +2,12 @@
 (D1, D2, D3, E1..E5) that the usual tables skip, plus the rank-18 hyperbolic
 lattice attached to the segment boundary and two weight recipes.
 
+Every A, D and E lattice is the Cartan matrix 2I - (adjacency) of its Dynkin
+diagram (Conway-Sloane, SPLAG ch. 4; Bourbaki, Lie groups ch. VI, plates).
+The low-index members are diagrams too: D2 = A1 + A1, D3 = A3, E3 = A2 + A1,
+E4 = A4, E5 = D5. D1, E1 and E2 are not root lattices and are written out as
+Grams.
+
 All linear algebra here is exact and runs through one routine, _eliminate: a
 fraction-free symmetric elimination whose leading principal minors D_k give
 the determinant (D_n), the signature (the signs of D_k / D_(k-1)) and, with
@@ -45,70 +51,45 @@ class Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _gram_from_vectors(vectors: list[list[int]], metric: list[int]) -> Gram:
-    """Gram matrix of vectors under a diagonal metric."""
-
-    def dot(u: list[int], v: list[int]) -> int:
-        return sum(m * a * b for m, a, b in zip(metric, u, v))
-
-    return tuple(tuple(dot(u, v) for v in vectors) for u in vectors)
-
-
 def root_lattice(kind: str, n: int) -> Lattice:
     """The lattice named <kind><n>, positive definite, in a fixed basis.
 
-    A(n) is the usual Cartan tridiagonal. D(n) comes from the even-coordinate-
-    sum sublattice of Z^n with basis e1+e2, e2-e1, e3-e2, ...; D(1) is the even
-    integers with the square form. E(n) is the orthogonal complement of
-    -3l + e1 + ... + en inside the rank-(n+1) form diag(1, -1, ..., -1), with
-    the overall sign flipped; it is defined for n up to 8. Indices past
-    MAX_INDEX are refused before any matrix is built: the charges of a
-    stable type sum to 24, so no component index exceeds 17.
+    Apart from D1, E1 and E2, each is the Cartan matrix 2I - (adjacency) of
+    a diagram on nodes 0..n-1: A(n) is the chain; D(n) is the chain
+    1-2-...-(n-1) with node 0 joined to node 2 (for n > 2; D2 has no edges);
+    E(n), defined for n up to 8, is the chain 0-1-...-(n-2) with node n-1
+    joined to node 2 (for n > 3; E3 is A2 + A1). Indices past MAX_INDEX are
+    refused before any matrix is built: the charges of a stable type sum to
+    24, so no component index exceeds 17.
     """
     if n < 0:
         raise BadIndexError("negative index %d" % n)
     if n > MAX_INDEX:
         raise BadIndexError("index %d exceeds %d" % (n, MAX_INDEX))
+    if kind not in ("A", "D", "E"):
+        raise BadIndexError("unknown lattice family %r" % kind)
+    if kind == "E" and n > 8:
+        raise BadIndexError("E-series index %d exceeds 8" % n)
     name = "%s%d" % (kind, n)
-    if n == 0:
-        return Lattice(name, ())
+    # three members are not spanned by their norm-2 vectors, so no diagram
+    # gives them
+    if name == "D1":
+        return Lattice(name, ((4,),))  # the even integers: no norm-2 vector
+    if name == "E1":
+        return Lattice(name, ((8,),))  # one norm-8 generator: no norm-2 vector
+    if name == "E2":
+        return Lattice(name, ((2, -3), (-3, 8)))  # its only roots, +-b1, span rank 1
+    chain = [(i, i + 1) for i in range(n - 1)]
     if kind == "A":
-        gram = tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-            for i in range(n)
-        )
-        return Lattice(name, gram)
-    if kind == "D":
-        if n == 1:
-            return Lattice(name, ((4,),))
-        vs = [[0] * n for _ in range(n)]
-        vs[0][0] = 1
-        vs[0][1] = 1
-        for j in range(1, n):
-            vs[j][j - 1] = -1
-            vs[j][j] = 1
-        return Lattice(name, _gram_from_vectors(vs, [1] * n))
-    if kind == "E":
-        if n > 8:
-            raise BadIndexError("E-series index %d exceeds 8" % n)
-        metric = [1] + [-1] * n
-        if n == 1:
-            vs = [[1, -3]]
-        elif n == 2:
-            vs = [[0, 1, -1], [1, -3, 0]]
-        else:
-            vs = []
-            for j in range(1, n):
-                v = [0] * (n + 1)
-                v[j] = 1
-                v[j + 1] = -1
-                vs.append(v)
-            w = [1, -1, -1, -1] + [0] * (n - 3)
-            vs.append(w)
-        gram = _gram_from_vectors(vs, metric)
-        flipped = tuple(tuple(-x for x in row) for row in gram)
-        return Lattice(name, flipped)
-    raise BadIndexError("unknown lattice family %r" % kind)
+        edges = chain
+    elif kind == "D":
+        edges = chain[1:] + ([(0, 2)] if n > 2 else [])
+    else:
+        edges = chain[:-1] + ([(2, n - 1)] if n > 3 else [])
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return Lattice(name, tuple(tuple(row) for row in gram))
 
 
 def direct_sum(parts: list[Lattice], name: str | None = None) -> Lattice:
@@ -257,15 +238,9 @@ def wps_weights(kind: str, n: int) -> tuple[int, ...]:
     gram = lat.gram
     if any(gram[i][i] != 2 for i in range(r)):
         raise BadIndexError("%s has basis vectors of norm > 2; no root system" % lat.name)
-    seen = {0}
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(r):
-            if j not in seen and gram[i][j] != 0:
-                seen.add(j)
-                queue.append(j)
-    if len(seen) != r:
+    # a norm-2 diagonal makes the Gram the Cartan matrix of a forest, which
+    # is connected exactly when it has r - 1 edges
+    if sum(1 for i in range(r) for j in range(i) if gram[i][j]) != r - 1:
         raise BadIndexError("%s has a disconnected diagram" % lat.name)
     # the basis is a simple system, so the root of largest coefficient sum is
     # the highest root

@@ -33,10 +33,6 @@ from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality
 from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
 
-def frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     source: str
@@ -56,28 +52,28 @@ class AnalysisReport:
         fn = self.density
         return {
             "input": self.source,
-            "normalization_shift": frac_str(self.normalization_shift),
+            "normalization_shift": str(self.normalization_shift),
             "ramification": self.ramification,
             "cusp_kind": self.cusp.value,
             "end_exponents": {
-                "at_zero": frac_str(self.ends_exp.at_zero),
-                "at_infinity": frac_str(self.ends_exp.at_infinity),
+                "at_zero": str(self.ends_exp.at_zero),
+                "at_infinity": str(self.ends_exp.at_infinity),
             },
             "newton_polygons": {
                 name: (
                     None
                     if hull is None
-                    else [[frac_str(i), frac_str(v)] for i, v in hull]
+                    else [[str(i), str(v)] for i, v in hull]
                 )
                 for name, hull in self.polygons.items()
             },
             "density": {
-                "domain": [frac_str(fn.lo), frac_str(fn.hi)],
-                "breakpoints": [[frac_str(w), frac_str(v)] for w, v in fn.breakpoints],
+                "domain": [str(fn.lo), str(fn.hi)],
+                "breakpoints": [[str(w), str(v)] for w, v in fn.breakpoints],
                 "unit_breakpoints": [
-                    [frac_str(x), frac_str(v)] for x, v in fn.unit_breakpoints()
+                    [str(x), str(v)] for x, v in fn.unit_breakpoints()
                 ],
-                "slopes": list(fn.slopes()),
+                "slopes": fn.slopes(),
             },
             "stable_type": self.stable.label(),
             "charges": list(self.stable.charges()),
@@ -135,9 +131,9 @@ def analyze(f: FamilyPair) -> AnalysisReport:
     right = end_surface_data(g, "right", ends_exp, (trop8, trop12))
 
     warnings = []
-    if (fn.value_at(fn.lo) == 0) == left.is_nodal:
+    if (fn.breakpoints[0][1] == 0) == left.is_nodal:
         warnings.append("left end: density endpoint disagrees with the nodal test")
-    if (fn.value_at(fn.hi) == 0) == right.is_nodal:
+    if (fn.breakpoints[-1][1] == 0) == right.is_nodal:
         warnings.append("right end: density endpoint disagrees with the nodal test")
 
     source = f.source_text

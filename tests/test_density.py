@@ -42,6 +42,19 @@ def test_collinear_breakpoints_merge():
     assert fn.slopes() == [1, -1]
 
 
+def test_stored_slopes_match_the_breakpoints():
+    # the slopes are kept from the constructor; a caller's list is its own
+    fn = DensityFunction([(Fraction(-1, 3), 0), (0, 2), (Fraction(1, 2), Fraction(5, 2)), (1, 0)])
+    pts = fn.breakpoints
+    want = [(v2 - v1) / (w2 - w1) for (w1, v1), (w2, v2) in zip(pts, pts[1:])]
+    assert fn.slopes() == want == [6, 1, -5]
+    assert all(type(s) is int for s in fn.slopes())
+    fn.slopes().append(0)
+    assert fn.slope_profile() == ((Fraction(-1, 3), 0, Fraction(1, 2), 1), (6, 1, -5))
+    assert fn.slope_drops() == [(0, 5), (Fraction(1, 2), 6)]
+    assert fn.reflected().slopes() == [5, -1, -6]
+
+
 def test_duplicate_positions():
     fn = DensityFunction([(0, 0), (1, 1), (1, 1), (2, 0)])
     assert fn.breakpoints == ((0, 0), (1, 1), (2, 0))

@@ -3,6 +3,7 @@ determinants and against the classical root counts."""
 
 import itertools
 import random
+import re
 
 import pytest
 import sympy
@@ -49,12 +50,73 @@ def test_index_zero_is_the_empty_lattice():
 
 
 def test_bad_indices():
-    with pytest.raises(BadIndexError):
-        root_lattice("A", -1)
-    with pytest.raises(BadIndexError):
-        root_lattice("E", 9)
-    with pytest.raises(BadIndexError):
-        root_lattice("F", 4)
+    # checked in this order: negative index, past 24, unknown family, E past
+    # 8; an unknown family is refused at index 0 too
+    for kind, n, message in (
+        ("A", -1, "negative index -1"),
+        ("F", -1, "negative index -1"),
+        ("F", 25, "index 25 exceeds 24"),
+        ("E", 25, "index 25 exceeds 24"),
+        ("E", 9, "E-series index 9 exceeds 8"),
+        ("F", 4, "unknown lattice family 'F'"),
+        ("F", 0, "unknown lattice family 'F'"),
+        ("a", 0, "unknown lattice family 'a'"),
+        ("", 0, "unknown lattice family ''"),
+    ):
+        with pytest.raises(BadIndexError, match="^%s$" % re.escape(message)):
+            root_lattice(kind, n)
+
+
+def reference_root_lattice(kind, n):
+    """The vector construction the diagrams replaced: D(n) from the basis
+    e1+e2, e2-e1, e3-e2, ... of the even-sum sublattice of Z^n, E(n) as the
+    complement of -3l + e1 + ... + en in diag(1, -1, ..., -1), sign flipped."""
+
+    def gram_of(vectors, metric):
+        return tuple(
+            tuple(sum(m * a * b for m, a, b in zip(metric, u, v)) for v in vectors)
+            for u in vectors
+        )
+
+    name = "%s%d" % (kind, n)
+    if n == 0:
+        return name, ()
+    if kind == "A":
+        return name, tuple(
+            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
+            for i in range(n)
+        )
+    if kind == "D":
+        if n == 1:
+            return name, ((4,),)
+        vs = [[0] * n for _ in range(n)]
+        vs[0][0] = vs[0][1] = 1
+        for j in range(1, n):
+            vs[j][j - 1] = -1
+            vs[j][j] = 1
+        return name, gram_of(vs, [1] * n)
+    if n == 1:
+        vs = [[1, -3]]
+    elif n == 2:
+        vs = [[0, 1, -1], [1, -3, 0]]
+    else:
+        vs = []
+        for j in range(1, n):
+            v = [0] * (n + 1)
+            v[j], v[j + 1] = 1, -1
+            vs.append(v)
+        vs.append([1, -1, -1, -1] + [0] * (n - 3))
+    gram = gram_of(vs, [1] + [-1] * n)
+    return name, tuple(tuple(-x for x in row) for row in gram)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("A", n) for n in range(25)] + [("D", n) for n in range(25)] + [("E", n) for n in range(9)],
+)
+def test_diagrams_match_the_vector_construction(kind, n):
+    lat = root_lattice(kind, n)
+    assert (lat.name, lat.gram) == reference_root_lattice(kind, n)
 
 
 def test_index_is_bounded_before_any_matrix_is_built():
@@ -246,22 +308,18 @@ def test_wps_weights_d_series():
 
 
 def test_wps_weights_rejections():
-    with pytest.raises(BadIndexError):
-        wps_weights("A", 5)  # A-family has no attached space here
-    with pytest.raises(BadIndexError):
-        wps_weights("E", 0)  # no roots
-    with pytest.raises(BadIndexError):
-        wps_weights("D", 1)  # norm-4 generator, not a root basis
-    with pytest.raises(BadIndexError):
-        wps_weights("D", 2)  # disconnected diagram
-    with pytest.raises(BadIndexError):
-        wps_weights("E", 1)  # norm-8 generator
-    with pytest.raises(BadIndexError):
-        wps_weights("E", 2)
-    with pytest.raises(BadIndexError):
-        wps_weights("E", 3)  # disconnected diagram
-    with pytest.raises(BadIndexError):
-        wps_weights("E", 9)
+    for kind, n, message in (
+        ("A", 5, "D and E families only"),  # A-family has no attached space here
+        ("E", 0, "no roots"),
+        ("D", 1, "norm > 2"),  # norm-4 generator, not a root basis
+        ("D", 2, "disconnected diagram"),
+        ("E", 1, "norm > 2"),  # norm-8 generator
+        ("E", 2, "norm > 2"),
+        ("E", 3, "disconnected diagram"),
+        ("E", 9, "exceeds 8"),
+    ):
+        with pytest.raises(BadIndexError, match=message):
+            wps_weights(kind, n)
 
 
 def test_gm_weights_frozen():
