@@ -314,7 +314,7 @@ def _root_data(f: FamilyPair, t0):
     coeffs = _evaluated_discriminant(f, t0)
     support = [i for i, c in enumerate(coeffs) if c != 0]
     if not support:
-        raise ValueError("discriminant vanishes identically at t = %s" % t0)
+        raise CuspidalFamilyError("discriminant vanishes identically at t = %s" % t0)
     lo, hi = support[0], support[-1]
     inner = coeffs[lo : hi + 1]
     finite = _find_roots(inner)

@@ -65,7 +65,7 @@ class SForm:
     def __init__(self, degree: int, coeffs: Iterable = ()):
         """The form with the given coefficients from s^0 upward: forms of
         degree 0 or scalars. Entries past the formal degree must vanish."""
-        placed = []
+        form = SForm.zero(degree)
         for i, c in enumerate(coeffs):
             if not isinstance(c, SForm):
                 c = SForm.monomial(0, 0, c)
@@ -76,15 +76,11 @@ class SForm:
                     raise DegreeError(
                         "form of degree %d has a nonzero coefficient at s^%d" % (degree, i)
                     )
-                placed.append((i, c))
-        poly: list[list[int]] = [[]] * (degree + 1)
-        low, step, num, den = _ZERO, _ZERO, 0, 1
-        if placed:
-            low, step, num, den, arrays = _grid([c for _, c in placed])
-            for (i, _), (arr,) in zip(placed, arrays):
-                poly[i] = arr
-        self.degree = degree
-        self.low, self.step, self.num, self.den, self.poly = _canonical(low, step, num, den, poly)
+                # c's one row placed at s^i is still primitive: canonical
+                poly = [[]] * i + c.poly + [[]] * (degree - i)
+                form += SForm._new(degree, c.low, c.step, c.num, c.den, poly)
+        self.degree, self.low, self.step = degree, form.low, form.step
+        self.num, self.den, self.poly = form.num, form.den, form.poly
 
     @classmethod
     def _new(cls, degree: int, low, step, num: int, den: int, poly: list) -> "SForm":
@@ -147,13 +143,7 @@ class SForm:
 
     def coeff(self, i: int, e: Scalar = 0) -> Fraction:
         """The coefficient of s^i * t^e."""
-        arr = self.poly[i]
-        k = e - self.low
-        if self.step:
-            k /= self.step
-        if k < 0 or k >= len(arr) or k.denominator != 1:
-            return _ZERO
-        return Fraction(self.num * arr[int(k)], self.den)
+        return next((c for j, x, c in self.terms() if j == i and x == e), _ZERO)
 
     def terms(self):
         """(s-exponent, t-exponent, coefficient) of every nonzero term, by
@@ -203,7 +193,12 @@ class SForm:
             return self
         if not self:
             return other
-        low, step, num, den, (p, q) = _grid((self, other))
+        low = min(self.low, other.low)
+        step = _qgcd(self.step, other.step, self.low - low, other.low - low)
+        den = math.lcm(self.den, other.den)
+        m, n = self.num * (den // self.den), other.num * (den // other.den)
+        num = math.gcd(m, n)
+        p, q = sscale(m // num, self._on(low, step)), sscale(n // num, other._on(low, step))
         return SForm._of(self.degree, low, step, num, den, sadd(p, q))
 
     def __neg__(self) -> "SForm":
@@ -290,18 +285,6 @@ def _canonical(low: Fraction, step: Fraction, num: int, den: int, poly: list) ->
     return low + j * step, step * g, num // h, den // h, reduce(poly, j, g, c)
 
 
-def _grid(forms) -> tuple:
-    """(low, step, num, den, Ps): one value t^low * (num/den) * P(t^step, s)
-    whose grid holds every nonzero form given, and each form's P on that
-    grid, times what its own num/den leaves over."""
-    low = min(f.low for f in forms)
-    step = _qgcd(*(f.step for f in forms), *(f.low - low for f in forms))
-    den = math.lcm(*(f.den for f in forms))
-    ms = [f.num * (den // f.den) for f in forms]
-    num = math.gcd(*ms)
-    return low, step, num, den, [sscale(m // num, f._on(low, step)) for f, m in zip(forms, ms)]
-
-
 class TLaurent:
     """Constructors of the Laurent polynomials in t, the forms of degree 0:
     the constant c and the term c * t^e."""
@@ -349,7 +332,7 @@ class FamilyPair:
         """Gauge the pair so every coefficient valuation is >= 0 with one hitting 0."""
         v8 = self.g8.min_coeff_val()
         v12 = self.g12.min_coeff_val()
-        c = -min(v8 / 2 if v8 is not INF else INF, v12 / 3 if v12 is not INF else INF)
+        c = -min(v8 / 2, v12 / 3)
         if c == 0:
             return self
         return FamilyPair(
@@ -360,9 +343,8 @@ class FamilyPair:
         )
 
     def inverted(self) -> "FamilyPair":
-        return FamilyPair(
-            self.g8.inverted(), self.g12.inverted(), self.shift, self.source_text
-        )
+        """The pair under s -> 1/s, without the source text, which describes the pair before."""
+        return FamilyPair(self.g8.inverted(), self.g12.inverted(), self.shift)
 
     def ramification(self) -> int:
         """lcm of the t-exponent denominators: every exponent of a form is

@@ -20,16 +20,18 @@ monomials adds or scales exponents and multiplies integers, and a sum of
 monomials is collected by exponent in one pass, like terms cancelling first.
 Other sums are added pairwise in a balanced tree. No evaluation builds an
 array of s- or u-degree past MAX_SPAN, or runs a product whose coefficients
-could pass MAX_BITS bits, and no expression nests deeper than MAX_DEPTH; an
-input that would is a ParseError. A result is accepted only if its reduced
-denominator is a single monomial c*s^a*t^b, i.e. Q divides P; the s-part
-must then be a true polynomial of degree at most the slot's formal degree,
-while negative (and only integer) t-powers are fine.
+could pass MAX_BITS bits, no expression nests deeper than MAX_DEPTH, and no
+statement expands more than MAX_CALLS macro calls; an input that would is a
+ParseError. A result is accepted only if its reduced denominator is a single
+monomial c*s^a*t^b, i.e. Q divides P; the s-part must then be a true
+polynomial of degree at most the slot's formal degree, while negative (and
+only integer) t-powers are fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
@@ -43,6 +45,7 @@ from .forms import FamilyPair, SForm
 MAX_SPAN = 1 << 14  # largest s- or u-degree an evaluation may build (see forms.MAX_SPREAD)
 MAX_BITS = 1 << 9  # largest coefficient size, in bits, a product may build
 MAX_DEPTH = 64  # deepest nesting of an expression, macro calls included
+MAX_CALLS = 1 << 10  # most macro calls one statement may expand
 
 # P and Q are primitive, first nonzero entry positive, with no factor s or
 # u, and gcd(n, e) = 1. A P or Q of one entry is [[1]], so the monomial
@@ -370,8 +373,9 @@ def _sum(terms: list) -> tuple:
     return terms[0]
 
 
-def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
-    """The value of node; depth counts the nodes and macro calls above it."""
+def _eval(node, macros: dict, env: dict, calls, depth: int = 0) -> tuple:
+    """The value of node; depth counts the nodes and macro calls above it, and
+    calls numbers the statement's macro calls from 1."""
     if depth > MAX_DEPTH:
         raise ParseError("expression nested too deeply")
     kind = node[0]
@@ -381,25 +385,27 @@ def _eval(node, macros: dict, env: dict, depth: int = 0) -> tuple:
     if kind == "var":
         return env[node[1]] if node[1] in env else _S if node[1] == "s" else _T
     if kind == "neg":
-        return _neg(_eval(node[1], macros, env, depth))
+        return _neg(_eval(node[1], macros, env, calls, depth))
     if kind == "pow":
-        return _pow(_eval(node[1], macros, env, depth), node[2])
+        return _pow(_eval(node[1], macros, env, calls, depth), node[2])
     if kind == "chain":
-        value = _eval(node[1], macros, env, depth)
+        value = _eval(node[1], macros, env, calls, depth)
         if node[2][0][0] in "+-":
             terms = [value]
             for op, operand in node[2]:
-                y = _eval(operand, macros, env, depth)
+                y = _eval(operand, macros, env, calls, depth)
                 terms.append(_neg(y) if op == "-" else y)
             return _sum(terms)
         for op, operand in node[2]:
-            y = _eval(operand, macros, env, depth)
+            y = _eval(operand, macros, env, calls, depth)
             value = _mul(value, _inverse(y) if op == "/" else y)
         return value
     # call: eager single-argument application
     _, name, arg = node
+    if next(calls) > MAX_CALLS:
+        raise ParseError("expression expands more than %d macro calls" % MAX_CALLS)
     param, body = macros[name]
-    return _eval(body, macros, {param: _eval(arg, macros, env, depth)}, depth)
+    return _eval(body, macros, {param: _eval(arg, macros, env, calls, depth)}, calls, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +479,7 @@ def parse_family(text: str) -> FamilyPair:
                     raise ParseError(
                         "column %d: trailing input after %s assignment" % (p.col(), head)
                     )
-                slots[head] = _eval(node, macros, {})
+                slots[head] = _eval(node, macros, {}, count(1))
                 slot_lines[head] = lineno
             else:
                 raise ParseError(

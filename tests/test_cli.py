@@ -10,7 +10,7 @@ from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import InternalError, NotMinimalError
 from k3seg.symalg import SForm, parse_family
-from tests.conftest import count_calls, family_path, family_text
+from tests.conftest import VANISHING_SAMPLE, count_calls, family_path, family_text
 
 ANALYZE_DS_SPLIT = """\
 cusp kind:      maximal
@@ -182,6 +182,14 @@ def test_oracle_refuses_non_minimal_family(tmp_path, capsys):
         )
     with pytest.raises(NotMinimalError):
         oracle.oracle_compare(parse_family(NON_MINIMAL))
+
+
+def test_oracle_sample_with_vanishing_discriminant_exits_4(tmp_path, capsys):
+    f = tmp_path / "vanishing.family"
+    f.write_text(VANISHING_SAMPLE)
+    assert main(["oracle", str(f), "--t", "0.5"]) == 4
+    err = capsys.readouterr().err
+    assert err == "E_NN: discriminant vanishes identically at t = 0.5\n"
 
 
 def test_oracle_run_on_tent(capsys):

@@ -15,6 +15,7 @@ from k3seg import oracle
 from k3seg.errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from k3seg.oracle import empirical_positions, oracle_compare, OracleReport, roots_at
 from k3seg.symalg import parse_family
+from tests.conftest import VANISHING_SAMPLE
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,16 @@ def test_oracle_compare_validates_sample_list(named):
 def test_oracle_compare_refuses_identically_degenerate_family(named):
     with pytest.raises(CuspidalFamilyError):
         oracle_compare(named["d_constant"], t_list=(1e-3,))
+
+
+def test_oracle_refuses_a_sample_where_the_discriminant_vanishes():
+    pair = parse_family(VANISHING_SAMPLE)
+    message = "^discriminant vanishes identically at t = 0.5$"
+    with pytest.raises(CuspidalFamilyError, match=message):
+        oracle_compare(pair, (0.5,))
+    with pytest.raises(CuspidalFamilyError, match=message):
+        roots_at(pair, 0.5)
+    assert len(oracle_compare(pair).deviations) == 3
 
 
 def test_oracle_compare_keeps_its_stop_point_on_d_mixed(named):

@@ -13,10 +13,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NAMED, family_text
 from k3seg.errors import DegreeError, NotPolynomialError, ParseError
 from k3seg.symalg import parse as parse_module
 from k3seg.symalg import parse_family
-from k3seg.symalg.parse import _ONE, MAX_BITS, MAX_DEPTH, MAX_SPAN, _add, _monomial_sum
+from k3seg.symalg.parse import (
+    _ONE, MAX_BITS, MAX_CALLS, MAX_DEPTH, MAX_SPAN, _add, _monomial_sum,
+)
 
 
 def coeff(form, s_exp, t_exp):
@@ -168,6 +171,37 @@ def test_deep_nesting_is_a_parse_error():
     for text in ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "-" * (MAX_DEPTH + 1) + "1"):
         msg = err_message("g8 = s^4 * " + text + "\ng12 = s^6", ParseError)
         assert msg == "line 1: expression nested too deeply"
+
+
+def doubling_chain(k: int, base: str) -> str:
+    """Macros f1(u) = base, f_j(u) = f_(j-1)(f_(j-1)(u)): f_j(x) expands
+    2^j - 1 macro calls, each line doubling the one before."""
+    lines = ["let f1(u) = %s\n" % base]
+    lines += ["let f%d(u) = f%d(f%d(u))\n" % (j, j - 1, j - 1) for j in range(2, k + 1)]
+    return "".join(lines)
+
+
+def test_macro_expansion_is_bounded_per_statement():
+    # 2^31 - 1 calls would run for hours; the nesting stays under MAX_DEPTH
+    for base in ("u + 1", "u"):
+        text = doubling_chain(31, base) + "g8 = f31(s^4)\ng12 = s^6\n"
+        start = time.perf_counter()
+        msg = err_message(text, ParseError)
+        assert time.perf_counter() - start < 1
+        assert msg == "line 32: expression expands more than %d macro calls" % MAX_CALLS
+    # f10 expands 2^10 - 1 calls: one more is the bound, which each statement has
+    chain = doubling_chain(10, "u")
+    f = parse_family(chain + "g8 = f1(f10(s^4))\ng12 = f1(f10(s^6))\n")
+    assert f == parse_family("g8 = s^4\ng12 = s^6")
+    msg = err_message(chain + "g8 = f2(f10(s^4))\ng12 = s^6\n", ParseError)
+    assert msg == "line 11: expression expands more than %d macro calls" % MAX_CALLS
+
+
+def test_named_families_expand_few_macro_calls(monkeypatch):
+    expected = {name: parse_family(family_text(name)) for name in NAMED}
+    monkeypatch.setattr(parse_module, "MAX_CALLS", 4)
+    for name in NAMED:
+        assert parse_family(family_text(name)) == expected[name]
 
 
 def test_long_sums_and_products_do_not_nest():

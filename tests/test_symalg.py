@@ -31,7 +31,7 @@ from k3seg.symalg import (
 )
 from k3seg.symalg import field
 from k3seg.symalg.field import sdiv_exact, sgcd, smul, spdivmod, spow
-from k3seg.symalg.forms import MAX_SPREAD
+from k3seg.symalg.forms import MAX_SPREAD, _canonical, _qgcd
 
 S, T = sympy.symbols("s t")
 
@@ -150,6 +150,79 @@ def test_sform_fields_are_canonical():
     assert (flipped.num, flipped.poly) == (2, [[0, 1], [], [-6, 0, 12]])
     assert flipped.coeff(0, Fraction(3, 2)) == Fraction(2, 3)
     assert f.shift_t(1).low == Fraction(3, 2)
+
+
+def test_sform_coeff_outside_the_rows_is_zero():
+    f = SForm(2, [1, 2, 3])
+    assert [f.coeff(i) for i in range(-1, 4)] == [0, 1, 2, 3, 0]
+
+
+def reference_sform(degree: int, coeffs) -> tuple:
+    """The construction the sum replaced, as (degree, low, step, num, den, P):
+    every placed coefficient moved onto one grid that holds them all, its
+    array set at its row, the whole then made canonical."""
+    placed = []
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, SForm):
+            c = SForm.monomial(0, 0, c)
+        elif c.degree:
+            raise ValueError("a coefficient must be a scalar or a form of degree 0")
+        if c:
+            if i > degree:
+                raise DegreeError(
+                    "form of degree %d has a nonzero coefficient at s^%d" % (degree, i)
+                )
+            placed.append((i, c))
+    poly = [[]] * (degree + 1)
+    low, step, num, den = Fraction(0), Fraction(0), 0, 1
+    if placed:
+        forms = [c for _, c in placed]
+        low = min(f.low for f in forms)
+        step = _qgcd(*(f.step for f in forms), *(f.low - low for f in forms))
+        den = math.lcm(*(f.den for f in forms))
+        ms = [f.num * (den // f.den) for f in forms]
+        num = math.gcd(*ms)
+        for (i, f), m in zip(placed, ms):
+            (poly[i],) = field.sscale(m // num, f._on(low, step))
+    return (degree, *_canonical(low, step, num, den, poly))
+
+
+_TERM_EXP = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_TERM_COEFF = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# degree-0 forms with fractional low and step: terms and sums of terms
+_LAURENT = st.lists(st.builds(TLaurent.term, _TERM_COEFF, _TERM_EXP), min_size=1, max_size=3).map(
+    lambda terms: sum(terms[1:], terms[0])
+)
+# the refused coefficient: a form of positive degree
+_POSITIVE_DEGREE = st.builds(
+    SForm.monomial, st.integers(1, 2), st.just(1), _TERM_COEFF, _TERM_EXP
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(
+    st.integers(0, 5),
+    st.lists(st.just(0) | _TERM_COEFF | _LAURENT | _LAURENT, max_size=8),
+    # about one draw in four inserts a form of positive degree
+    st.none() | st.none() | st.none() | st.tuples(st.integers(0, 7), _POSITIVE_DEGREE),
+)
+@example(2, [1, 0, 1, 0, 0], None)  # zeros past the degree
+@example(2, [1, 0, 1, 5], None)  # a nonzero entry past it
+@example(1, [TLaurent.term(2, Fraction(1, 2)), TLaurent.term(3, Fraction(5, 6))], None)
+def test_sform_constructor_matches_the_reference(degree, coeffs, wide):
+    if wide is not None:
+        coeffs.insert(min(wide[0], len(coeffs)), wide[1])
+
+    def outcome(build):
+        try:
+            return build()
+        except (ValueError, DegreeError) as err:
+            return type(err), str(err)
+
+    built = outcome(lambda: SForm(degree, coeffs))
+    if isinstance(built, SForm):
+        built = tuple(getattr(built, k) for k in SForm.__slots__)
+    assert built == outcome(lambda: reference_sform(degree, coeffs))
 
 
 def test_sform_degree_and_valuation():
@@ -745,3 +818,14 @@ def test_canonical_text_rejects_fractional_exponents():
 def test_parse_preserves_source_text():
     text = family_text("tent")
     assert parse_family(text).source_text == text
+
+
+def test_inverted_pair_reports_its_own_text():
+    # the file describes the pair before s -> 1/s; the inverted pair is
+    # reported by its canonical text, which parses back to it
+    inverted = parse_family(family_text("ds_split")).inverted()
+    assert inverted.source_text == ""
+    assert parse_family(analyze(inverted).to_dict()["input"]) == inverted
+    # a regauged pair is still the same family
+    pair = parse_family(family_text("ds_split"))
+    assert pair.normalized().source_text == pair.source_text
