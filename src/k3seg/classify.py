@@ -49,8 +49,7 @@ def cuspidal_kind(quartic: SForm) -> CuspKind:
 def cusp_type(f: FamilyPair) -> CuspKind:
     """Classify the t = 0 limit of a normalized pair. Never raises: inputs the
     decision tree cannot place come back as UNRECOGNIZED."""
-    delta = f.discriminant24()
-    if not delta:
+    if not f.discriminant24():
         try:
             quartic = extract_cusp_quartic(f)
         except UnrecognizedCuspError:
@@ -62,9 +61,7 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     except ValueError:
         return CuspKind.UNRECOGNIZED
 
-    # every valuation is >= 0 here, so t -> 0 commutes with the discriminant:
-    # the limit of (c1*s^4, c2*s^6) has discriminant (c1^3 - 27*c2^2)*s^12
-    nodal = not delta.limit0()
+    nodal = _is_nodal(lim8, lim12)
     if not nodal and not _nonminimal(lim8, lim12):
         return CuspKind.NO_DEGENERATION
 

@@ -16,7 +16,6 @@ class K3SegError(Exception):
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.tag)
-        self.message = message or self.tag
 
 
 class InternalError(K3SegError):

@@ -27,7 +27,7 @@ from math import isqrt
 from mpmath import mp
 
 from .density import cut_positions
-from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
+from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError, ZeroFormError
 from .symalg import FamilyPair, minimality_check
 from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
 
@@ -371,7 +371,8 @@ def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
     Deviations must not increase along the (strictly decreasing) t samples
     and the last one must land within the tolerance 0.2; otherwise the exact
     pipeline and the numerics disagree and this raises OracleMismatchError.
-    A non-minimal pair raises NotMinimalError, as in analyze.
+    A non-minimal pair raises NotMinimalError and a zero g8 or g12
+    ZeroFormError, as in analyze.
     """
     samples = [float(t) for t in t_list]
     check_t_samples(samples)
@@ -383,7 +384,10 @@ def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
         raise CuspidalFamilyError(
             "discriminant vanishes identically; use the cusp-quartic route"
         )
-    ends = end_exponents(*pair_polygons(f))
+    polygons = pair_polygons(f)
+    ends = end_exponents(*polygons)
+    if None in polygons:  # a zero form passes the end exponents, as in analyze
+        raise ZeroFormError("Newton polygon of the zero form")
     cut = cut_positions(newton_polygon(delta), ends)
     with mp.workdps(_DPS):
         exact_mp = [_to_mpf(x) for x in cut.positions]

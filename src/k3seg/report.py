@@ -8,18 +8,11 @@ the stable type and its lattice, and compute both end surfaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import (
-    CuspKind,
-    EndSurface,
-    StableType,
-    cusp_type,
-    cuspidal_kind,
-    end_surface_data,
-    stable_type,
-)
+from .classify import CuspKind, EndSurface, StableType, cuspidal_kind, end_surface_data, stable_type
 from .density import (
     DensityFunction,
     cut_positions,
@@ -28,7 +21,7 @@ from .density import (
     density_profile,
 )
 from .errors import InternalError
-from .lattices import Lattice, stable_type_lattice
+from .lattices import Lattice, root_lattice, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
 from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
@@ -80,7 +73,10 @@ class AnalysisReport:
             "lattice": {
                 "name": self.lattice.name,
                 "rank": self.lattice.rank,
-                "determinant": self.lattice.determinant(),
+                # the lattice is the direct sum of the components' root lattices
+                "determinant": math.prod(
+                    root_lattice(c.kind, c.index).determinant() for c in self.stable.components
+                ),
             },
             "ends": {
                 "left_nodal": self.left_end.is_nodal,
@@ -114,7 +110,11 @@ def analyze(f: FamilyPair) -> AnalysisReport:
         fn = density_cuspidal(quartic)
         polygons["delta"] = None
     else:
-        kind = cusp_type(g)
+        # e0, einf > 0: the g8 and g12 polygons fall strictly to index 4 and 6
+        # and then rise, so the t = 0 limits are c1*s^4 and c2*s^6. V is concave
+        # and >= 0 with V(0) = val(delta) / e0, so c1^3 != 27*c2^2 gives V = 0:
+        # E9 ends, refused by stable_type. So a report's cusp is maximal.
+        kind = CuspKind.MAXIMAL
         trop_d = newton_polygon(delta)
         fn = density_profile(trop_d, trop8, trop12, ends_exp)
         other = density_from_positions(cut_positions(trop_d, ends_exp))

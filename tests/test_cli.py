@@ -192,6 +192,14 @@ def test_oracle_sample_with_vanishing_discriminant_exits_4(tmp_path, capsys):
     assert err == "E_NN: discriminant vanishes identically at t = 0.5\n"
 
 
+def test_oracle_on_a_zero_form_exits_3_as_analyze_does(tmp_path, capsys):
+    f = tmp_path / "zero.family"
+    f.write_text("g8 = 0\ng12 = s^6 + t*(1 + s^12)\n")
+    for command in ("analyze", "oracle"):
+        assert main([command, str(f)]) == 3
+        assert capsys.readouterr().err == "E_ZERO_FORM: Newton polygon of the zero form\n"
+
+
 def test_oracle_run_on_tent(capsys):
     assert main(["oracle", family_path("tent"), "--t", "1e-2,1e-3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -2,6 +2,7 @@
 determinants and against the classical root counts."""
 
 import itertools
+import math
 import random
 import re
 
@@ -22,6 +23,7 @@ from k3seg.lattices import (
     stable_type_lattice,
     wps_weights,
 )
+from k3seg.moduli import enumerate_codim2, enumerate_divisors
 
 
 def test_a_series_determinants():
@@ -334,3 +336,14 @@ def test_lattice_dataclass_is_immutable():
     with pytest.raises(Exception):
         lat.name = "other"
     assert isinstance(lat, Lattice)
+
+
+def test_chain_determinant_is_the_product_of_its_blocks():
+    # every chain of a codimension-1 or -2 stratum: the lattice is the direct
+    # sum of its components' root lattices
+    strata = enumerate_divisors() + enumerate_codim2()
+    assert len(strata) == 54 + 495
+    for s in strata:
+        st = StableType(tuple(component(p[0], int(p[1:])) for p in s.label.split()))
+        blocks = math.prod(root_lattice(c.kind, c.index).determinant() for c in st.components)
+        assert blocks == stable_type_lattice(st).determinant(), s.label

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls
+from k3seg import lattices
+from k3seg.classify import CuspKind, cusp_type
 from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
 from k3seg.oracle import oracle_compare
@@ -44,11 +46,17 @@ STATIONARY_CUSP = (
 def test_first_failing_check_decides_the_error():
     # the end exponents of tent's g12 alone are fine; the zero g8 is refused
     # when its Newton polygon is built
+    zero_g8 = parse_family("g8 = 0\ng12 = s^6 + t*(1 + s^12)\n")
     with pytest.raises(ZeroFormError, match="^Newton polygon of the zero form$"):
-        analyze(parse_family("g8 = 0\ng12 = s^6 + t*(1 + s^12)\n"))
+        analyze(zero_g8)
+    # the oracle refuses it at the same point, before it samples any t
+    with pytest.raises(ZeroFormError, match="^Newton polygon of the zero form$"):
+        oracle_compare(zero_g8)
     # a constant g12 does not degenerate, and that is found before the zero g8
-    with pytest.raises(UnrecognizedCuspError, match="^end exponents \\(0, 0\\) are not"):
-        analyze(parse_family("g8 = 0\ng12 = s^6 + 1 + s^12\n"))
+    constant_g12 = parse_family("g8 = 0\ng12 = s^6 + 1 + s^12\n")
+    for run in (analyze, oracle_compare):
+        with pytest.raises(UnrecognizedCuspError, match="^end exponents \\(0, 0\\) are not"):
+            run(constant_g12)
     # the oracle refuses an identically zero discriminant before it looks at
     # the end exponents, which are both zero here
     with pytest.raises(
@@ -108,3 +116,51 @@ def test_report_is_invariant_under_gauge_s_scaling_reprint_and_base_change(named
         expected = _invariants(analyze(f))
         for label, transform in TRANSFORMS:
             assert _invariants(analyze(transform(f))) == expected, (name, label)
+
+
+# ---------------------------------------------------------------------------
+# what a report reads off what it already holds: the cusp and the determinant
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chart_reports(named):
+    """corpus-100 (seed 1729) in the charts s, -s, 1/s and -1/s and the named
+    families with their inversions, as (normalized pair, report), and the
+    calls of cusp_type while analyze ran on them."""
+    flip = _s_scaled(-1)
+    families = [
+        h for f in generate_corpus(100, seed=1729)
+        for h in (f, flip(f), f.inverted(), flip(f).inverted())
+    ]
+    families += [h for f in named.values() for h in (f, f.inverted())]
+    reports = []
+    calls = count_calls(lambda: reports.extend(map(analyze, families)), cusp_type)
+    return [(f.normalized(), rep) for f, rep in zip(families, reports)], calls
+
+
+def test_a_reported_cusp_is_the_classified_one(chart_reports):
+    pairs, calls = chart_reports
+    assert calls == {"cusp_type": 0}
+    noncuspidal = [(g, rep) for g, rep in pairs if g.discriminant24()]
+    # only d_constant and its inversion take the cusp-quartic route
+    assert len(noncuspidal) == len(pairs) - 2 == 408
+    for g, rep in noncuspidal:
+        assert rep.cusp is cusp_type(g) is CuspKind.MAXIMAL
+
+
+def test_to_dict_eliminates_one_component_at_a_time(chart_reports, monkeypatch):
+    sizes, dets = [], []
+    eliminate = lattices._eliminate
+
+    def recorded(gram):
+        sizes.append(len(gram))
+        return eliminate(gram)
+
+    monkeypatch.setattr(lattices, "_eliminate", recorded)
+    for _, rep in chart_reports[0]:
+        sizes.clear()
+        dets.append(rep.to_dict()["lattice"]["determinant"])
+        assert max(sizes) <= max(c.index for c in rep.stable.components), rep.stable.label()
+    monkeypatch.undo()
+    assert dets == [rep.lattice.determinant() for _, rep in chart_reports[0]]
