@@ -47,14 +47,11 @@ def cuspidal_kind(quartic: SForm) -> CuspKind:
 
 
 def cusp_type(f: FamilyPair) -> CuspKind:
-    """Classify the t = 0 limit of a normalized pair. Never raises: inputs the
-    decision tree cannot place come back as UNRECOGNIZED."""
+    """Classify the t = 0 limit of a normalized pair. Inputs the decision tree
+    cannot place come back as UNRECOGNIZED; only an InternalError, which means
+    a bug, escapes."""
     if not f.discriminant24():
-        try:
-            quartic = extract_cusp_quartic(f)
-        except UnrecognizedCuspError:
-            return CuspKind.UNRECOGNIZED
-        return cuspidal_kind(quartic)
+        return cuspidal_kind(extract_cusp_quartic(f))
 
     try:
         lim8, lim12 = f.g8.limit0(), f.g12.limit0()

@@ -76,8 +76,6 @@ def cmd_analyze(args) -> int:
             "yes" if d["ends"]["right_nodal"] else "no",
         )
     )
-    for w in d["warnings"]:
-        print("warning:        %s" % w)
     return 0
 
 

@@ -70,8 +70,8 @@ def random_nodal_end(rng: random.Random) -> FamilyPair:
 
 def _pipeline_ok(f: FamilyPair) -> bool:
     """Screen: the candidate must survive the full analysis. Only domain
-    errors count as a rejection; an internal route disagreement is a bug and
-    is allowed to propagate."""
+    errors count as a rejection; an InternalError (two exact computations
+    disagree) is a bug and is allowed to propagate."""
     try:
         analyze(f)
     except InternalError:

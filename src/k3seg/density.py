@@ -185,8 +185,9 @@ def cut_positions(trop_d: TropicalPolynomial, ends: EndExponents) -> CutData:
     """The clamped root positions: the root valuations v of the discriminant
     polygon trop_d with its steep tails clamped, at -v/e0."""
     e0 = ends.at_zero
-    xs = sorted(-v / e0 for v in root_valuations(modified_polygon(trop_d, ends)))
-    return CutData(tuple(xs), ends.at_infinity / e0, trop_d.hull[-1][1] / e0)
+    # root valuations descend and e0 > 0, so the positions ascend
+    xs = tuple(-v / e0 for v in root_valuations(modified_polygon(trop_d, ends)))
+    return CutData(xs, ends.at_infinity / e0, trop_d.hull[-1][1] / e0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class AnalysisReport:
     lattice: Lattice
     left_end: EndSurface
     right_end: EndSurface
-    warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
         fn = self.density
@@ -82,7 +81,8 @@ class AnalysisReport:
                 "left_nodal": self.left_end.is_nodal,
                 "right_nodal": self.right_end.is_nodal,
             },
-            "warnings": list(self.warnings),
+            # kept, always empty, so that reports keep their bytes
+            "warnings": [],
         }
 
 
@@ -130,11 +130,10 @@ def analyze(f: FamilyPair) -> AnalysisReport:
     left = end_surface_data(g, "left", ends_exp, (trop8, trop12))
     right = end_surface_data(g, "right", ends_exp, (trop8, trop12))
 
-    warnings = []
     if (fn.breakpoints[0][1] == 0) == left.is_nodal:
-        warnings.append("left end: density endpoint disagrees with the nodal test")
+        raise InternalError("left end: density endpoint disagrees with the nodal test")
     if (fn.breakpoints[-1][1] == 0) == right.is_nodal:
-        warnings.append("right end: density endpoint disagrees with the nodal test")
+        raise InternalError("right end: density endpoint disagrees with the nodal test")
 
     source = f.source_text
     if not source:
@@ -155,5 +154,4 @@ def analyze(f: FamilyPair) -> AnalysisReport:
         lattice=lat,
         left_end=left,
         right_end=right,
-        warnings=tuple(warnings),
     )

@@ -330,11 +330,12 @@ def _provably_coprime(ca: list[list[int]], cb: list[list[int]]) -> bool:
 
 def sgcd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """gcd over Q(u) of two s-polynomials in Z[u][s], as a primitive
-    polynomial in Z[u][s] ([[1]] when they are coprime)."""
+    polynomial in Z[u][s] with its first entry positive ([[1]] when they are
+    coprime)."""
     if len(a) > 1 and len(b) > 1 and _provably_coprime(a, b):
         return [[1]]
     a = _spp_z(list(a))
     b = _spp_z(list(b))
     while b:
         a, b = b, _spp_z(spdivmod(a, b)[1])
-    return a
+    return a if not a or lead(a) > 0 else sscale(-1, a)

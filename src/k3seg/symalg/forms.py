@@ -29,9 +29,7 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from typing import Iterable, Union
 
-from ..errors import (
-    DegreeError, NotMinimalError, ParseError, UnrecognizedCuspError, ZeroFormError,
-)
+from ..errors import DegreeError, InternalError, NotMinimalError, ParseError, ZeroFormError
 from .field import (
     first, lead, reduce, sadd, sderiv, sdiv_exact, sgcd, shape, smul, snorm, spow, sscale,
     uspread,
@@ -412,7 +410,9 @@ def minimality_check(f: FamilyPair) -> None:
 
 def extract_cusp_quartic(f: FamilyPair) -> SForm:
     """For a pair with identically zero discriminant, recover G with
-    (g8, g12) = (3 G^2, G^3) via G = 3 g12 / g8, verifying both identities exactly."""
+    (g8, g12) = (3 G^2, G^3) via G = 3 g12 / g8, verifying both identities
+    exactly. The discriminant forces them (see minimality_check), so a failed
+    identity is an InternalError."""
     if f.discriminant24():
         raise ValueError("discriminant is not identically zero")
     g8, g12 = f.g8, f.g12
@@ -424,7 +424,7 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
         4, g12.low - g8.low - z * step, step, 3 * g12.num * g8.den, g12.den * g8.num * c, parts
     )
     if (quartic * quartic).scale(3) != g8:
-        raise UnrecognizedCuspError("3*G^2 differs from g8")
+        raise InternalError("3*G^2 differs from g8")
     if quartic ** 3 != g12:
-        raise UnrecognizedCuspError("G^3 differs from g12")
+        raise InternalError("G^3 differs from g12")
     return quartic

@@ -212,7 +212,8 @@ _RESERVED = ("s", "t", "g8", "g12", "let")  # neither macro names nor parameters
 
 def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
     """Tokens as (kind, value, column); columns are 1-based within the line,
-    offset by the statement's position after semicolon splitting."""
+    offset by the statement's position after semicolon splitting. The last
+    token is ("end", None, column just past the statement's last character)."""
     toks: list[tuple[str, object, int]] = []
     i, n = 0, len(stmt)
     while i < n:
@@ -243,6 +244,7 @@ def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
             i += 1
         else:
             raise ParseError("column %d: unexpected character %r" % (offset + i + 1, ch))
+    toks.append(("end", None, offset + len(stmt.rstrip()) + 1))
     return toks
 
 
@@ -251,31 +253,30 @@ class _Parser:
     macros defined so far; in a macro body, name and param are the macro's
     own name and parameter."""
 
-    def __init__(self, toks: list[tuple[str, object, int]], stmt: str, offset: int, macros: dict):
+    def __init__(self, toks: list[tuple[str, object, int]], macros: dict):
         self.toks = toks
         self.pos = 0
         self.depth = 0
-        self.end_col = offset + len(stmt.rstrip()) + 1
         self.macros = macros
         self.name = self.param = None
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
     def col(self) -> int:
-        return self.toks[self.pos][2] if self.pos < len(self.toks) else self.end_col
+        return self.toks[self.pos][2]
 
     def take(self, kind: str | None = None):
-        if self.pos >= len(self.toks):
-            raise ParseError("column %d: unexpected end of statement" % self.end_col)
         k, v, c = self.toks[self.pos]
+        if k == "end":
+            raise ParseError("column %d: unexpected end of statement" % c)
         if kind is not None and k != kind:
             raise ParseError("column %d: expected %s but found %r" % (c, kind, v))
         self.pos += 1
         return v
 
     def done(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.peek() == "end"
 
     def nested(self, parse):
         """parse() one nesting level deeper."""
@@ -354,11 +355,7 @@ class _Parser:
                     raise ParseError("macro %r used without an argument" % name)
                 raise ParseError("unknown name %r" % name)
             return ("var", name)
-        if self.pos < len(self.toks):
-            raise ParseError(
-                "column %d: unexpected %r" % (self.col(), self.toks[self.pos][1])
-            )
-        raise ParseError("column %d: unexpected end of statement" % self.end_col)
+        raise ParseError("column %d: unexpected %r" % (self.col(), self.take()))
 
 
 def _sum(terms: list) -> tuple:
@@ -448,8 +445,7 @@ def parse_family(text: str) -> FamilyPair:
 
     for lineno, offset, stmt in statements:
         try:
-            toks = _tokenize(stmt, offset)
-            p = _Parser(toks, stmt, offset, macros)
+            p = _Parser(_tokenize(stmt, offset), macros)
             head = p.take("name")
             if head == "let":
                 name = p.take("name")

@@ -55,14 +55,8 @@ class TropicalPolynomial:
         a = Fraction(a)
         return min(v + i * a for i, v in self.hull)
 
-    def edges(self) -> list[tuple[Point, Point, Fraction]]:
-        return [
-            (p, q, Fraction(q[1] - p[1], q[0] - p[0]))
-            for p, q in zip(self.hull, self.hull[1:])
-        ]
-
     def slopes(self) -> list[Fraction]:
-        return [e[2] for e in self.edges()]
+        return [Fraction(v2 - v1, i2 - i1) for (i1, v1), (i2, v2) in zip(self.hull, self.hull[1:])]
 
 
 def newton_polygon(p: SForm) -> TropicalPolynomial:
@@ -85,8 +79,8 @@ def root_valuations(poly: TropicalPolynomial) -> tuple:
     total count is always the formal degree of the source form.
     """
     vals: list = [INF] * poly.hull[0][0]
-    for (i1, _), (i2, _), slope in poly.edges():
-        vals.extend([-slope] * (i2 - i1))
+    for (i1, v1), (i2, v2) in zip(poly.hull, poly.hull[1:]):
+        vals.extend([Fraction(v1 - v2, i2 - i1)] * (i2 - i1))
     vals.extend([NEG_INF] * (poly.degree - poly.hull[-1][0]))
     return tuple(vals)
 

@@ -19,10 +19,12 @@ from k3seg.density import DensityFunction
 from k3seg.errors import (
     CuspidalInteriorError,
     InconsistentTypeError,
+    InternalError,
     UnrecognizedCuspError,
 )
 from k3seg.report import analyze
-from k3seg.symalg import SForm, parse_family
+from k3seg.symalg import SForm, forms, parse_family
+from k3seg.symalg.field import sdiv_exact
 from k3seg.tropics import EndExponents, end_exponents, pair_polygons
 
 
@@ -113,6 +115,18 @@ def test_cuspidal_kind_with_stationary_roots_is_refused():
         analyze(f)
 
 
+def test_a_broken_cusp_quartic_is_an_internal_error(named, monkeypatch):
+    # halve the quotient G = 3*g12/g8: the identity 3*G^2 = g8 fails, and
+    # cusp_type lets the InternalError through
+    def halved(a, b):
+        parts, z, c = sdiv_exact(a, b)
+        return parts, z, 2 * c
+
+    monkeypatch.setattr(forms, "sdiv_exact", halved)
+    with pytest.raises(InternalError, match=r"^3\*G\^2 differs from g8$"):
+        cusp_type(named["d_constant"].normalized())
+
+
 def test_cuspidal_interior_refusal_through_analyze():
     # here the quartic roots do run to the ends (valuations 2, 1, -1, -1),
     # but not in two equal-speed pairs, and the constant-density
@@ -191,7 +205,6 @@ def test_end_surface_nodal_matches_density_endpoint(named_reports):
         fn = rep.density
         assert (fn.value_at(fn.lo) == 0) == (not rep.left_end.is_nodal)
         assert (fn.value_at(fn.hi) == 0) == (not rep.right_end.is_nodal)
-        assert not rep.warnings
 
 
 def _nodal_by_forms(g4, g6):

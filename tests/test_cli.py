@@ -1,14 +1,17 @@
 """End-to-end runs of the command line interface through main(argv)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from k3seg import oracle
+from k3seg.classify import end_surface_data
 from k3seg.cli import main
 from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import InternalError, NotMinimalError
+from k3seg.report import analyze
 from k3seg.symalg import SForm, parse_family
 from tests.conftest import VANISHING_SAMPLE, count_calls, family_path, family_text
 
@@ -130,6 +133,21 @@ def test_route_disagreement_is_an_internal_error(monkeypatch, capsys):
         generate_corpus(1)
 
 
+def test_end_dichotomy_disagreement_is_an_internal_error(monkeypatch, capsys):
+    def flipped(*args):
+        end = end_surface_data(*args)
+        return dataclasses.replace(end, is_nodal=not end.is_nodal)
+
+    monkeypatch.setattr("k3seg.report.end_surface_data", flipped)
+    message = "left end: density endpoint disagrees with the nodal test"
+    with pytest.raises(InternalError, match="^%s$" % message):
+        analyze(parse_family(family_text("tent")))
+    assert main(["analyze", family_path("tent")]) == 1
+    assert capsys.readouterr().err == "E_INTERNAL: %s\n" % message
+    with pytest.raises(InternalError):
+        generate_corpus(1)
+
+
 def test_analyze_non_minimal_family(tmp_path, capsys):
     f = tmp_path / "nonmin.family"
     f.write_text("g8 = s^4*(s^4 + t)\ng12 = s^6*(s^6 + t)\n")
@@ -234,6 +252,13 @@ def test_oracle_exits_6_past_the_final_tolerance(capsys):
     assert main(["oracle", family_path("d_mixed"), "--t", "0.5"]) == 6
     assert capsys.readouterr().err == (
         "E_ORACLE_MISMATCH: final deviation 1.01 exceeds tolerance 0.2\n"
+    )
+
+
+def test_oracle_exits_6_on_a_growing_deviation(capsys):
+    assert main(["oracle", family_path("ds_circle"), "--t", "0.9,0.5"]) == 6
+    assert capsys.readouterr().err == (
+        "E_ORACLE_MISMATCH: deviation grew from 0.543 to 0.932 as t decreased\n"
     )
 
 

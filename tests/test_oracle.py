@@ -87,6 +87,11 @@ def test_oracle_compare_flags_excess_deviation(named):
         oracle_compare(named["d_mixed"], t_list=(0.9, 0.5))
 
 
+def test_oracle_compare_flags_a_growing_deviation(named):
+    with pytest.raises(OracleMismatchError, match=r"^deviation grew from 0\.543 to 0\.932 as t decreased$"):
+        oracle_compare(named["ds_circle"], t_list=(0.9, 0.5))
+
+
 def test_oracle_compare_validates_sample_list(named):
     f = named["ds_split"]
     with pytest.raises(ValueError):

@@ -455,8 +455,31 @@ def test_pseudo_division_matches_the_reference(a, b, c, exact):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(field, "spdivmod", reference_spdivmod)
         assert found == (sdiv_exact(a, b), sgcd(g_a, g_b), sgcd(a, b))
+    # a nonzero gcd has its first entry positive
+    assert all(not g or field.lead(g) > 0 for g in found[1:])
     if exact and c:
         assert found[0] is not None
+
+
+def _u_roots(*roots):
+    """The u-array of the product of the factors u - r."""
+    out = [1]
+    for r in roots:
+        out = smul([out], [[-r, 1]])[0]
+    return out
+
+
+def test_sgcd_of_a_coprime_pair_is_one():
+    # 1 + L(u)*s and u + s are coprime; with L vanishing at every screen
+    # point the screen skips them all and the PRS result must be made positive
+    b = [[0, 1], [1]]
+    assert sgcd([[1], _u_roots(*field._SCREEN_POINTS)], b) == [[1]]
+    # L vanishing at the first screen point alone: the screen skips it and
+    # proves coprimality at the next one, so no pseudo-division runs
+    a = [[1], _u_roots(field._SCREEN_POINTS[0])]
+    assert field._ueval_mod(a[-1], field._SCREEN_POINTS[0], field._SCREEN_PRIME) == 0
+    assert count_calls(lambda: sgcd(a, b), field.spdivmod) == {"spdivmod": 0}
+    assert sgcd(a, b) == [[1]]
 
 
 def test_parser_power_takes_two_products_for_a_cube():
