@@ -32,8 +32,8 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   common divisors", JACM 18, 1971): taking the content out after every
   pseudo-remainder keeps every intermediate small, where Euclid over the
   fraction field explodes;
-* a modular screen proves the common coprime case without running the
-  sequence at all.
+* a modular screen proves a whole set coprime, the common case, without
+  running the sequence at all.
 """
 
 from __future__ import annotations
@@ -299,7 +299,8 @@ def _ueval_mod(c: list[int], u0: int, p: int) -> int:
     return acc
 
 
-def _fp_coprime(a: list[int], b: list[int], p: int) -> bool:
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd in F_p[s] of a and b (each nonzero or []), worked in their lists."""
     while b:
         inv = pow(b[-1], p - 2, p)
         while len(a) >= len(b):
@@ -309,33 +310,39 @@ def _fp_coprime(a: list[int], b: list[int], p: int) -> bool:
                 a[d + i] = (a[d + i] - c * cb) % p
             snorm(a)
         a, b = b, a
-    return len(a) == 1
+    return a
 
 
-def _provably_coprime(ca: list[list[int]], cb: list[list[int]]) -> bool:
-    """Sound one-sided test: specialize u and reduce mod a large prime. When
-    both s-leading coefficients survive the specialization, the resultant
-    specializes faithfully, so a coprime image proves a constant gcd over
-    Q(u). A nonconstant image proves nothing and the caller falls back."""
+def _provably_coprime(polys: list[list[list[int]]]) -> bool:
+    """Sound one-sided test that s-polynomials have a constant gcd over Q(u).
+    Their primitive gcd G divides the first in Z[u][s] (Gauss's lemma), so at
+    a point where lc of the first survives mod p, G's image keeps its degree
+    and divides every image: a constant F_p gcd of the images proves G
+    constant (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6)."""
     p = _SCREEN_PRIME
     for u0 in _SCREEN_POINTS:
-        if _ueval_mod(ca[-1], u0, p) == 0 or _ueval_mod(cb[-1], u0, p) == 0:
+        if _ueval_mod(polys[0][-1], u0, p) == 0:
             continue
-        a = [_ueval_mod(c, u0, p) for c in ca]
-        b = [_ueval_mod(c, u0, p) for c in cb]
-        if _fp_coprime(a, b, p):
-            return True
+        g = [_ueval_mod(c, u0, p) for c in polys[0]]
+        for q in polys[1:]:
+            g = _fp_gcd(g, snorm([_ueval_mod(c, u0, p) for c in q]), p)
+            if len(g) == 1:
+                return True
     return False
 
 
-def sgcd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """gcd over Q(u) of two s-polynomials in Z[u][s], as a primitive
-    polynomial in Z[u][s] with its first entry positive ([[1]] when they are
-    coprime)."""
-    if len(a) > 1 and len(b) > 1 and _provably_coprime(a, b):
+def sgcd(*polys: list[list[int]]) -> list[list[int]]:
+    """gcd over Q(u) of s-polynomials in Z[u][s], primitive with its first
+    entry positive: [] if all are zero, [[1]] if coprime or one is constant
+    in s. Past the screen a primitive PRS folds them in order to a constant."""
+    polys = [p for p in polys if p]
+    if any(len(p) == 1 for p in polys) or len(polys) > 1 and _provably_coprime(polys):
         return [[1]]
-    a = _spp_z(list(a))
-    b = _spp_z(list(b))
-    while b:
-        a, b = b, _spp_z(spdivmod(a, b)[1])
-    return a if not a or lead(a) > 0 else sscale(-1, a)
+    g = _spp_z(list(polys[0])) if polys else []
+    for b in polys[1:]:
+        b = _spp_z(list(b))
+        while b:
+            g, b = b, _spp_z(spdivmod(g, b)[1])
+        if len(g) == 1:
+            break
+    return g if not g or lead(g) > 0 else sscale(-1, g)

@@ -482,6 +482,40 @@ def test_sgcd_of_a_coprime_pair_is_one():
     assert sgcd(a, b) == [[1]]
 
 
+_ROW40 = st.lists(_COEFF40, max_size=5).map(_trimmed).filter(bool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_SPOLY40, _SPOLY40, _SPOLY40, _SPOLY40, _ROW40)
+def test_sgcd_of_a_set_is_the_pairwise_fold(a, b, c, d, unit):
+    # the shared factor d keeps the screen from settling most of these sets
+    a, b, c = smul(a, d), smul(b, d), smul(c, d)
+    assert sgcd(a, b, c) == sgcd(sgcd(a, b), c)
+    assert sgcd([], a, [], b, []) == sgcd(a, b)
+    # a nonzero polynomial constant in s is a unit over Q(u)
+    assert sgcd(a, [unit], b) == sgcd([unit]) == [[1]]
+
+
+def test_sgcd_screen_needs_the_first_leading_coefficient():
+    assert sgcd() == sgcd([], []) == []
+    # 1 + L(u)*s is coprime to (u + s)*(2 + s) and (u + s)*(3 + s), whose gcd
+    # is u + s, and L vanishes at every screen point: first in the set, it
+    # leaves the screen nothing to read, and the PRS proves the gcd constant
+    spread = [[1], _u_roots(*field._SCREEN_POINTS)]
+    others = [[[0, 2], [2, 1], [1]], [[0, 3], [3, 1], [1]]]
+    counts = count_calls(lambda: sgcd(spread, *others), field.spdivmod)
+    assert sgcd(spread, *others) == [[1]] and counts["spdivmod"] > 0
+    # last in the set, its image 1 ends the fold at the first screen point
+    counts = count_calls(lambda: sgcd(*others, spread), field.spdivmod)
+    assert sgcd(*others, spread) == [[1]] and counts == {"spdivmod": 0}
+    assert sgcd(*others) == [[0, 1], [1]]
+    # a shared 1 + L*s drops to 1 at every screen point, where the images of
+    # (1 + L*s)*(2 + s) and (1 + L*s)*(3 + s) are coprime: no screen point
+    # may be read, and the PRS finds the factor
+    shared = [smul(spread, [[k], [1]]) for k in (2, 3)]
+    assert sgcd(*shared) == spread
+
+
 def test_parser_power_takes_two_products_for_a_cube():
     counts = count_calls(lambda: parse_family("g8 = (1 + t*s^2)^3\ng12 = s^6\n"), smul)
     assert counts == {"smul": 2}
@@ -643,11 +677,12 @@ def test_minimality_rejects_cuspidal_pair_with_multiple_root():
 
 def _sympy_nonminimal(f: FamilyPair) -> bool:
     """Independent verdict: some chart has a nonconstant common factor of g12,
-    its first five s-derivatives, g8 and its first three, in Q[s, t]."""
+    its first five s-derivatives, g8 and its first three, in Q[s, t]; each
+    form is taken times t^-low, a unit over Q(t), so no exponent is negative."""
     for pair in (f, f.inverted()):
         common = sympy.Poly(0, S, T)
         for form, order in ((pair.g12, 6), (pair.g8, 4)):
-            terms = {(i, int(e)): c for i, e, c in form.terms()}
+            terms = {(i, int(e - form.low)): c for i, e, c in form.terms()}
             poly = sympy.Poly.from_dict(terms, S, T, domain=sympy.QQ)
             for _ in range(order):
                 common = sympy.gcd(common, poly)
@@ -703,9 +738,9 @@ def _rejected(pair: FamilyPair) -> bool:
 
 
 def test_minimal_pairs_run_no_pseudo_remainder_sequence():
-    # the end orders and the modular screen in the chain's first gcd settle
-    # every corpus pair in both charts; a pair that shares a factor away from
-    # s = 0 and s = infinity still reaches the PRS
+    # the end orders and the modular screen over all ten parts settle every
+    # corpus pair in both charts, and a minimal pair whose forms share a power
+    # of p; a pair that shares p^4 and p^6 still reaches the PRS
     pairs = [g for f in generate_corpus(10, seed=1729) for g in (f, f.inverted())]
     counts = count_calls(lambda: [minimality_check(f) for f in pairs], spdivmod)
     assert counts == {"spdivmod": 0}
@@ -714,32 +749,52 @@ def test_minimal_pairs_run_no_pseudo_remainder_sequence():
         pair = parse_family(shared % g12)
         verdicts = []
         counts = count_calls(lambda: verdicts.append(_rejected(pair)), spdivmod)
-        assert verdicts == [nonminimal] and counts["spdivmod"] > 0
+        assert verdicts == [nonminimal] and (counts["spdivmod"] > 0) == nonminimal
+
+
+# g8 = 0 and a g12 that repeats a quadratic with wide t-exponents: g12's gcds
+# with its first two derivatives are powers of that quadratic, which a gcd of
+# two parts could reach only through the PRS, on u-arrays hundreds of entries
+# long
+_REPEATED_CUBE = "g8 = 0\ng12 = (s^6 + t^4*s^3 + 1 + t^9*s^5)*(s^2 + t^5*s + t^-3)^3\n"
+
+
+def test_minimality_of_repeated_factors_is_settled_by_the_screen(named):
+    for f in (parse_family(_REPEATED_CUBE), named["d_constant"]):
+        for pair in (f, f.inverted()):
+            verdicts = []
+            counts = count_calls(lambda: verdicts.append(_rejected(pair)), spdivmod)
+            assert verdicts == [False] and counts == {"spdivmod": 0}
 
 
 _T_POLY = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+_T_LAURENT = st.dictionaries(st.integers(-12, 12), st.integers(-3, 3), max_size=3)
 
 
 @st.composite
-def _t_forms(draw, degree: int) -> SForm:
-    """A form whose coefficients are polynomials in t of degree <= 2; any of
-    them, the top and bottom ones included, may vanish."""
-    return SForm(degree, [laurent(draw(_T_POLY)) for _ in range(degree + 1)])
+def _t_forms(draw, degree: int, coeffs=_T_POLY) -> SForm:
+    """A form whose coefficients are drawn from coeffs, by default polynomials
+    in t of degree <= 2; any of them, the top and bottom ones included, may
+    vanish."""
+    return SForm(degree, [laurent(draw(coeffs)) for _ in range(degree + 1)])
 
 
 @st.composite
 def _minimality_pairs(draw) -> FamilyPair:
     """(P^a h8, P^b h12) with (a, b) = (4, 6), a near miss (4, 5) or (3, 6),
-    or a random pair; either form may be replaced by 0. P is s, a general
-    linear or quadratic form with t-coefficients, or the factor at s =
-    infinity: the pair built with P = s and then inverted."""
+    g12 alone repeating P (0, 2) or (0, 3), or a random pair; either form may
+    be replaced by 0. P is s, a general linear or quadratic form with
+    t-coefficients, or the factor at s = infinity: the pair built with P = s
+    and then inverted. When g12 alone repeats P, P's t-exponents run from
+    -12 to 12, so the repeated factor spreads over wide u-arrays."""
     kind = draw(st.sampled_from(("s", "infinity", "linear", "quadratic")))
+    a, b = draw(st.sampled_from(((4, 6), (4, 5), (3, 6), (0, 2), (0, 3), (0, 0))))
     if kind in ("s", "infinity"):
         p = SForm.monomial(1, 1)
     else:
-        p = draw(_t_forms(1 if kind == "linear" else 2))
+        coeffs = _T_LAURENT if (a, b) in ((0, 2), (0, 3)) else _T_POLY
+        p = draw(_t_forms(1 if kind == "linear" else 2, coeffs))
         assume(p)
-    a, b = draw(st.sampled_from(((4, 6), (4, 5), (3, 6), (0, 0))))
     g8 = p**a * draw(_t_forms(8 - a * p.degree))
     g12 = p**b * draw(_t_forms(12 - b * p.degree))
     zero = draw(st.sampled_from((None, None, "g8", "g12")))
