@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import CuspKind, EndSurface, StableType, cuspidal_kind, end_surface_data, stable_type
+from .classify import CuspKind, EndSurface, StableType, end_surface_data, stable_type
 from .density import (
     DensityFunction,
     cut_positions,
@@ -106,7 +106,9 @@ def analyze(f: FamilyPair) -> AnalysisReport:
     delta = g.discriminant24()
     if not delta:
         quartic = extract_cusp_quartic(g)
-        kind = cuspidal_kind(quartic)
+        # density_cuspidal takes only root valuations (f0, f0, -finf, -finf) with
+        # f0, finf > 0; G has valuation 0, so its limit c*s^2 has degree 2 < 4
+        kind = CuspKind.CUSPIDAL_TO_MAXIMAL
         fn = density_cuspidal(quartic)
         polygons["delta"] = None
     else:

@@ -27,11 +27,10 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   at these sizes that saves a few per cent over the schoolbook product,
   while skipping the zeros saves more than half;
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
-* gcds come from a primitive pseudo-remainder sequence in both variables
-  (Brown, "On Euclid's algorithm and the computation of polynomial greatest
-  common divisors", JACM 18, 1971): taking the content out after every
-  pseudo-remainder keeps every intermediate small, where Euclid over the
-  fraction field explodes;
+* every gcd, the contents in Z[u] included, comes from one subresultant
+  sequence (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971): each
+  pseudo-remainder is divided exactly by a factor it is known to carry, so
+  intermediates stay small without a content taken along the way;
 * a modular screen proves a whole set coprime, the common case, without
   running the sequence at all.
 """
@@ -110,42 +109,6 @@ def sscale(c: int, p: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _zprim(p: list[int]) -> list[int]:
-    """p without its integer content (p itself when that is 1)."""
-    c = content([p])
-    return p if c < 2 else [x // c for x in p]
-
-
-def _ziprem(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder: scale by b's leading coefficient per step."""
-    a = list(a)
-    lb = b[-1]
-    while len(a) >= len(b):
-        la = a[-1]
-        shift = len(a) - len(b)
-        a = [c * lb for c in a]
-        for i, cb in enumerate(b):
-            a[shift + i] -= la * cb
-        snorm(a)
-    return a
-
-
-def _zugcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[u] (positive leading coefficient), primitive PRS."""
-    a = _zprim(list(a))
-    b = _zprim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            a = [1]
-            break
-        a, b = b, _zprim(_ziprem(a, b))
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
 def uspread(c: list[int], j: int, k: int) -> list[int]:
     """u^j * c(u^k), k >= 1."""
     out = [0] * (j + (len(c) - 1) * k + 1) if c else []
@@ -180,18 +143,22 @@ def sderiv(p: list[list[int]]) -> list[list[int]]:
 
 
 def _spp_z(p: list[list[int]]) -> list[list[int]]:
-    """Primitive part over Z[u] in the s-variable: strip the common divisor of
-    all coefficient polynomials (their gcd in Z[u], integer content included)."""
+    """Primitive part over Z[u] in the s-variable: p over the gcd in Z[u] of
+    its coefficient arrays, a fold of `_sres` over them, each read as one-entry
+    rows without its integer content; the fold's own integer content goes
+    after every step, or its factors compound."""
     if not snorm(p):
         return p
-    cont: list[int] = []
-    for c in p:
-        if c:
-            cont = _zugcd(cont, c)
-        if cont == [1]:
+    cont = None
+    for c in filter(None, p):
+        c = reduce([[x] if x else [] for x in c], 0, 0, content([c]))
+        cont = c if cont is None else _sres(*sorted((cont, c), key=len, reverse=True))
+        cont = reduce(cont, 0, 0, content(cont))
+        if len(cont) == 1:
             break
     if len(cont) > 1:
-        p = [_zdiv_exact(c, cont) if c else [] for c in p]
+        w = [row[0] if row else 0 for row in cont]
+        p = [_zdiv_exact(c, w) if c else [] for c in p]
     return reduce(p, 0, 0, content(p))
 
 
@@ -283,7 +250,7 @@ def sdiv_exact(a: list[list[int]], b: list[list[int]]) -> tuple[list, int, int] 
         return None
     lbj = spow([b[-1]], j)[0]
     z = first(lbj)
-    w = _zprim(lbj[z:])
+    (w,) = reduce([lbj], z, 0, content([lbj]))
     parts = [_zdiv_exact(c, w) if c else [] for c in q]
     return None if None in parts else (parts, z, lbj[-1] // w[-1])
 
@@ -331,18 +298,37 @@ def _provably_coprime(polys: list[list[list[int]]]) -> bool:
     return False
 
 
+def _sres(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The last nonzero entry of the subresultant sequence of a and b in
+    Z[u][s], len(a) >= len(b) > 0: an associate of their gcd over Q(u), or
+    [[1]] when that is constant in s; each remainder is divided by g * h^d."""
+    g = h = [1]
+    while len(b) > 1:
+        d, lb = len(a) - len(b), b[-1]
+        _, r, j = spdivmod(a, b)
+        if not r:
+            return b
+        # spdivmod stops early when several rows cancel: lb^(d + 1 - j) * r
+        # is the standard pseudo-remainder
+        r = smul(spow([lb], d + 1 - j), r)
+        (c,) = smul([g], spow([h], d))
+        a, b, g = b, [_zdiv_exact(x, c) if x else [] for x in r], lb
+        if d:
+            h = _zdiv_exact(spow([g], d)[0], spow([h], d - 1)[0])
+    return [[1]]
+
+
 def sgcd(*polys: list[list[int]]) -> list[list[int]]:
     """gcd over Q(u) of s-polynomials in Z[u][s], primitive with its first
     entry positive: [] if all are zero, [[1]] if coprime or one is constant
-    in s. Past the screen a primitive PRS folds them in order to a constant."""
+    in s. Past the screen `_sres` folds them in order to a constant, each
+    step's result made primitive by the same sequence run on its contents."""
     polys = [p for p in polys if p]
     if any(len(p) == 1 for p in polys) or len(polys) > 1 and _provably_coprime(polys):
         return [[1]]
     g = _spp_z(list(polys[0])) if polys else []
     for b in polys[1:]:
-        b = _spp_z(list(b))
-        while b:
-            g, b = b, _spp_z(spdivmod(g, b)[1])
+        g = _spp_z(_sres(*sorted((g, b), key=len, reverse=True)))
         if len(g) == 1:
             break
     return g if not g or lead(g) > 0 else sscale(-1, g)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import count_calls
 from k3seg import lattices
-from k3seg.classify import CuspKind, cusp_type
+from k3seg.classify import CuspKind, cusp_type, cuspidal_kind
 from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
 from k3seg.oracle import oracle_compare
@@ -135,18 +135,19 @@ def chart_reports(named):
     ]
     families += [h for f in named.values() for h in (f, f.inverted())]
     reports = []
-    calls = count_calls(lambda: reports.extend(map(analyze, families)), cusp_type)
+    calls = count_calls(lambda: reports.extend(map(analyze, families)), cusp_type, cuspidal_kind)
     return [(f.normalized(), rep) for f, rep in zip(families, reports)], calls
 
 
 def test_a_reported_cusp_is_the_classified_one(chart_reports):
     pairs, calls = chart_reports
-    assert calls == {"cusp_type": 0}
-    noncuspidal = [(g, rep) for g, rep in pairs if g.discriminant24()]
-    # only d_constant and its inversion take the cusp-quartic route
-    assert len(noncuspidal) == len(pairs) - 2 == 408
-    for g, rep in noncuspidal:
-        assert rep.cusp is cusp_type(g) is CuspKind.MAXIMAL
+    assert calls == {"cusp_type": 0, "cuspidal_kind": 0}
+    kinds = [CuspKind.MAXIMAL if g.discriminant24() else CuspKind.CUSPIDAL_TO_MAXIMAL for g, _ in pairs]
+    # only d_constant and its inversion take the cusp-quartic route, where
+    # analyze reads the kind off the route and cusp_type classifies G's limit
+    assert kinds.count(CuspKind.MAXIMAL) == len(pairs) - 2 == 408
+    for (g, rep), kind in zip(pairs, kinds):
+        assert rep.cusp is cusp_type(g) is kind
 
 
 def test_to_dict_eliminates_one_component_at_a_time(chart_reports, monkeypatch):
