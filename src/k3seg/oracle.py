@@ -6,23 +6,29 @@ numerically, their moduli are turned into empirical cut positions on the
 to shrink as t decreases.
 
 The discriminant's coefficients at the smallest samples spread over t^-12 and
-more, far beyond a double. mpmath evaluates them at 60 digits (203 bits) and
-places the starting points; the root refinement itself runs on built-in
-integers. Each complex value is a Gaussian-integer mantissa with one binary
-exponent, a triple (re, im, exp) for (re + i im) * 2^exp whose larger part is
-cut to _WORK_BITS = 232 bits, and Horner's rule runs on fixed-point integers
-in w = z / 2^k, |w| near 1, with _GUARD_BITS = 64 bits below the largest term.
-The iteration, its order and its stop rule |p(z)| <= 1e-12 * sum |c_k| |z|^k
-are those of the same refinement on mpmath complex numbers, whose roots it
-matches to about 1e-50, so every reported position and deviation is unchanged.
-The roots go back out as mpmath complex numbers.
+more, far beyond a double. mpmath evaluates them at 60 digits (203 bits),
+places the starting points and takes the roots' logarithms; the root
+refinement and the reconstruction error run on built-in integers. Each
+complex value is a Gaussian-integer mantissa with one binary exponent, a
+triple (re, im, exp) for (re + i im) * 2^exp whose larger part is cut to
+_WORK_BITS = 232 bits, and Horner's rule runs on fixed-point integers in
+w = z / 2^k, |w| near 1, with _GUARD_BITS = 64 bits below the largest term.
+That alignment depends only on the polynomial and k, so one refinement makes
+it once per exponent. The iteration, its order and its stop rule
+|p(z)| <= 1e-12 * sum |c_k| |z|^k are those of the same refinement on mpmath
+complex numbers, whose roots it matches to about 1e-50, so every reported
+position and deviation is the same. Most stop tests fail, and a float upper
+bound on the right-hand side, with margins far above its rounding, settles
+those for certain; only the others take the exact integer sum (see _horner).
+The roots go back out as mpmath complex numbers, and prod(s - root) is
+compared with the coefficients on their triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import hypot, isqrt, ldexp
 
 from mpmath import mp
 
@@ -35,6 +41,10 @@ _DPS = 60
 _RESIDUAL_TARGET = 1e-12
 _MAX_ITERATIONS = 500
 _TOLERANCE = 0.2
+# the stop test |p| <= target * bound, squared, in integers, and the
+# target^2 of its float bound raised past its rounding (see _horner)
+_TARGET_NUM2, _TARGET_DEN2 = (x * x for x in _RESIDUAL_TARGET.as_integer_ratio())
+_FAIL_SQUARE = _RESIDUAL_TARGET * _RESIDUAL_TARGET * (1 + 1e-7)
 # mantissa bits of the root refinement (mpmath carries 203 at 60 digits),
 # and the extra fixed-point bits its sums keep below their largest term
 _WORK_BITS = 232
@@ -161,41 +171,79 @@ def _div(a, b):
     return _norm((qr >> -shift) // nrm, (qi >> -shift) // nrm, ae - be - shift)
 
 
-def _horner(poly, z):
-    """p(z) and p'(z) as triples, and sum_k |c_k| |z|^k as an integer in the
-    units of p(z); poly is (mantissas, their absolute values, exponents,
-    heights) of the ascending coefficients, heights the pairs
-    (k, exponent + bit length) of the nonzero ones.
-
-    Horner's rule runs in w = z / 2^scale, |w| near 1, on fixed-point
-    integers in units of 2^unit: coefficient k becomes c_k 2^(scale k), and
-    the largest of them has _WORK_BITS + _GUARD_BITS bits.
-    """
-    mants, abs_mants, exps, heights = poly
-    zr, zi, ze = z
-    W = _WORK_BITS
-    scale = ze + W
-    unit = max(h + scale * k for k, h in heights) - W - _GUARD_BITS
+def _align(mants, exps, scale):
+    """Horner's fixed-point data for the exponent scale: the unit, and the
+    coefficients c_k 2^(scale k) and their absolute values in units of 2^unit,
+    the latter also as floats, all three from the top degree down. The largest
+    coefficient gets _WORK_BITS + _GUARD_BITS bits; the absolute values are
+    cut from |c_k|, not taken of the cut c_k."""
+    unit = max(e + m.bit_length() + scale * k for k, (m, e) in enumerate(zip(mants, exps)) if m)
+    unit -= _WORK_BITS + _GUARD_BITS
     terms = []
     abs_terms = []
-    for k, (m, a, e) in enumerate(zip(mants, abs_mants, exps)):
+    for k, (m, e) in enumerate(zip(mants, exps)):
         s = e + scale * k - unit
         if s >= 0:
             terms.append(m << s)
-            abs_terms.append(a << s)
+            abs_terms.append(abs(m) << s)
         else:
             terms.append(m >> -s)
-            abs_terms.append(a >> -s)
-    n = len(terms) - 1
-    pr, pi, dr, di = terms[n], 0, 0, 0
-    for c in reversed(terms[:n]):
+            abs_terms.append(abs(m) >> -s)
+    terms.reverse()
+    abs_terms.reverse()
+    return unit, terms, abs_terms, [float(a) for a in abs_terms]
+
+
+def _horner(poly, z):
+    """p(z) and p'(z) as triples, and whether z passes the stop test
+    |p(z)| <= 1e-12 * sum_k |c_k| |z|^k; poly is (mantissas, exponents,
+    aligned) of the ascending coefficients, aligned a dict that _find_roots
+    starts empty for each polynomial.
+
+    Horner's rule runs in w = z / 2^scale, |w| near 1, on fixed-point
+    integers in units of 2^unit: coefficient k becomes c_k 2^(scale k), and
+    the largest of them has _WORK_BITS + _GUARD_BITS bits. That alignment
+    depends only on the polynomial and scale = exp + _WORK_BITS, so aligned
+    keeps it per scale: the roots revisit few exponents.
+
+    The exact test is den^2 |p|^2 <= num^2 bound^2, num / den the target
+    _RESIDUAL_TARGET and bound the floored Horner sum of the aligned
+    a_k = |c_k| 2^(scale k) at r / 2^W, r = isqrt(re^2 + im^2) <= |z|'s
+    mantissa. The floors only lower it, so bound <= sum_k a_k rho^k for any
+    rho >= |w|. Most tests fail, and a float bound settles those without the
+    second integer Horner loop: rho is |w| from hypot, an ulp or two off,
+    raised by 1e-12; U = sum_k a_k rho^k by float Horner on non-negative
+    terms, under 1e-14 off over 25 steps, raised by 1e-9; |p|^2 in floats,
+    a few ulps off, lowered by 1e-9; and target^2, rounded twice, raised by
+    1e-7 (_FAIL_SQUARE). If the lowered |p|^2 still exceeds the raised
+    target^2 U^2, the exact test fails for certain; otherwise it runs. No
+    float overflows: |w| <= sqrt(2) and each a_k has at most
+    _WORK_BITS + _GUARD_BITS bits, so every value stays below 2^700.
+    """
+    mants, exps, aligned = poly
+    zr, zi, ze = z
+    W = _WORK_BITS
+    scale = ze + W
+    entry = aligned.get(scale)
+    if entry is None:
+        entry = aligned[scale] = _align(mants, exps, scale)
+    unit, terms, abs_terms, float_terms = entry
+    pr, pi, dr, di = terms[0], 0, 0, 0
+    for c in terms[1:]:
         dr, di = ((dr * zr - di * zi) >> W) + pr, ((dr * zi + di * zr) >> W) + pi
         pr, pi = ((pr * zr - pi * zi) >> W) + c, (pr * zi + pi * zr) >> W
+    p, dp = (pr, pi, unit), (dr, di, unit - scale)
+    rho = ldexp(hypot(zr, zi), -W) * (1 + 1e-12)
+    upper = float_terms[0]
+    for a in float_terms[1:]:
+        upper = upper * rho + a
+    if (float(pr) ** 2 + float(pi) ** 2) * (1 - 1e-9) > _FAIL_SQUARE * (upper * (1 + 1e-9)) ** 2:
+        return p, dp, False
     r = isqrt(zr * zr + zi * zi)
-    bound = abs_terms[n]
-    for c in reversed(abs_terms[:n]):
+    bound = abs_terms[0]
+    for c in abs_terms[1:]:
         bound = ((bound * r) >> W) + c
-    return (pr, pi, unit), (dr, di, unit - scale), bound
+    return p, dp, _TARGET_DEN2 * (pr * pr + pi * pi) <= _TARGET_NUM2 * bound * bound
 
 
 def _repel(z, roots):
@@ -242,6 +290,8 @@ def _find_roots(coeffs):
     passes |p(z)| <= 1e-12 * sum_k |c_k| |z|^k. It runs on integer triples
     (re, im, exp) for (re + i im) * 2^exp; see the module docstring.
     A root that passed the test keeps its value, so it is not evaluated again.
+    The coefficients' fixed-point alignment, one per exponent the roots
+    visit, lives in a dict made for this call (see _horner).
     """
     n = len(coeffs) - 1
     if n == 0:
@@ -249,10 +299,7 @@ def _find_roots(coeffs):
     roots = [_to_triple(z) for z in _initial_points(coeffs)]
     assert len(roots) == n
     mants, exps = zip(*(_mantissa(c) for c in coeffs))
-    heights = [(k, e + m.bit_length()) for k, (m, e) in enumerate(zip(mants, exps)) if m]
-    poly = (mants, [abs(m) for m in mants], exps, heights)
-    num, den = _RESIDUAL_TARGET.as_integer_ratio()
-    num2, den2 = num * num, den * den
+    poly = (mants, exps, {})
     settled = [False] * n
     for _ in range(_MAX_ITERATIONS):
         moved = False
@@ -260,8 +307,8 @@ def _find_roots(coeffs):
             if settled[i]:
                 continue
             z = roots[i]
-            p, dp, bound = _horner(poly, z)
-            if den2 * (p[0] * p[0] + p[1] * p[1]) <= num2 * bound * bound:
+            p, dp, small = _horner(poly, z)
+            if small:
                 settled[i] = True
                 continue
             moved = True
@@ -280,17 +327,41 @@ def _find_roots(coeffs):
     )
 
 
+def _largest_square(triples):
+    """max |x|^2 over the triples x, as (n, e) for n * 2^e; n = 0 if all
+    are zero."""
+    squares = [(re * re + im * im, 2 * exp) for re, im, exp in triples if re or im]
+    if not squares:
+        return 0, 0
+    low = min(e for _, e in squares)
+    return max(n << (e - low) for n, e in squares), low
+
+
 def _reconstruction_error(coeffs, roots):
     """Max coefficient error of prod(s - root) against coeffs made monic,
-    relative to the largest monic coefficient."""
-    monic = [c / coeffs[-1] for c in coeffs]
-    recon = [mp.mpc(1)]
-    for r in roots:
-        recon = [mp.mpc(0)] + recon
+    relative to the largest monic coefficient, as a float.
+
+    The roots and coefficients convert to triples exactly, and the product
+    and the differences run on them; the ratio of the two maxima is the
+    isqrt of the ratio of their squares, taken to 64 bits beyond a double's
+    53, so the float is rounded once from it.
+    """
+    lead = _to_triple(coeffs[-1])
+    monic = [_div(_to_triple(c), lead) for c in coeffs]
+    recon = [_ONE]
+    for root in roots:
+        r = _to_triple(root)
+        recon = [_ZERO] + recon
         for k in range(len(recon) - 1):
-            recon[k] -= r * recon[k + 1]
-    scale = max(abs(c) for c in monic)
-    return max(abs(a - b) for a, b in zip(recon, monic)) / scale
+            recon[k] = _sub(recon[k], _mul(r, recon[k + 1]))
+    num, num_exp = _largest_square(_sub(a, b) for a, b in zip(recon, monic))
+    if not num:
+        return 0.0
+    den, den_exp = _largest_square(monic)
+    # an even shift, so the square root keeps a whole exponent
+    shift = max(0, 2 * (53 + 64) + den.bit_length() - num.bit_length())
+    shift += shift & 1
+    return ldexp(isqrt((num << shift) // den), (num_exp - den_exp - shift) // 2)
 
 
 def _evaluated_discriminant(f: FamilyPair, t0):
@@ -318,7 +389,7 @@ def _root_data(f: FamilyPair, t0):
     lo, hi = support[0], support[-1]
     inner = coeffs[lo : hi + 1]
     finite = _find_roots(inner)
-    recon = _reconstruction_error(inner, finite) if finite else mp.mpf(0)
+    recon = _reconstruction_error(inner, finite) if finite else 0.0
     return [mp.mpc(0)] * lo + finite + [mp.inf] * (24 - hi), recon
 
 
@@ -405,7 +476,7 @@ def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
             dev = max(abs(a - b) for a, b in zip(emp, exact_mp))
             per_sample.append(tuple(float(x) for x in emp))
             deviations.append(float(dev))
-            recon_errors.append(float(recon))
+            recon_errors.append(recon)
 
         for a, b in zip(deviations, deviations[1:]):
             if b > a + 1e-12:

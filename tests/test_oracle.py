@@ -4,7 +4,9 @@ These tests keep the sample lists short; the expensive three-sample runs
 live in the acceptance suite.
 """
 
+import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -293,3 +295,157 @@ def test_mantissas_are_built_in_ints():
         triple = oracle._to_triple(z)
         assert all(type(x) is int for x in triple)
         assert oracle._to_mpc(triple) == z
+
+
+def _reference_horner(mants, exps, z):
+    """Horner's rule as oracle._horner runs it, but aligning the coefficients
+    on every call and always taking the exact bound: p(z), p'(z) and the
+    integer bound sum_k |c_k| |z|^k in the units of p(z)."""
+    W = oracle._WORK_BITS
+    zr, zi, ze = z
+    scale = ze + W
+    heights = [e + m.bit_length() + scale * k for k, (m, e) in enumerate(zip(mants, exps)) if m]
+    unit = max(heights) - W - oracle._GUARD_BITS
+    terms = []
+    abs_terms = []
+    for k, (m, e) in enumerate(zip(mants, exps)):
+        s = e + scale * k - unit
+        terms.append(m << s if s >= 0 else m >> -s)
+        abs_terms.append(abs(m) << s if s >= 0 else abs(m) >> -s)
+    pr, pi, dr, di = terms[-1], 0, 0, 0
+    for c in reversed(terms[:-1]):
+        dr, di = ((dr * zr - di * zi) >> W) + pr, ((dr * zi + di * zr) >> W) + pi
+        pr, pi = ((pr * zr - pi * zi) >> W) + c, (pr * zi + pi * zr) >> W
+    r = math.isqrt(zr * zr + zi * zi)
+    bound = abs_terms[-1]
+    for c in reversed(abs_terms[:-1]):
+        bound = ((bound * r) >> W) + c
+    return (pr, pi, unit), (dr, di, unit - scale), bound
+
+
+def _residual_ratio(p, bound):
+    """(|p| / (1e-12 bound))^2 exactly; the stop test passes at 1 or below."""
+    num, den = oracle._RESIDUAL_TARGET.as_integer_ratio()
+    return Fraction(den * den * (p[0] ** 2 + p[1] ** 2), num * num * bound * bound)
+
+
+def _reference_reconstruction_error(coeffs, roots):
+    """Max coefficient error of prod(s - root) against coeffs made monic,
+    relative to the largest monic coefficient, on mpmath complex numbers."""
+    monic = [c / coeffs[-1] for c in coeffs]
+    recon = _from_roots(roots)
+    scale = max(abs(c) for c in monic)
+    return float(max(abs(a - b) for a, b in zip(recon, monic)) / scale)
+
+
+@pytest.fixture(scope="module")
+def recorded(named):
+    """Every _horner and _reconstruction_error call with its result, made
+    while oracle_compare runs on four named families and _find_roots on
+    seeded integer polynomials and on the 1e84 spread polynomial."""
+    horner_calls = []
+    recon_calls = []
+    horner, reconstruction_error = oracle._horner, oracle._reconstruction_error
+
+    def recording_horner(poly, z):
+        out = horner(poly, z)
+        horner_calls.append((poly[0], poly[1], z, out))
+        return out
+
+    def recording_reconstruction_error(coeffs, roots):
+        out = reconstruction_error(coeffs, roots)
+        recon_calls.append((coeffs, roots, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_horner", recording_horner)
+        patch.setattr(oracle, "_reconstruction_error", recording_reconstruction_error)
+        for name in ("d_mixed", "ds_circle", "ds_split", "tent"):
+            oracle_compare(named[name])
+        rng = random.Random(1729)
+        with mp.workdps(oracle._DPS):
+            cases = [_integer_polynomial(rng, d) for d in (1, 2, 3, 5, 8, 13)]
+            cases.append(_spread_polynomial(rng)[1])
+            for coeffs in cases:
+                recording_reconstruction_error(coeffs, oracle._find_roots(coeffs))
+    return horner_calls, recon_calls
+
+
+def test_horner_matches_its_reference_on_every_call(recorded):
+    calls = recorded[0]
+    verdicts = []
+    for mants, exps, z, (p, dp, small) in calls:
+        ref_p, ref_dp, bound = _reference_horner(mants, exps, z)
+        assert (p, dp) == (ref_p, ref_dp)
+        assert small == (_residual_ratio(ref_p, bound) <= 1)
+        verdicts.append(small)
+    # most tests fail, and the float bound settles them
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
+def test_horner_keeps_the_stop_verdict_at_the_threshold(recorded):
+    # every found root, moved along its Newton direction (p grows in its own
+    # phase there) by s * 1e-12 * bound / |p'|: the residual ratio grows
+    # about like |p(z)| / (1e-12 bound) + s. Bisection on s = k / 2^60 finds
+    # two points a step of 2^-60 apart on either side of the threshold, closer
+    # to it than a double resolves, and two more 1e-4 beyond them
+    one = 1 << 60
+    target = mp.mpf(oracle._RESIDUAL_TARGET)
+    polys = {}
+    for mants, exps, z, (_, _, small) in recorded[0]:
+        if small:
+            polys.setdefault((mants, exps), []).append(z)
+    checked = 0
+    with mp.workdps(oracle._DPS):
+        for (mants, exps), roots in polys.items():
+            poly = (mants, exps, {})
+            for z in roots:
+                p, dp, bound = _reference_horner(mants, exps, z)
+                if not (p[0] or p[1]):
+                    continue
+                size = target * mp.ldexp(bound, p[2]) / abs(oracle._to_mpc(p))
+                step = oracle._mul(oracle._div(p, dp), oracle._to_triple(mp.mpc(size)))
+
+                def ratio(k):
+                    moved = oracle._add(z, oracle._mul((k, 0, -60), step))
+                    moved_p, _, moved_bound = _reference_horner(mants, exps, moved)
+                    return moved, _residual_ratio(moved_p, moved_bound)
+
+                lo, hi = 0, 2 * one
+                if ratio(hi)[1] <= 1:
+                    continue
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if ratio(mid)[1] <= 1 else (lo, mid)
+                points = [ratio(k) for k in (lo - one // 10**4, lo, hi, hi + one // 10**4)]
+                below, last_in, first_out, above = (r for _, r in points)
+                window = Fraction(1001, 1000) ** 2
+                assert 1 / window < below <= last_in <= 1 < first_out <= above < window
+                verdicts = [oracle._horner(poly, moved)[2] for moved, _ in points]
+                assert verdicts == [True, True, False, False]
+                checked += 1
+    assert checked > 100
+
+
+def test_reconstruction_error_matches_its_reference(recorded):
+    # where the product meets the coefficients to below the working precision
+    # (the degree-1 case: one Newton step lands on the root), each side reads
+    # only its own rounding, 203-bit against 232-bit
+    calls = recorded[1]
+    assert len(calls) == 4 * 3 + 7
+    with mp.workdps(oracle._DPS):
+        for coeffs, roots, err in calls:
+            ref = _reference_reconstruction_error(coeffs, roots)
+            if ref > 1e-50:
+                assert err == ref
+            else:
+                assert err < 1e-50
+
+
+def test_reconstruction_error_is_unchanged_on_d_mixed(named):
+    report = oracle_compare(named["d_mixed"])
+    assert report.reconstruction_errors == (
+        0.0002638418749513407,
+        0.0002638433109501437,
+        0.00026384331109374364,
+    )
