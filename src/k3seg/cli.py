@@ -15,7 +15,7 @@ import sys
 
 from .classify import CuspKind, cusp_type
 from .density import emit_csv, emit_svg
-from .errors import K3SegError, ParseError
+from .errors import K3SegError, ParseError, UnrecognizedCuspError
 from .lattices import count_norm_vectors, gm_weights, root_lattice, wps_weights
 from .moduli import (
     chamber_count,
@@ -25,7 +25,7 @@ from .moduli import (
 )
 from .oracle import check_t_samples, oracle_compare
 from .report import analyze
-from .symalg import minimality_check, parse_family
+from .symalg import parse_family
 
 
 def _load(path: str):
@@ -148,12 +148,19 @@ def cmd_oracle(args) -> int:
     except ValueError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
-    pair = _load(args.file).normalized()
-    minimality_check(pair)
-    if cusp_type(pair) is CuspKind.NO_DEGENERATION:
-        print("family has no degeneration at t = 0; nothing to track")
-        return 0
-    rep = oracle_compare(pair, t_list)
+    pair = _load(args.file)
+    try:
+        rep = oracle_compare(pair, t_list)
+    except UnrecognizedCuspError:
+        # oracle_compare raises this only at the end exponents, after its
+        # minimality and zero-discriminant checks. Were both exponents positive
+        # and finite, the t = 0 limits would be c1*s^4 and c2*s^6 (see analyze),
+        # not a minimal pair, so not NO_DEGENERATION: every family without
+        # degeneration ends here
+        if cusp_type(pair.normalized()) is CuspKind.NO_DEGENERATION:
+            print("family has no degeneration at t = 0; nothing to track")
+            return 0
+        raise
     for t, dev, rec in zip(rep.t_samples, rep.deviations, rep.reconstruction_errors):
         print(
             "t = %-10g max deviation %.6f   reconstruction error %.3g" % (t, dev, rec)

@@ -29,19 +29,12 @@ def _sparse_form(rng: random.Random, degree: int, terms: int, tmin: int, tmax: i
     return out
 
 
-def random_maximal_perturbation(rng: random.Random) -> FamilyPair:
-    """3s^4 + (t-small), s^6 + (t-small): drifts into the most degenerate cusp."""
-    g8 = _sparse_form(rng, 8, rng.randint(1, 3), 1, 4) + SForm.monomial(8, 4, 3)
-    g12 = _sparse_form(rng, 12, rng.randint(1, 3), 1, 4) + SForm.monomial(12, 6)
-    return FamilyPair(g8, g12)
-
-
-def random_wide_perturbation(rng: random.Random) -> FamilyPair:
-    """Same anchor as random_maximal_perturbation, but with denser and deeper
-    t-tails: more terms and a larger exponent spread move the discriminant
-    root valuations around and with them the interior breakpoints."""
-    g8 = _sparse_form(rng, 8, rng.randint(2, 5), 1, 8) + SForm.monomial(8, 4, 3)
-    g12 = _sparse_form(rng, 12, rng.randint(2, 5), 1, 8) + SForm.monomial(12, 6)
+def random_perturbation(rng: random.Random, fewest: int, most: int, tmax: int) -> FamilyPair:
+    """3s^4 + (t-small), s^6 + (t-small), fewest..most terms of t-exponent
+    1..tmax in each: drifts into the most degenerate cusp. More and deeper
+    terms move the discriminant root valuations, hence the breakpoints."""
+    g8 = _sparse_form(rng, 8, rng.randint(fewest, most), 1, tmax) + SForm.monomial(8, 4, 3)
+    g12 = _sparse_form(rng, 12, rng.randint(fewest, most), 1, tmax) + SForm.monomial(12, 6)
     return FamilyPair(g8, g12)
 
 
@@ -85,8 +78,8 @@ def generate_corpus(count: int = 100, seed: int = 1729) -> list[FamilyPair]:
     """Deterministic list of families that all complete the exact pipeline."""
     rng = random.Random(seed)
     makers = (
-        random_maximal_perturbation,
-        random_wide_perturbation,
+        lambda r: random_perturbation(r, 1, 3, 4),
+        lambda r: random_perturbation(r, 2, 5, 8),
         random_nodal_end,
     )
     out: list[FamilyPair] = []

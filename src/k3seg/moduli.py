@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Component, StableType
+from .classify import Component, StableType, component
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class Stratum:
 
 
 def _stratum(kinds: str, indices: tuple[int, ...], codim: int, nonnormal: bool = False) -> Stratum:
-    label = " ".join("%s%d" % (k, i) for k, i in zip(kinds, indices))
+    label = StableType(tuple(map(component, kinds, indices))).label()
     return Stratum(label, codim, nonnormal, indices)
 
 

@@ -129,13 +129,12 @@ def analyze(f: FamilyPair) -> AnalysisReport:
 
     st = stable_type(fn)
     lat = stable_type_lattice(st)
-    left = end_surface_data(g, "left", ends_exp, (trop8, trop12))
-    right = end_surface_data(g, "right", ends_exp, (trop8, trop12))
-
-    if (fn.breakpoints[0][1] == 0) == left.is_nodal:
-        raise InternalError("left end: density endpoint disagrees with the nodal test")
-    if (fn.breakpoints[-1][1] == 0) == right.is_nodal:
-        raise InternalError("right end: density endpoint disagrees with the nodal test")
+    left, right = end_surface_data(g, ends_exp, (trop8, trop12))
+    for side, end, (_, value) in (
+        ("left", left, fn.breakpoints[0]), ("right", right, fn.breakpoints[-1])
+    ):
+        if (value == 0) == end.is_nodal:
+            raise InternalError("%s end: density endpoint disagrees with the nodal test" % side)
 
     source = f.source_text
     if not source:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3seg.classify import (
     CuspKind,
@@ -157,7 +159,7 @@ def test_segment_family_is_refused_whole():
 def test_tent_end_surfaces(named):
     tent = named["tent"]
     polygons = pair_polygons(tent)
-    left = end_surface_data(tent, "left", end_exponents(*polygons), polygons)
+    left, right = end_surface_data(tent, end_exponents(*polygons), polygons)
     assert left.g4 == SForm(4, [0, 0, 0, 0, 3])
     assert left.g6 == SForm(6, [1, 0, 0, 0, 0, 0, 1])
     assert not left.is_nodal
@@ -165,14 +167,13 @@ def test_tent_end_surfaces(named):
     delta = left.g4**3 - (left.g6 * left.g6).scale(27)
     assert delta == SForm(12, [-27, 0, 0, 0, 0, 0, -54])
     # the family is chart-symmetric, so the right end matches
-    right = end_surface_data(tent, "right", end_exponents(*polygons), polygons)
     assert (right.g4, right.g6) == (left.g4, left.g6)
 
 
 def test_d_mixed_left_end_is_a_square_cube_pair(named):
     g = named["d_mixed"].normalized()
     polygons = pair_polygons(g)
-    left = end_surface_data(g, "left", end_exponents(*polygons), polygons)
+    left, _ = end_surface_data(g, end_exponents(*polygons), polygons)
     p2 = SForm(2, [6, -9, 3])  # 3*(sigma - 1)*(sigma - 2)
     assert left.g4 == (p2 * p2).scale(3)
     assert left.g6 == p2**3
@@ -186,18 +187,11 @@ def test_right_end_is_the_left_end_of_the_inverted_family(named):
         g = f.normalized()
         polygons = pair_polygons(g)
         ends = end_exponents(*polygons)
-        right = end_surface_data(g, "right", ends, polygons)
+        _, right = end_surface_data(g, ends, polygons)
         inv = g.inverted()
         swapped = EndExponents(ends.at_infinity, ends.at_zero)
-        left = end_surface_data(inv, "left", swapped, pair_polygons(inv))
+        left, _ = end_surface_data(inv, swapped, pair_polygons(inv))
         assert right == left
-
-
-def test_end_surface_side_validation(named):
-    with pytest.raises(ValueError):
-        tent = named["tent"]
-        polygons = pair_polygons(tent)
-        end_surface_data(tent, "top", end_exponents(*polygons), polygons)
 
 
 def test_end_surface_nodal_matches_density_endpoint(named_reports):
@@ -216,8 +210,7 @@ def test_integer_nodal_test_matches_the_limit_discriminant(named):
         g = f.normalized()
         polygons = pair_polygons(g)
         ends = end_exponents(*polygons)
-        for side in ("left", "right"):
-            surface = end_surface_data(g, side, ends, polygons)
+        for surface in end_surface_data(g, ends, polygons):
             assert surface.is_nodal == _nodal_by_forms(surface.g4, surface.g6)
     rng = random.Random(41)
 
@@ -276,6 +269,35 @@ def test_stable_type_reversal():
     mixed = stable_type(DensityFunction([(-1, 14), (1, 26)]))
     assert mixed.reversed().label() == "D14 D2"
     assert mixed.reversed().reversed() == mixed
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(-14, 14), min_size=1, max_size=6, unique=True),
+    st.lists(st.fractions(Fraction(1, 6), 2, max_denominator=6), min_size=6, max_size=6),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_stable_type_charges_total_24(slopes, widths, anchor, anchor_right):
+    # any strictly decreasing integer slopes; the value `anchor` (often 0,
+    # an E end) sits at the left or the right end
+    slopes.sort(reverse=True)
+    points = [(Fraction(-1), Fraction(0))]
+    for slope, width in zip(slopes, widths):
+        w, v = points[-1]
+        points.append((w + width, v + slope * width))
+    shift = anchor - points[-1 if anchor_right else 0][1]
+    fn = DensityFunction([(w, v + shift) for w, v in points])
+    ends = [(12 - slopes[0], fn.breakpoints[0][1]), (12 + slopes[-1], fn.breakpoints[-1][1])]
+    in_range = all(0 <= m - 3 <= 8 if v == 0 else m >= 4 for m, v in ends)
+    try:
+        charges = stable_type(fn).charges()
+    except InconsistentTypeError:
+        assert not in_range
+        return
+    assert in_range
+    assert (charges[0], charges[-1]) == (12 - slopes[0], 12 + slopes[-1])
+    assert sum(charges) == 24
 
 
 def test_stable_type_rejects_out_of_range_ends():

@@ -2,17 +2,18 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 from k3seg import oracle
-from k3seg.classify import end_surface_data
+from k3seg.classify import CuspKind, cusp_type, end_surface_data
 from k3seg.cli import main
-from k3seg.corpus import generate_corpus
+from k3seg.corpus import _sparse_form, generate_corpus
 from k3seg.density import DensityFunction
-from k3seg.errors import InternalError, NotMinimalError
+from k3seg.errors import InternalError, K3SegError, NotMinimalError, UnrecognizedCuspError
 from k3seg.report import analyze
-from k3seg.symalg import SForm, parse_family
+from k3seg.symalg import FamilyPair, SForm, minimality_check, parse_family
 from tests.conftest import VANISHING_SAMPLE, count_calls, family_path, family_text
 
 ANALYZE_DS_SPLIT = """\
@@ -135,8 +136,9 @@ def test_route_disagreement_is_an_internal_error(monkeypatch, capsys):
 
 def test_end_dichotomy_disagreement_is_an_internal_error(monkeypatch, capsys):
     def flipped(*args):
-        end = end_surface_data(*args)
-        return dataclasses.replace(end, is_nodal=not end.is_nodal)
+        return tuple(
+            dataclasses.replace(end, is_nodal=not end.is_nodal) for end in end_surface_data(*args)
+        )
 
     monkeypatch.setattr("k3seg.report.end_surface_data", flipped)
     message = "left end: density endpoint disagrees with the nodal test"
@@ -146,6 +148,12 @@ def test_end_dichotomy_disagreement_is_an_internal_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "E_INTERNAL: %s\n" % message
     with pytest.raises(InternalError):
         generate_corpus(1)
+    # with the left end intact, the right end is caught
+    monkeypatch.setattr(
+        "k3seg.report.end_surface_data", lambda *args: (end_surface_data(*args)[0], flipped(*args)[1])
+    )
+    with pytest.raises(InternalError, match="^right end: density endpoint disagrees with the nodal test$"):
+        analyze(parse_family(family_text("tent")))
 
 
 def test_analyze_non_minimal_family(tmp_path, capsys):
@@ -216,6 +224,41 @@ def test_oracle_on_a_zero_form_exits_3_as_analyze_does(tmp_path, capsys):
     for command in ("analyze", "oracle"):
         assert main([command, str(f)]) == 3
         assert capsys.readouterr().err == "E_ZERO_FORM: Newton polygon of the zero form\n"
+
+
+def test_oracle_leaves_its_checks_to_oracle_compare(capsys):
+    # the pair is checked for minimality once, inside oracle_compare, and a
+    # family that degenerates is never classified
+    counts = count_calls(
+        lambda: main(["oracle", family_path("tent"), "--t", "1e-3"]), minimality_check, cusp_type
+    )
+    assert counts == {"minimality_check": 1, "cusp_type": 0}
+    assert capsys.readouterr().out.endswith("within tolerance 0.20\n")
+
+
+def test_families_without_degeneration_fail_the_end_exponents():
+    # k3seg oracle says "nothing to track" only after oracle_compare raised
+    # UnrecognizedCuspError, so every minimal pair whose t = 0 limit is a
+    # minimal pair with nonzero discriminant must be refused that way
+    rng = random.Random(2718)
+    without = 0
+    for _ in range(300):
+        g8, g12 = (
+            _sparse_form(rng, d, rng.randint(1, 4), 0, 4)
+            + SForm.monomial(d, rng.randrange(d + 1), rng.choice((-2, -1, 1, 2)))
+            for d in (8, 12)
+        )
+        try:
+            g = FamilyPair(g8, g12).normalized()
+            minimality_check(g)
+        except K3SegError:
+            continue
+        if not g.discriminant24() or cusp_type(g) is not CuspKind.NO_DEGENERATION:
+            continue
+        without += 1
+        with pytest.raises(UnrecognizedCuspError):
+            oracle.oracle_compare(g, (1e-3,))
+    assert without >= 100
 
 
 def test_oracle_run_on_tent(capsys):

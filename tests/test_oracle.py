@@ -63,6 +63,13 @@ def test_empirical_positions_mapping():
         assert abs(got - mp.mpf(want)) < mp.mpf("1e-12")
 
 
+def test_empirical_positions_rejects_samples_outside_unit_interval():
+    # the positions divide by e0 * |log t0|, which is zero at t0 = 1
+    for bad in (1.0, 2.0):
+        with pytest.raises(ValueError, match="^t samples must lie strictly between 0 and 1$"):
+            empirical_positions([mpc(1, 1)], Fraction(1, 6), Fraction(1, 6), bad)
+
+
 def test_oracle_compare_on_split_family(named):
     report = oracle_compare(named["ds_split"], t_list=(1e-2, 1e-3))
     assert isinstance(report, OracleReport)

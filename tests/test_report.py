@@ -8,7 +8,7 @@ import pytest
 
 from conftest import count_calls
 from k3seg import lattices
-from k3seg.classify import CuspKind, cusp_type, cuspidal_kind
+from k3seg.classify import CuspKind, cusp_type, cuspidal_kind, end_surface_data
 from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
 from k3seg.oracle import oracle_compare
@@ -29,6 +29,12 @@ def test_analyze_derives_each_quantity_once(named):
     assert counts == {
         "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "index_points": 3,
     }
+
+
+def test_analyze_reads_both_end_surfaces_in_one_call(named):
+    # the right end inverts g8 and g12 alone, not the whole pair
+    counts = count_calls(lambda: analyze(named["tent"]), end_surface_data, FamilyPair.inverted)
+    assert counts == {"end_surface_data": 1, "inverted": 0}
 
 
 def test_analyze_extracts_the_cusp_quartic_once(named):
