@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .density import DensityFunction
 from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
 from .symalg.field import sderiv, sgcd, spow
-from .symalg.forms import FamilyPair, SForm, _nonminimal, extract_cusp_quartic
+from .symalg.forms import FamilyPair, SForm, _nonminimal, _numerators, extract_cusp_quartic
 from .tropics import EndExponents
 
 
@@ -102,17 +102,17 @@ def end_surface_data(
     s^i * t^(2c - i*e) (t^(3c - i*e) for g12). With valid end exponents the
     surviving coefficients sit in degrees at most (4, 6).
     """
-    e0, einf = ends.at_zero, ends.at_infinity
+    den, (a, b) = _numerators(ends, *(p.den for p in polygons))  # mu over den
     out = []
     for g8, g12, e, (mu8, mu12) in (
-        (f.g8, f.g12, e0, [p.eval_at(e0) for p in polygons]),
-        (f.g8.inverted(), f.g12.inverted(), einf,
-         [p.degree * einf + p.eval_at(-einf) for p in polygons]),
+        (f.g8, f.g12, ends.at_zero, [p.min_at(a, den) for p in polygons]),
+        (f.g8.inverted(), f.g12.inverted(), ends.at_infinity,
+         [p.degree * b + p.min_at(-b, den) for p in polygons]),
     ):
-        c = min(mu8 / 2, mu12 / 3)
+        c = min(3 * mu8, 2 * mu12)  # 6 * den * c
         try:
-            g4 = g8.stretched_limit(e, 2 * c, 4)
-            g6 = g12.stretched_limit(e, 3 * c, 6)
+            g4 = g8.stretched_limit(e, Fraction(c, 3 * den), 4)
+            g6 = g12.stretched_limit(e, Fraction(c, 2 * den), 6)
         except DegreeError:
             raise UnrecognizedCuspError(
                 "end-surface limit does not fit in degrees (4, 6); "
@@ -127,10 +127,12 @@ def _is_nodal(g4: SForm, g6: SForm) -> bool:
     g4 = (n4/d4) P4 and g6 = (n6/d6) P6 with P4 and P6 primitive and their
     first entries positive. By Gauss's lemma P4^3 and P6^2 are so too, so
     the identity holds exactly when P4^3 = P6^2 in Z[s] and
-    n4^3 * d6^2 = 27 * n6^2 * d4^3."""
-    return (
-        spow(g4.poly, 3) == spow(g6.poly, 2)
-        and g4.num**3 * g6.den**2 == 27 * g6.num**2 * g4.den**3
+    n4^3 * d6^2 = 27 * n6^2 * d4^3: tested first, then the s-valuations and
+    s-degrees that P4^3 = P6^2 forces (past it g4 and g6 vanish together)."""
+    return g4.num**3 * g6.den**2 == 27 * g6.num**2 * g4.den**3 and (
+        not g4
+        or 3 * g4.s_valuation() == 2 * g6.s_valuation() and 3 * g4.s_degree() == 2 * g6.s_degree()
+        and spow(g4.poly, 3) == spow(g6.poly, 2)
     )
 
 

@@ -52,19 +52,13 @@ class AnalysisReport:
                 "at_infinity": str(self.ends_exp.at_infinity),
             },
             "newton_polygons": {
-                name: (
-                    None
-                    if hull is None
-                    else [[str(i), str(v)] for i, v in hull]
-                )
+                name: None if hull is None else [[str(i), str(v)] for i, v in hull]
                 for name, hull in self.polygons.items()
             },
             "density": {
                 "domain": [str(fn.lo), str(fn.hi)],
                 "breakpoints": [[str(w), str(v)] for w, v in fn.breakpoints],
-                "unit_breakpoints": [
-                    [str(x), str(v)] for x, v in fn.unit_breakpoints()
-                ],
+                "unit_breakpoints": [[str(x), str(v)] for x, v in fn.unit_breakpoints()],
                 "slopes": fn.slopes(),
             },
             "stable_type": self.stable.label(),

@@ -50,10 +50,16 @@ _ZERO = Fraction(0)
 MAX_SPREAD = 1 << 18
 
 
+def _numerators(xs, *dens: int) -> tuple[int, list[int]]:
+    """Rationals xs over one denominator m, the lcm of theirs and dens: (m, m * xs)."""
+    m = math.lcm(*dens, *(x.denominator for x in xs))
+    return m, [x.numerator * (m // x.denominator) for x in xs]
+
+
 def _qgcd(*xs: Fraction) -> Fraction:
     """gcd of rationals: the generator of the group they span (0 for none)."""
-    m = math.lcm(*(x.denominator for x in xs))
-    return Fraction(math.gcd(*(x.numerator * (m // x.denominator) for x in xs)), m)
+    m, ns = _numerators(xs)
+    return Fraction(math.gcd(*ns), m)
 
 
 class SForm:
@@ -252,9 +258,8 @@ class SForm:
         level must not exceed any stretched valuation val_i + i*e."""
         # that exponent sits at index (level - low - i*e) / step = (a - i*b) / m
         step = self.step or 1  # one exponent only: index 0 is the one entry
-        k0, dk = (level - self.low) / step, Fraction(e) / step
-        m = math.lcm(k0.denominator, dk.denominator)
-        a, b = k0.numerator * (m // k0.denominator), dk.numerator * (m // dk.denominator)
+        q, (lv, lw, ev) = _numerators((level, self.low, e))
+        a, b, m = (lv - lw) * step.denominator, ev * step.denominator, q * step.numerator
         column: list[list[int]] = []
         for i, arr in enumerate(self.poly):
             k, r = divmod(a - i * b, m)

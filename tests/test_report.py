@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls
-from k3seg import lattices
+from conftest import count_calls, family_text
+from k3seg import emit_svg, lattices
 from k3seg.classify import CuspKind, cusp_type, cuspidal_kind, end_surface_data
 from k3seg.corpus import generate_corpus
 from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
@@ -40,6 +40,34 @@ def test_analyze_reads_both_end_surfaces_in_one_call(named):
 def test_analyze_extracts_the_cusp_quartic_once(named):
     counts = count_calls(lambda: analyze(named["d_constant"]), extract_cusp_quartic)
     assert counts == {"extract_cusp_quartic": 1}
+
+
+def test_the_report_side_builds_fractions_only_to_hand_them_out():
+    # Heights, slopes, positions and density values are integer numerators
+    # over a common denominator; a Fraction is built for each value that
+    # leaves as one: the breakpoints of both routes, the unit abscissas of
+    # to_dict and of emit_svg, each hull vertex and edge valuation, the
+    # positions of each edge, the end exponents and the end-surface levels.
+    # That is at most six per breakpoint and hull vertex; the exact kernel's
+    # gauge and discriminant add a few dozen for their t-exponents. Fraction
+    # arithmetic one operation at a time builds 28 to 43 per breakpoint and
+    # vertex on these inputs.
+    constructors = [Fraction.__new__]
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on builds results here
+        constructors.append(Fraction._from_coprime_ints)
+    corpus_text = canonical_text(generate_corpus(1, seed=1729)[0])
+    for text in (family_text("tent"), corpus_text):
+        pair = parse_family(text)
+        rep = analyze(pair)
+        size = len(rep.density.breakpoints) + sum(len(hull) for hull in rep.polygons.values())
+
+        def run():
+            report = analyze(pair)
+            report.to_dict()
+            emit_svg(report.density)
+
+        built = sum(count_calls(run, *constructors).values())
+        assert built <= 6 * size + 40, (text, built, size)
 
 
 STATIONARY_CUSP = (
