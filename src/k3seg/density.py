@@ -78,8 +78,6 @@ class DensityFunction:
     def _set(self, points: list, den: int) -> None:
         if den < 0:  # the reflection of a function that ends left of 0
             points, den = [(-w, -v) for w, v in points], -den
-        if len(points) < 2:
-            raise ValueError("a density function needs at least two breakpoints")
         merged: list[tuple[int, int]] = []
         for p in points:
             if merged and merged[-1][0] == p[0]:
@@ -89,6 +87,9 @@ class DensityFunction:
             while len(merged) >= 2 and _cross(merged[-2], merged[-1], p) == 0:
                 merged.pop()
             merged.append(p)
+        # after the merge: repeated breakpoints count once
+        if len(merged) < 2:
+            raise ValueError("a density function needs at least two breakpoints")
         steps = [(v2 - v1, w2 - w1) for (w1, v1), (w2, v2) in zip(merged, merged[1:])]
         if any(dw <= 0 for _, dw in steps):
             raise ValueError("breakpoints out of order")

@@ -6,22 +6,31 @@ numerically, their moduli are turned into empirical cut positions on the
 to shrink as t decreases.
 
 The discriminant's coefficients at the smallest samples spread over t^-12 and
-more, far beyond a double. mpmath evaluates them at 60 digits (203 bits),
-places the starting points and takes the roots' logarithms; the root
-refinement and the reconstruction error run on built-in integers. Each
-complex value is a Gaussian-integer mantissa with one binary exponent, a
+more, far beyond a double, so everything here runs on built-in integers.
+Each complex value is a Gaussian-integer mantissa with one binary exponent, a
 triple (re, im, exp) for (re + i im) * 2^exp whose larger part is cut to
-_WORK_BITS = 232 bits, and Horner's rule runs on fixed-point integers in
+_WORK_BITS = 232 bits (60 decimal digits are 203).
+
+The float t0 is an exact dyadic, so t0^(p/q) is an integer q-th root and the
+coefficients at t0 come from Horner's rule on triples. The elementary
+functions (Brent, JACM 23, 1976) run in fixed point with _FIX_BITS fraction
+bits: ln by an atanh series after a few square roots, the complex exp by its
+Taylor series after halving the argument. They place the starting points on
+the circles of the coefficient-size hull and give each root's position as an
+exact Fraction, ln|root| / (e0 |ln t0|), so the deviations are exact
+differences rounded to a float once.
+
+The root refinement runs Horner's rule on fixed-point integers in
 w = z / 2^k, |w| near 1, with _GUARD_BITS = 64 bits below the largest term.
 That alignment depends only on the polynomial and k, so one refinement makes
 it once per exponent. The iteration, its order and its stop rule
 |p(z)| <= 1e-12 * sum |c_k| |z|^k are those of the same refinement on mpmath
-complex numbers, whose roots it matches to about 1e-50, so every reported
-position and deviation is the same. Most stop tests fail, and a float upper
-bound on the right-hand side, with margins far above its rounding, settles
-those for certain; only the others take the exact integer sum (see _horner).
-The roots go back out as mpmath complex numbers, and prod(s - root) is
-compared with the coefficients on their triples.
+complex numbers at 60 digits, whose roots it matches to about 1e-50, so every
+reported position and deviation is the same. Most stop tests fail, and a
+float upper bound on the right-hand side, with margins far above its
+rounding, settles those for certain; only the others take the exact integer
+sum (see _horner). prod(s - root) is compared with the coefficients on the
+same triples.
 """
 
 from __future__ import annotations
@@ -30,14 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import hypot, isqrt, ldexp
 
-from mpmath import mp
-
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError, ZeroFormError
 from .symalg import FamilyPair, minimality_check
 from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
 
-_DPS = 60
 _RESIDUAL_TARGET = 1e-12
 _MAX_ITERATIONS = 500
 _TOLERANCE = 0.2
@@ -45,11 +51,12 @@ _TOLERANCE = 0.2
 # target^2 of its float bound raised past its rounding (see _horner)
 _TARGET_NUM2, _TARGET_DEN2 = (x * x for x in _RESIDUAL_TARGET.as_integer_ratio())
 _FAIL_SQUARE = _RESIDUAL_TARGET * _RESIDUAL_TARGET * (1 + 1e-7)
-# mantissa bits of the root refinement (mpmath carries 203 at 60 digits),
-# and the extra fixed-point bits its sums keep below their largest term
+# mantissa bits of the root refinement, and the extra fixed-point bits its
+# sums keep below their largest term
 _WORK_BITS = 232
 _GUARD_BITS = 64
 _ZERO = (0, 0, 0)
+_MINUS_ONE = Fraction(-1)
 _ONE = (1 << (_WORK_BITS - 1), 0, 1 - _WORK_BITS)
 # 1e-6 * (1 + i), the nudge off a critical point
 _JITTER = (
@@ -57,6 +64,12 @@ _JITTER = (
     (1 << (_WORK_BITS + 19)) // 10**6,
     -_WORK_BITS - 19,
 )
+# fraction bits of the fixed-point ln and exp, the square roots or halvings
+# that shorten their series, and the terms exp sums at |x| <= 2^-6
+_FIX_BITS = _WORK_BITS + _GUARD_BITS
+_LN_ROOTS = 3
+_EXP_HALVINGS = 8
+_TAYLOR_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -70,40 +83,128 @@ class OracleReport:
     tolerance: float
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def _atanh(x: int, alternating: bool = False) -> int:
+    """atanh(x), or atan(x) if alternating, for |x| <= 1/3; x and the result
+    in units of 2^-_FIX_BITS."""
+    if x < 0:  # floors of negative terms would not reach 0
+        return -_atanh(-x, alternating)
+    F = _FIX_BITS
+    x2 = (x * x) >> F
+    if alternating:
+        x2 = -x2
+    total, term, k = 0, x, 1
+    while term:
+        total += term // k
+        term = (term * x2) >> F
+        k += 2
+    return total
+
+
+_ONE_FIX = 1 << _FIX_BITS
+_LN2 = 2 * _atanh(_ONE_FIX // 3)
+# Machin: pi / 4 = 4 atan(1/5) - atan(1/239)
+_PI = 16 * _atanh(_ONE_FIX // 5, True) - 4 * _atanh(_ONE_FIX // 239, True)
+_SQRT_HALF = isqrt(1 << (2 * _FIX_BITS - 1))
+# the starting angles' offsets 0.70710678 + k * 0.39898
+_OFFSET = (70710678 << _FIX_BITS) // 10**8
+_OFFSET_STEP = (39898 << _FIX_BITS) // 10**5
+
+
+def _ln(n: int, e: int) -> int:
+    """ln(n * 2^e) for an int n > 0, in units of 2^-_FIX_BITS.
+
+    n * 2^e = y * 2^k with y in [1/sqrt 2, sqrt 2), so ln = k ln 2 + ln y;
+    _LN_ROOTS square roots bring y to within 5 % of 1, and
+    ln y = 2^(_LN_ROOTS + 1) atanh((y - 1) / (y + 1)) by its series."""
+    F = _FIX_BITS
+    shift = n.bit_length() - F
+    y = n >> shift if shift >= 0 else n << -shift
+    k = e + shift + F
+    if y < _SQRT_HALF:
+        y, k = y << 1, k - 1
+    for _ in range(_LN_ROOTS):
+        y = isqrt(y << F)
+    return k * _LN2 + (_atanh(((y - _ONE_FIX) << F) // (y + _ONE_FIX)) << (_LN_ROOTS + 1))
+
+
+def _exp(re: int, im: int = 0) -> tuple:
+    """e^(re + i im) as a triple, re and im in units of 2^-_FIX_BITS.
+
+    re = j ln 2 + r with 0 <= r < ln 2, and im is moved into [-pi, pi); then
+    e^(r + i im) is the Taylor series at (r + i im) / 2^_EXP_HALVINGS, whose
+    _TAYLOR_TERMS terms reach below 2^-(_FIX_BITS + 8), squared back
+    _EXP_HALVINGS times, and 2^j is the exponent's part."""
+    F, H = _FIX_BITS, _EXP_HALVINGS
+    j = re // _LN2
+    wr = re - j * _LN2
+    wi = im - (im + _PI) // (2 * _PI) * (2 * _PI)
+    sr = si = 0
+    tr, ti = _ONE_FIX, 0
+    for k in range(1, _TAYLOR_TERMS + 1):
+        sr, si = sr + tr, si + ti
+        tr, ti = ((tr * wr - ti * wi) >> (F + H)) // k, ((tr * wi + ti * wr) >> (F + H)) // k
+    for _ in range(H):
+        sr, si = (sr * sr - si * si) >> F, (2 * sr * si) >> F
+    return _norm(sr, si, j - F)
+
+
+def _iroot(n: int, q: int) -> int:
+    """floor(n^(1/q)) for n >= 0: Newton's iteration from above."""
+    if q == 1:
+        return n
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
+
+
+def _power(t0: Fraction, e: Fraction) -> tuple:
+    """t0^e as a triple, t0 > 0 and e rational. With e = p / q, t0^|p| by
+    squaring on _FIX_BITS bits and more (exact while it fits), then its
+    integer q-th root, inverted for p < 0."""
+    p, q = e.numerator, e.denominator
+    a, b = (t0.numerator, t0.denominator) if p >= 0 else (t0.denominator, t0.numerator)
+    p = abs(p)
+    # each of the 2 log2(p) cuts costs an ulp, so p's bits ride along
+    bits = _FIX_BITS + p.bit_length() + 8
+    base = (a << bits) // b
+    m, x = 1, 0
+    for bit in bin(p)[2:]:
+        m, x = m * m, 2 * x
+        if bit == "1":
+            m, x = m * base, x - bits
+        cut = m.bit_length() - bits
+        if cut > 0:
+            m, x = m >> cut, x + cut
+    # t0^|p| = m 2^x; with x = q k + r, its q-th root is (m 2^r)^(1/q) 2^k
+    k, r = divmod(x, q)
+    extra = max(0, -(-(q * _FIX_BITS - m.bit_length() - r) // q))
+    return _norm(_iroot(m << (r + q * extra), q), 0, k - extra)
 
 
 def _initial_points(coeffs):
     """Starting points on circles read off the coefficient-size hull.
 
-    The upper hull of (i, log|c_i|) is the lower hull of (i, -log|c_i|),
+    The upper hull of (i, ln|c_i|) is the lower hull of (i, -ln|c_i|),
     negated back. For each of its edges from index k1 to k2 the two end
-    coefficients balance at modulus exp((log|c_k1| - log|c_k2|)/(k2 - k1));
-    that circle gets k2 - k1 points, rotated by an edge-dependent offset so no
-    starting point sits on a symmetry axis.
+    coefficients balance at modulus exp((ln|c_k1| - ln|c_k2|)/(k2 - k1));
+    that circle gets k2 - k1 points at the angles 2 pi (j + 1/2) / (k2 - k1)
+    plus an edge-dependent offset, so no starting point sits on a symmetry
+    axis: the first is one complex exp, the others are rotations of it.
     """
-    pts = [(i, -mp.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+    pts = [(i, -_ln(abs(c[0]), c[2])) for i, c in enumerate(coeffs) if c[0]]
     hull = [(i, -y) for i, y in _lower_hull(pts)]
     out = []
     for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
         m = k2 - k1
-        radius = mp.exp((y1 - y2) / m)
-        offset = mp.mpf("0.70710678") + k1 * mp.mpf("0.39898")
-        for j in range(m):
-            theta = 2 * mp.pi * (j + mp.mpf("0.5")) / m + offset
-            out.append(radius * mp.exp(1j * theta))
+        point = _exp((y1 - y2) // m, _PI // m + _OFFSET + k1 * _OFFSET_STEP)
+        rotation = _exp(0, 2 * _PI // m)
+        for _ in range(m):
+            out.append(point)
+            point = _mul(point, rotation)
     return out
-
-
-def _mantissa(x):
-    """(m, e) with the mpf x = m * 2^e exactly and m a built-in int, whichever
-    integer type mpmath's backend stores."""
-    sign, man, exp, _ = x._mpf_
-    man = int(man)
-    return (-man if sign else man), exp
 
 
 def _norm(re, im, exp):
@@ -115,18 +216,6 @@ def _norm(re, im, exp):
     if re or im:
         return re << -shift, im << -shift, exp + shift
     return _ZERO
-
-
-def _to_triple(z):
-    re, re_exp = _mantissa(z.real)
-    im, im_exp = _mantissa(z.imag)
-    exp = min(re_exp, im_exp)
-    return _norm(re << (re_exp - exp), im << (im_exp - exp), exp)
-
-
-def _to_mpc(z):
-    re, im, exp = z
-    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
 
 
 def _add(a, b):
@@ -282,8 +371,8 @@ def _repel(z, roots):
 
 
 def _find_roots(coeffs):
-    """All roots of a polynomial with nonzero first and last coefficient,
-    by simultaneous refinement, to relative residual 1e-12.
+    """All roots of a polynomial with real coefficient triples, the first and
+    last nonzero, by simultaneous refinement, to relative residual 1e-12.
 
     The iteration is Aberth's, Gauss-Seidel style: each root in turn takes the
     step N / (1 - N * sum_j 1/(z - z_j)) with N = p(z)/p'(z), until every root
@@ -296,9 +385,10 @@ def _find_roots(coeffs):
     n = len(coeffs) - 1
     if n == 0:
         return []
-    roots = [_to_triple(z) for z in _initial_points(coeffs)]
+    roots = _initial_points(coeffs)
     assert len(roots) == n
-    mants, exps = zip(*(_mantissa(c) for c in coeffs))
+    mants = tuple(c[0] for c in coeffs)
+    exps = tuple(c[2] for c in coeffs)
     poly = (mants, exps, {})
     settled = [False] * n
     for _ in range(_MAX_ITERATIONS):
@@ -320,7 +410,7 @@ def _find_roots(coeffs):
             denom = _sub(_ONE, _mul(newton, _repel(z, roots)))
             roots[i] = _sub(z, newton if denom == _ZERO else _div(newton, denom))
         if not moved:
-            return [_to_mpc(z) for z in roots]
+            return roots
     raise NoConvergenceError(
         "root refinement missed the 1e-12 residual target in %d iterations"
         % _MAX_ITERATIONS
@@ -341,16 +431,14 @@ def _reconstruction_error(coeffs, roots):
     """Max coefficient error of prod(s - root) against coeffs made monic,
     relative to the largest monic coefficient, as a float.
 
-    The roots and coefficients convert to triples exactly, and the product
-    and the differences run on them; the ratio of the two maxima is the
-    isqrt of the ratio of their squares, taken to 64 bits beyond a double's
-    53, so the float is rounded once from it.
+    The product and the differences run on the triples; the ratio of the two
+    maxima is the isqrt of the ratio of their squares, taken to 64 bits
+    beyond a double's 53, so the float is rounded once from it.
     """
-    lead = _to_triple(coeffs[-1])
-    monic = [_div(_to_triple(c), lead) for c in coeffs]
+    lead = coeffs[-1]
+    monic = [_div(c, lead) for c in coeffs]
     recon = [_ONE]
-    for root in roots:
-        r = _to_triple(root)
+    for r in roots:
         recon = [_ZERO] + recon
         for k in range(len(recon) - 1):
             recon[k] = _sub(recon[k], _mul(r, recon[k + 1]))
@@ -364,33 +452,34 @@ def _reconstruction_error(coeffs, roots):
     return ldexp(isqrt((num << shift) // den), (num_exp - den_exp - shift) // 2)
 
 
-def _evaluated_discriminant(f: FamilyPair, t0):
-    """The discriminant's coefficients at t0: t0^low / den * (num * P)(t0^step)."""
+def _evaluated_discriminant(f: FamilyPair, t0: Fraction):
+    """The discriminant's coefficients at t0 as real triples:
+    t0^low / den * (num * P)(t0^step), Horner's rule on the triples."""
     delta = f.discriminant24()
-    scale = mp.power(t0, _to_mpf(delta.low)) / delta.den
-    u = mp.power(t0, _to_mpf(delta.step))
+    scale = _div(_power(t0, delta.low), _norm(delta.den, 0, 0))
+    u = _power(t0, delta.step)
     out = []
     for arr in delta.poly:
-        acc = mp.mpf(0)
+        acc = _ZERO
         for x in reversed(arr):
-            acc = acc * u + delta.num * x
-        out.append(acc * scale)
+            acc = _add(_mul(acc, u), _norm(delta.num * x, 0, 0))
+        out.append(_mul(acc, scale))
     return out
 
 
-def _root_data(f: FamilyPair, t0):
-    """The 24 discriminant roots at t0, roots at s = 0 as exact zeros and the
-    degree drop as mp.inf markers, and the reconstruction error of the
+def _root_data(f: FamilyPair, t0: Fraction):
+    """The 24 discriminant roots at t0, roots at s = 0 as zero triples and
+    the degree drop as None markers, and the reconstruction error of the
     finite ones."""
     coeffs = _evaluated_discriminant(f, t0)
-    support = [i for i, c in enumerate(coeffs) if c != 0]
+    support = [i for i, c in enumerate(coeffs) if c[0]]
     if not support:
-        raise CuspidalFamilyError("discriminant vanishes identically at t = %s" % t0)
+        raise CuspidalFamilyError("discriminant vanishes identically at t = %s" % float(t0))
     lo, hi = support[0], support[-1]
     inner = coeffs[lo : hi + 1]
     finite = _find_roots(inner)
     recon = _reconstruction_error(inner, finite) if finite else 0.0
-    return [mp.mpc(0)] * lo + finite + [mp.inf] * (24 - hi), recon
+    return [_ZERO] * lo + finite + [None] * (24 - hi), recon
 
 
 def check_t_samples(t_list) -> None:
@@ -405,35 +494,42 @@ def check_t_samples(t_list) -> None:
 
 
 def roots_at(f: FamilyPair, t0) -> list:
-    """The 24 roots of the discriminant at t = t0, as mpmath complex numbers;
-    roots at s = 0 appear as exact zeros, degree drop as mp.inf markers."""
+    """The 24 roots of the discriminant at t = t0 as triples (re, im, exp)
+    for (re + i im) * 2^exp; roots at s = 0 are (0, 0, 0) and the degree drop
+    gives None markers."""
     check_t_samples([t0])
     if f.discriminant24().is_zero():
         raise CuspidalFamilyError(
             "discriminant is identically zero; there are no roots to track"
         )
-    with mp.workdps(_DPS):
-        return _root_data(f, _to_mpf(t0))[0]
+    return _root_data(f, Fraction(t0))[0]
+
+
+def _ln_of(x: Fraction) -> int:
+    """ln x for a rational x > 0, in units of 2^-_FIX_BITS."""
+    return _ln(x.numerator, 0) - _ln(x.denominator, 0)
 
 
 def empirical_positions(roots, e0: Fraction, einf: Fraction, t0) -> list:
-    """Cut positions log|root| / (e0 * |log t|), clamped to [-1, einf/e0] and
-    sorted; zero roots pin to -1, infinite ones to the right endpoint."""
+    """Cut positions ln|root| / (e0 * |ln t|) of roots as roots_at returns
+    them, clamped to [-1, einf/e0] and sorted; zero roots pin to -1, None
+    markers to the right endpoint. Each is an exact Fraction: the quotient of
+    the two fixed-point logarithms."""
     check_t_samples([t0])
-    with mp.workdps(_DPS):
-        w_plus = _to_mpf(Fraction(einf) / Fraction(e0))
-        denom = _to_mpf(e0) * abs(mp.log(_to_mpf(t0)))
-        out = []
-        for z in roots:
-            modulus = abs(z)
-            if modulus == 0:
-                out.append(mp.mpf(-1))
-            elif mp.isinf(modulus):
-                out.append(w_plus)
-            else:
-                x = mp.log(modulus) / denom
-                out.append(min(max(x, mp.mpf(-1)), w_plus))
-        return sorted(out)
+    w_plus = Fraction(einf) / Fraction(e0)
+    # the ln of |root|^2 = (re^2 + im^2) 2^(2 exp) is 2 ln|root|: the 2 joins denom
+    denom = 2 * Fraction(e0) * abs(_ln_of(Fraction(t0)))
+    out = []
+    for z in roots:
+        if z is None:
+            out.append(w_plus)
+        elif z == _ZERO:
+            out.append(_MINUS_ONE)
+        else:
+            re, im, exp = z
+            x = _ln(re * re + im * im, 2 * exp) / denom
+            out.append(min(max(x, _MINUS_ONE), w_plus))
+    return sorted(out)
 
 
 def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
@@ -461,33 +557,32 @@ def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
     if None in polygons:  # a zero form passes the end exponents, as in analyze
         raise ZeroFormError("Newton polygon of the zero form")
     cut = cut_positions(newton_polygon(delta), ends)
-    with mp.workdps(_DPS):
-        exact_mp = [_to_mpf(x) for x in cut.positions]
-        per_sample = []
-        deviations = []
-        recon_errors = []
-        for t0 in samples:
-            t_val = _to_mpf(t0)
-            roots, recon = _root_data(f, t_val)
-            emp = empirical_positions(roots, ends.at_zero, ends.at_infinity, t_val)
-            dev = max(abs(a - b) for a, b in zip(emp, exact_mp))
-            per_sample.append(tuple(float(x) for x in emp))
-            deviations.append(float(dev))
-            recon_errors.append(recon)
+    per_sample = []
+    deviations = []
+    recon_errors = []
+    for t0 in samples:
+        roots, recon = _root_data(f, Fraction(t0))
+        emp = empirical_positions(roots, ends.at_zero, ends.at_infinity, t0)
+        dev = max(abs(a - b) for a, b in zip(emp, cut.positions))
+        per_sample.append(tuple(float(x) for x in emp))
+        deviations.append(float(dev))
+        recon_errors.append(recon)
 
-        for a, b in zip(deviations, deviations[1:]):
-            if b > a + 1e-12:
-                raise OracleMismatchError(
-                    "deviation grew from %.3g to %.3g as t decreased" % (a, b)
-                )
-        if deviations[-1] > _TOLERANCE:
+    for a, b in zip(deviations, deviations[1:]):
+        if b > a + 1e-12:
             raise OracleMismatchError(
-                "final deviation %.3g exceeds tolerance %.3g"
-                % (deviations[-1], _TOLERANCE)
+                "deviation grew from %.3g to %.3g as t decreased" % (a, b)
             )
-        fitted = max(
-            dev * float(abs(mp.log(_to_mpf(t)))) for dev, t in zip(deviations, samples)
+    if deviations[-1] > _TOLERANCE:
+        raise OracleMismatchError(
+            "final deviation %.3g exceeds tolerance %.3g"
+            % (deviations[-1], _TOLERANCE)
         )
+    # float of an int rounds once: |ln t| to the nearest double
+    fitted = max(
+        dev * ldexp(float(abs(_ln_of(Fraction(t)))), -_FIX_BITS)
+        for dev, t in zip(deviations, samples)
+    )
 
     return OracleReport(
         t_samples=tuple(samples),

@@ -284,7 +284,12 @@ def _canonical(low: Fraction, step: Fraction, num: int, den: int, poly: list) ->
     j, g, c = shape(poly)
     num *= c
     h = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    return low + j * step, step * g, num // h, den // h, reduce(poly, j, g, c)
+    # most calls change neither exponent: j = 0, and g = 1 or (one exponent) 0
+    if j:
+        low += j * step
+    if g != 1:
+        step = step * g if g else _ZERO
+    return low, step, num // h, den // h, reduce(poly, j, g, c)
 
 
 class TLaurent:

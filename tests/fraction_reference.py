@@ -107,8 +107,6 @@ def cut_positions(trop_d: Polygon, ends) -> CutData:
 def density(breakpoints) -> tuple:
     """DensityFunction.__init__: the canonical breakpoints and the slopes."""
     pts = [(Fraction(w), Fraction(v)) for w, v in breakpoints]
-    if len(pts) < 2:
-        raise ValueError("a density function needs at least two breakpoints")
     merged: list = []
     for p in pts:
         if merged and merged[-1][0] == p[0]:
@@ -118,6 +116,8 @@ def density(breakpoints) -> tuple:
         while len(merged) >= 2 and _cross(merged[-2], merged[-1], p) == 0:
             merged.pop()
         merged.append(p)
+    if len(merged) < 2:
+        raise ValueError("a density function needs at least two breakpoints")
     found = []
     for (w1, v1), (w2, v2) in zip(merged, merged[1:]):
         if w2 <= w1:

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import k3seg
 from k3seg import oracle
 from k3seg.classify import CuspKind, cusp_type, end_surface_data
 from k3seg.cli import main
@@ -382,3 +387,34 @@ def test_gm_weights(capsys):
         "degree-8 slice:  -4 -3 -2 2 3 4\n"
         "degree-12 slice: -6 -5 -4 -3 -2 -1 1 2 3 4 5 6\n"
     )
+
+
+# runs main on each argv of a JSON list and checks after each that the
+# process has not imported mpmath
+_MPMATH_PROBE = """
+import contextlib, io, json, sys
+from k3seg.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+"""
+
+
+def test_no_command_imports_mpmath():
+    # mpmath is a test dependency only: the oracle runs on built-in integers
+    commands = [
+        ["analyze", family_path("tent")],
+        ["oracle", family_path("tent"), "--t", "1e-3"],
+        ["lattice", "E", "8"],
+    ]
+    src = str(pathlib.Path(k3seg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr

@@ -82,6 +82,19 @@ def test_needs_two_breakpoints():
         DensityFunction([(0, 0)])
 
 
+def test_needs_two_breakpoints_after_the_merge():
+    # repeated breakpoints count once: two copies of one point are refused,
+    # where they used to build a function whose CSV divided by zero
+    message = "^a density function needs at least two breakpoints$"
+    for pts in ([(0, 0), (0, 0)], [(1, 3)] * 3, []):
+        with pytest.raises(ValueError, match=message):
+            DensityFunction(pts)
+    # a repeat inside a valid function merges, and reports as the function
+    fn = DensityFunction([(0, 0), (0, 0), (2, 6)])
+    assert fn.unit_breakpoints() == [(0, 0), (1, 6)]
+    assert emit_csv(fn) == emit_csv(DensityFunction([(0, 0), (2, 6)])) == b"0,0\n1,6"
+
+
 def test_value_at_and_extrema():
     fn = DensityFunction([(-1, 0), (0, 9), (1, 0)])
     assert fn.value_at(Fraction(-1, 2)) == Fraction(9, 2)

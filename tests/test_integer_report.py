@@ -213,7 +213,7 @@ def breakpoints(draw):
 @example([(0, 0), (1, 0), (2, 5)])
 @example([(-3, 1), (-2, 4), (-1, 5)])  # its right end lies left of 0
 @example([(-1, 0), (0, 0)])  # its right end is 0
-@example([(0, 0), (0, 0)])  # one breakpoint once the two merge
+@example([(0, 0), (0, 0)])  # one breakpoint once the two merge: refused
 def test_density_function_matches_the_fraction_checks(pts):
     fn = same(lambda: DensityFunction(pts), lambda: ref.density(pts), density)
     if isinstance(fn[0], type):
@@ -234,8 +234,8 @@ def test_density_function_matches_the_fraction_checks(pts):
         if not isinstance(flipped[0], type):
             others.append(fn.reflected())
     else:
-        # a right end at 0 divides by 0; a lone merged breakpoint is refused first
-        with pytest.raises(ZeroDivisionError if len(bps) > 1 else ValueError):
+        # a right end at 0 divides by 0
+        with pytest.raises(ZeroDivisionError):
             fn.reflected()
     for other in others:
         same(lambda: same_up_to_scale(fn, other),

@@ -7,7 +7,6 @@ live in the acceptance suite.
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpc
@@ -16,8 +15,87 @@ from mpmath.libmp import dps_to_prec
 from k3seg import oracle
 from k3seg.errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from k3seg.oracle import empirical_positions, oracle_compare, OracleReport, roots_at
-from k3seg.symalg import parse_family
+from k3seg.symalg import FamilyPair, parse_family
+from k3seg.tropics import _lower_hull, end_exponents, pair_polygons
 from tests.conftest import VANISHING_SAMPLE
+
+# the precision the oracle ran on mpmath at: 60 digits, 203 bits
+_DPS = 60
+
+
+def _mpf(x):
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _mantissa(x):
+    """(m, e) with the mpf x = m * 2^e exactly and m a built-in int."""
+    sign, man, exp, _ = x._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def _triple(z):
+    """The mpmath number z as an oracle triple (re, im, exp), cut to
+    _WORK_BITS bits as the oracle cuts its own."""
+    z = mpc(z)
+    (re, re_exp), (im, im_exp) = _mantissa(z.real), _mantissa(z.imag)
+    exp = min(re_exp, im_exp)
+    return oracle._norm(re << (re_exp - exp), im << (im_exp - exp), exp)
+
+
+def _value(z):
+    """The triple z as an mpmath complex number, exactly."""
+    re, im, exp = z
+    with mp.workprec(2 * oracle._WORK_BITS):
+        return mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
+
+
+def _reference_initial_points(coeffs):
+    """oracle._initial_points as it ran on mpmath: the same hull, circles and
+    angles, each point from its own log, exp and e^(i theta)."""
+    pts = [(i, -mp.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+    hull = [(i, -y) for i, y in _lower_hull(pts)]
+    out = []
+    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
+        m = k2 - k1
+        radius = mp.exp((y1 - y2) / m)
+        offset = mp.mpf("0.70710678") + k1 * mp.mpf("0.39898")
+        for j in range(m):
+            theta = 2 * mp.pi * (j + mp.mpf("0.5")) / m + offset
+            out.append(radius * mp.exp(1j * theta))
+    return out
+
+
+def _reference_evaluated_discriminant(f, t0):
+    """The discriminant's coefficients at t0 on mpmath numbers:
+    t0^low / den * (num * P)(t0^step)."""
+    delta = f.discriminant24()
+    scale = mp.power(t0, _mpf(delta.low)) / delta.den
+    u = mp.power(t0, _mpf(delta.step))
+    out = []
+    for arr in delta.poly:
+        acc = mp.mpf(0)
+        for x in reversed(arr):
+            acc = acc * u + delta.num * x
+        out.append(acc * scale)
+    return out
+
+
+def _reference_empirical_positions(roots, e0, einf, t0):
+    """empirical_positions on mpmath numbers: roots as mpc, the degree drop as
+    mp.inf, positions log|root| / (e0 |log t0|) clamped and sorted."""
+    w_plus = _mpf(Fraction(einf) / Fraction(e0))
+    denom = _mpf(e0) * abs(mp.log(_mpf(t0)))
+    out = []
+    for z in roots:
+        modulus = abs(z)
+        if modulus == 0:
+            out.append(mp.mpf(-1))
+        elif mp.isinf(modulus):
+            out.append(w_plus)
+        else:
+            out.append(min(max(mp.log(modulus) / denom, mp.mpf(-1)), w_plus))
+    return sorted(out)
 
 
 @pytest.fixture(scope="module")
@@ -28,46 +106,181 @@ def power_family():
 
 
 def test_roots_at_counts_and_moduli(power_family):
-    t0 = mp.mpf("1e-3")
-    roots = roots_at(power_family, t0)
+    roots = roots_at(power_family, 1e-3)
     assert len(roots) == 24
-    zeros = [r for r in roots if r == 0]
-    infinite = [r for r in roots if r == mp.inf]
-    finite = [r for r in roots if r != 0 and r != mp.inf]
+    zeros = [r for r in roots if r == (0, 0, 0)]
+    infinite = [r for r in roots if r is None]
+    finite = [r for r in roots if r is not None and r != (0, 0, 0)]
     assert (len(zeros), len(infinite), len(finite)) == (12, 0, 12)
-    radius = (27 * t0 ** 2) ** (mp.mpf(1) / 12)
-    assert all(abs(abs(r) - radius) < mp.mpf("1e-30") for r in finite)
+    assert all(type(x) is int for r in finite for x in r)
+    with mp.workdps(_DPS):
+        radius = (27 * _mpf(1e-3) ** 2) ** (mp.mpf(1) / 12)
+        assert all(abs(abs(_value(r)) - radius) < mp.mpf("1e-30") for r in finite)
 
 
 def test_roots_at_rejects_samples_outside_unit_interval(power_family):
-    for bad in ("0", "1", "1.5", "-0.25"):
+    for bad in (0.0, 1.0, 1.5, -0.25):
         with pytest.raises(ValueError):
-            roots_at(power_family, mp.mpf(bad))
+            roots_at(power_family, bad)
 
 
 def test_roots_at_refuses_identically_degenerate_family(named):
     with pytest.raises(CuspidalFamilyError):
-        roots_at(named["d_constant"], mp.mpf("1e-3"))
+        roots_at(named["d_constant"], 1e-3)
 
 
 def test_empirical_positions_mapping():
     # e0 = 2, einf = 4, so the window is [-1, 2]; at t0 = 1e-2 a root of
     # modulus 10^k lands at -k/4 before clamping
-    t0 = mp.mpf("1e-2")
-    roots = [mpc(0), mpc("1e-1"), mpc(10), mp.inf, mpc(1), mpc("1e-6"), mpc("1e10")]
-    pos = empirical_positions(roots, 2, 4, t0)
-    assert list(pos) == sorted(pos)
+    with mp.workdps(_DPS):
+        finite = [_triple(mpc(x)) for x in ("1e-1", "10", "1", "1e-6", "1e10")]
+    roots = [(0, 0, 0), *finite[:2], None, *finite[2:]]
+    pos = empirical_positions(roots, 2, 4, 1e-2)
+    assert pos == sorted(pos)
+    assert all(type(x) is Fraction for x in pos)
     expected = [-1, -1, -0.25, 0, 0.25, 2, 2]
     assert len(pos) == len(expected)
+    # 1e-2 is a double, not 1/100, so the quarters are off by about 1e-17
     for got, want in zip(pos, expected):
-        assert abs(got - mp.mpf(want)) < mp.mpf("1e-12")
+        assert abs(got - Fraction(want)) < Fraction(1, 10**12)
+    assert pos[3] == 0  # a root of modulus 1 sits at 0 exactly
 
 
 def test_empirical_positions_rejects_samples_outside_unit_interval():
     # the positions divide by e0 * |log t0|, which is zero at t0 = 1
     for bad in (1.0, 2.0):
         with pytest.raises(ValueError, match="^t samples must lie strictly between 0 and 1$"):
-            empirical_positions([mpc(1, 1)], Fraction(1, 6), Fraction(1, 6), bad)
+            empirical_positions([(1, 1, 0)], Fraction(1, 6), Fraction(1, 6), bad)
+
+
+def test_empirical_positions_match_their_reference(named):
+    # the same positions as on mpmath at 60 digits, to far below a double
+    for name in ("d_mixed", "ds_split", "tent"):
+        f = named[name].normalized()
+        ends = end_exponents(*pair_polygons(f))
+        for t0 in (1e-3, 1e-7, 0.9):
+            roots = roots_at(f, t0)
+            got = empirical_positions(roots, ends.at_zero, ends.at_infinity, t0)
+            with mp.workdps(_DPS):
+                as_mpc = [mp.inf if z is None else _value(z) for z in roots]
+                ref = _reference_empirical_positions(
+                    as_mpc, ends.at_zero, ends.at_infinity, t0
+                )
+                assert all(abs(_mpf(a) - b) < mp.mpf("1e-55") for a, b in zip(got, ref))
+            assert [float(x) for x in got] == [float(x) for x in ref]
+
+
+def _relative_error(got, want):
+    return abs(got - want) / abs(want)
+
+
+_EXACT = 2 * oracle._FIX_BITS  # bits of the mpmath references below
+_CLOSE = mp.mpf(2) ** -220
+
+
+def test_ln_and_complex_exp_match_mpmath():
+    rng = random.Random(1729)
+    F = oracle._FIX_BITS
+    with mp.workprec(_EXACT):
+        for _ in range(200):
+            n = rng.getrandbits(rng.randint(1, 500)) | 1
+            e = rng.randint(-800, 800)
+            want = mp.log(mp.mpf(n) * mp.mpf(2) ** e)
+            if abs(want) < 1:
+                continue
+            assert _relative_error(mp.ldexp(oracle._ln(n, e), -F), want) < _CLOSE
+        for _ in range(200):
+            x = rng.randint(-500 << F, 500 << F)
+            want = mp.exp(mp.ldexp(x, -F))
+            assert _relative_error(_value(oracle._exp(x)), want) < _CLOSE
+        for _ in range(200):
+            y = rng.randint(-40 << F, 40 << F)
+            # |e^(i y)| = 1: cos and sin to 2^-220 absolute
+            want = mp.expj(mp.ldexp(y, -F))
+            assert abs(_value(oracle._exp(0, y)) - want) < _CLOSE
+            # a point on a circle, as the starts take it: |e^(x + i y)| = e^x
+            x = rng.randint(-500 << F, 500 << F)
+            want = mp.exp(mp.mpc(mp.ldexp(x, -F), mp.ldexp(y, -F)))
+            assert _relative_error(_value(oracle._exp(x, y)), want) < _CLOSE
+        # the constants that carry every reduction, each series floored a
+        # few hundred times at most
+        assert abs(mp.ldexp(oracle._LN2, -F) - mp.log(2)) < mp.mpf(2) ** -(F - 16)
+        assert abs(mp.ldexp(oracle._PI, -F) - mp.pi) < mp.mpf(2) ** -(F - 16)
+
+
+def _fractional_pair(named):
+    """tent on the grid t -> t^(7/3), times t^-40 and t^-60: the
+    discriminant's low and step are fractions, and t0^low at t0 = 1e-7 is
+    about 1e653, far outside a double."""
+    r = Fraction(7, 3)
+    tent = named["tent"]
+    return FamilyPair(
+        tent.g8.rescale_exponents(r).shift_t(-40), tent.g12.rescale_exponents(r).shift_t(-60)
+    )
+
+
+def test_power_matches_mpmath(named):
+    rng = random.Random(1729)
+    samples = [1e-3, 1e-5, 1e-7, 0.9, 0.5, Fraction(1, 3)]
+    samples += [rng.uniform(1e-9, 1) for _ in range(10)]
+    exponents = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(20)]
+    exponents += [Fraction(0), Fraction(1), Fraction(-1), Fraction(10**6 + 1, 7)]
+    delta = _fractional_pair(named).discriminant24()
+    assert delta.low.denominator > 1 and delta.step.denominator > 1
+    exponents += [delta.low, delta.step]
+    with mp.workprec(_EXACT):
+        assert mp.power(_mpf(1e-7), _mpf(delta.low)) > mp.mpf("1e600")
+        for t0 in samples:
+            for e in exponents:
+                got = _value(oracle._power(Fraction(t0), e))
+                assert _relative_error(got, mp.power(_mpf(t0), _mpf(e))) < _CLOSE
+    # a dyadic power that fits is exact
+    assert oracle._power(Fraction(1, 4), Fraction(1, 2)) == oracle._norm(1, 0, -1)
+
+
+def test_evaluated_discriminant_matches_its_reference(named):
+    # against 100 digits: the triples' Horner loses a few bits to
+    # cancellation, still far below what the 60-digit coefficients carried
+    pairs = [named[name].normalized() for name in ("d_mixed", "ds_circle", "ds_split", "tent")]
+    pairs.append(_fractional_pair(named))
+    for f in pairs:
+        for t0 in (1e-3, 1e-7, 0.9):
+            got = oracle._evaluated_discriminant(f, Fraction(t0))
+            with mp.workdps(100):
+                want = _reference_evaluated_discriminant(f, _mpf(t0))
+                for a, b in zip(got, want, strict=True):
+                    if b == 0:
+                        assert a == (0, 0, 0)
+                    else:
+                        assert a[1] == 0
+                        assert _relative_error(_value(a), b) < mp.mpf(2) ** -200
+
+
+def _oracle_coefficients(named):
+    """The coefficients that oracle_compare refines on four named families at
+    the default samples, first and last nonzero."""
+    out = []
+    for name in ("d_mixed", "ds_circle", "ds_split", "tent"):
+        f = named[name].normalized()
+        for t0 in (1e-3, 1e-5, 1e-7):
+            coeffs = oracle._evaluated_discriminant(f, Fraction(t0))
+            support = [i for i, c in enumerate(coeffs) if c[0]]
+            out.append(coeffs[support[0] : support[-1] + 1])
+    return out
+
+
+def test_initial_points_match_their_reference(named):
+    rng = random.Random(1729)
+    with mp.workdps(_DPS):
+        cases = [[_triple(c) for c in _integer_polynomial(rng, d)] for d in range(1, 25)]
+        cases.append([_triple(c) for c in _spread_polynomial(rng)[1]])
+        cases += _oracle_coefficients(named)
+        for coeffs in cases:
+            got = oracle._initial_points(coeffs)
+            want = _reference_initial_points([_value(c) for c in coeffs])
+            assert len(got) == len(want) == len(coeffs) - 1
+            for z, ref in zip(got, want):
+                assert _relative_error(_value(z), ref) < mp.mpf("1e-50")
 
 
 def test_oracle_compare_on_split_family(named):
@@ -150,11 +363,11 @@ def test_oracle_compare_reports_no_convergence(named, monkeypatch):
     )
 
 
-def _reference_find_roots(coeffs):
+def _reference_find_roots(coeffs, starts=None):
     """The root refinement on mpmath complex numbers: the starts, update order
-    and stop test that oracle._find_roots runs on integer mantissas."""
+    and stop test that oracle._find_roots runs on integer triples."""
     n = len(coeffs) - 1
-    roots = oracle._initial_points(coeffs)
+    roots = list(starts) if starts else _reference_initial_points(coeffs)
     abs_coeffs = [abs(c) for c in reversed(coeffs)]
     for _ in range(oracle._MAX_ITERATIONS):
         settled = True
@@ -210,6 +423,12 @@ def _spread_polynomial(rng):
     return roots, _from_roots(roots)
 
 
+def _find_roots(coeffs):
+    """oracle._find_roots on the mpmath coefficients as triples, its roots
+    back as mpmath numbers."""
+    return [_value(z) for z in oracle._find_roots([_triple(c) for c in coeffs])]
+
+
 def _pairs(found, expected):
     """Each found root with the nearest expected root not taken before it."""
     assert len(found) == len(expected)
@@ -238,10 +457,10 @@ def test_find_roots_against_polyroots():
     # accurate as its residual allows, about 1e-13 on these, so each found
     # root is held to the Newton inclusion radius, not to a fixed 1e-30
     rng = random.Random(1729)
-    with mp.workdps(oracle._DPS):
+    with mp.workdps(_DPS):
         for degree in range(1, 25):
             coeffs = _integer_polynomial(rng, degree)
-            found = oracle._find_roots(coeffs)
+            found = _find_roots(coeffs)
             assert all(_passes_stop_test(coeffs, z) for z in found)
             with mp.workdps(30):
                 expected = mp.polyroots(coeffs[::-1], maxsteps=100)
@@ -251,11 +470,11 @@ def test_find_roots_against_polyroots():
 
 
 def test_find_roots_on_a_coefficient_spread_of_1e84():
-    with mp.workdps(oracle._DPS):
+    with mp.workdps(_DPS):
         roots, coeffs = _spread_polynomial(random.Random(1729))
         sizes = [abs(c) for c in coeffs]
         assert 1e83 < max(sizes) / min(sizes) < 1e85
-        found = oracle._find_roots(coeffs)
+        found = _find_roots(coeffs)
         assert all(_passes_stop_test(coeffs, z) for z in found)
         for z, ref in _pairs(found, roots):
             slack = mp.mpf("1e-40") * abs(ref)
@@ -263,45 +482,32 @@ def test_find_roots_on_a_coefficient_spread_of_1e84():
 
 
 def test_find_roots_repeats_the_refinement_on_mpmath_numbers():
-    # the same iterates, far below what the stop test resolves: the integer
-    # mantissas carry at least mpmath's 203 bits at 60 digits
-    assert oracle._WORK_BITS >= dps_to_prec(oracle._DPS) == 203
+    # the same iterates from the same starts, far below what the stop test
+    # resolves: the integer mantissas carry at least mpmath's 203 bits at 60
+    # digits
+    assert oracle._WORK_BITS >= dps_to_prec(_DPS) == 203
     rng = random.Random(1729)
-    with mp.workdps(oracle._DPS):
+    with mp.workdps(_DPS):
         cases = [_integer_polynomial(rng, d) for d in (1, 2, 3, 5, 8, 13)]
         cases.append(_spread_polynomial(rng)[1])
         # roots 2^600 apart in modulus: each is below the other's last bit
         cases.append(_from_roots([mp.mpf("1e-90"), mp.mpf(-3), mp.mpf("1e90")]))
         for coeffs in cases:
-            pairs = _pairs(oracle._find_roots(coeffs), _reference_find_roots(coeffs))
+            pairs = _pairs(_find_roots(coeffs), _reference_find_roots(coeffs))
             assert all(abs(z - ref) <= mp.mpf("1e-45") * abs(ref) for z, ref in pairs)
 
 
 def test_find_roots_steps_off_a_critical_point(monkeypatch):
     # s^2 - 1 from the starts 0 and 1/2: p'(0) = 0, so the first root takes
     # the 1e-6 (1 + i) nudge before its first step
-    monkeypatch.setattr(oracle, "_initial_points", lambda coeffs: [mpc(0), mpc(0.5)])
-    with mp.workdps(oracle._DPS):
+    starts = [mpc(0), mpc(0.5)]
+    monkeypatch.setattr(oracle, "_initial_points", lambda coeffs: [_triple(z) for z in starts])
+    with mp.workdps(_DPS):
         coeffs = [mp.mpf(-1), mp.mpf(0), mp.mpf(1)]
-        found = oracle._find_roots(coeffs)
-        pairs = _pairs(found, _reference_find_roots(coeffs))
+        found = _find_roots(coeffs)
+        pairs = _pairs(found, _reference_find_roots(coeffs, starts))
         assert all(abs(z - ref) <= mp.mpf("1e-30") for z, ref in pairs)
         assert sorted(round(float(z.real)) for z in found) == [-1, 1]
-
-
-class _Mpz(int):
-    """Stands in for the gmpy integer type that mpmath's gmpy backend stores."""
-
-
-def test_mantissas_are_built_in_ints():
-    for sign, value in ((0, 3), (1, -3)):
-        m, e = oracle._mantissa(SimpleNamespace(_mpf_=(sign, _Mpz(3), -2, 2)))
-        assert (m, e) == (value, -2) and type(m) is int
-    with mp.workdps(oracle._DPS):
-        z = mp.mpc("0.1", "-3.5")
-        triple = oracle._to_triple(z)
-        assert all(type(x) is int for x in triple)
-        assert oracle._to_mpc(triple) == z
 
 
 def _reference_horner(mants, exps, z):
@@ -370,11 +576,12 @@ def recorded(named):
         for name in ("d_mixed", "ds_circle", "ds_split", "tent"):
             oracle_compare(named[name])
         rng = random.Random(1729)
-        with mp.workdps(oracle._DPS):
+        with mp.workdps(_DPS):
             cases = [_integer_polynomial(rng, d) for d in (1, 2, 3, 5, 8, 13)]
             cases.append(_spread_polynomial(rng)[1])
             for coeffs in cases:
-                recording_reconstruction_error(coeffs, oracle._find_roots(coeffs))
+                triples = [_triple(c) for c in coeffs]
+                recording_reconstruction_error(triples, oracle._find_roots(triples))
     return horner_calls, recon_calls
 
 
@@ -403,15 +610,15 @@ def test_horner_keeps_the_stop_verdict_at_the_threshold(recorded):
         if small:
             polys.setdefault((mants, exps), []).append(z)
     checked = 0
-    with mp.workdps(oracle._DPS):
+    with mp.workdps(_DPS):
         for (mants, exps), roots in polys.items():
             poly = (mants, exps, {})
             for z in roots:
                 p, dp, bound = _reference_horner(mants, exps, z)
                 if not (p[0] or p[1]):
                     continue
-                size = target * mp.ldexp(bound, p[2]) / abs(oracle._to_mpc(p))
-                step = oracle._mul(oracle._div(p, dp), oracle._to_triple(mp.mpc(size)))
+                size = target * mp.ldexp(bound, p[2]) / abs(_value(p))
+                step = oracle._mul(oracle._div(p, dp), _triple(size))
 
                 def ratio(k):
                     moved = oracle._add(z, oracle._mul((k, 0, -60), step))
@@ -440,9 +647,11 @@ def test_reconstruction_error_matches_its_reference(recorded):
     # only its own rounding, 203-bit against 232-bit
     calls = recorded[1]
     assert len(calls) == 4 * 3 + 7
-    with mp.workdps(oracle._DPS):
+    with mp.workdps(_DPS):
         for coeffs, roots, err in calls:
-            ref = _reference_reconstruction_error(coeffs, roots)
+            ref = _reference_reconstruction_error(
+                [_value(c) for c in coeffs], [_value(z) for z in roots]
+            )
             if ref > 1e-50:
                 assert err == ref
             else:
