@@ -23,7 +23,7 @@ from .moduli import (
     enumerate_divisors,
     normalization_preimage_count,
 )
-from .oracle import check_t_samples, oracle_compare
+from .oracle import DEFAULT_T_SAMPLES, check_t_samples, oracle_compare
 from .report import analyze
 from .symalg import parse_family
 
@@ -152,10 +152,10 @@ def cmd_oracle(args) -> int:
     try:
         rep = oracle_compare(pair, t_list)
     except UnrecognizedCuspError:
-        # oracle_compare raises this only at the end exponents, after its
-        # minimality and zero-discriminant checks. Were both exponents positive
-        # and finite, the t = 0 limits would be c1*s^4 and c2*s^6 (see analyze),
-        # not a minimal pair, so not NO_DEGENERATION: every family without
+        # raised only at the end exponents, which derive checks as analyze does:
+        # after minimality, before the discriminant. Were both positive and
+        # finite, the t = 0 limits would be c1*s^4 and c2*s^6 (see analyze), not
+        # a minimal pair, so not NO_DEGENERATION: every family without
         # degeneration ends here
         if cusp_type(pair.normalized()) is CuspKind.NO_DEGENERATION:
             print("family has no degeneration at t = 0; nothing to track")
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="family file")
     p.add_argument(
         "--t",
-        default="1e-3,1e-5,1e-7",
+        default=",".join(map(str, DEFAULT_T_SAMPLES)),
         help="comma-separated decreasing t samples in (0, 1)",
     )
     p.set_defaults(func=cmd_oracle)

@@ -40,9 +40,10 @@ from fractions import Fraction
 from math import hypot, isqrt, ldexp
 
 from .density import cut_positions
-from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError, ZeroFormError
-from .symalg import FamilyPair, minimality_check
-from .tropics import _lower_hull, end_exponents, newton_polygon, pair_polygons
+from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
+from .report import derive
+from .symalg import FamilyPair
+from .tropics import _lower_hull
 
 _RESIDUAL_TARGET = 1e-12
 _MAX_ITERATIONS = 500
@@ -70,6 +71,8 @@ _FIX_BITS = _WORK_BITS + _GUARD_BITS
 _LN_ROOTS = 3
 _EXP_HALVINGS = 8
 _TAYLOR_TERMS = 32
+# the t samples of oracle_compare and of k3seg oracle
+DEFAULT_T_SAMPLES = (1e-3, 1e-5, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -162,19 +165,21 @@ def _iroot(n: int, q: int) -> int:
 
 def _power(t0: Fraction, e: Fraction) -> tuple:
     """t0^e as a triple, t0 > 0 and e rational. With e = p / q, t0^|p| by
-    squaring on _FIX_BITS bits and more (exact while it fits), then its
-    integer q-th root, inverted for p < 0."""
+    squaring on _FIX_BITS bits and more, then its integer q-th root,
+    inverted for p < 0. The base a / b (t0 or 1 / t0) is scaled by its own
+    size, so it keeps its bits down to the smallest double, 5e-324."""
     p, q = e.numerator, e.denominator
     a, b = (t0.numerator, t0.denominator) if p >= 0 else (t0.denominator, t0.numerator)
     p = abs(p)
     # each of the 2 log2(p) cuts costs an ulp, so p's bits ride along
     bits = _FIX_BITS + p.bit_length() + 8
-    base = (a << bits) // b
+    shift = bits + b.bit_length() - a.bit_length()
+    base = (a << shift) // b if shift >= 0 else (a >> -shift) // b
     m, x = 1, 0
     for bit in bin(p)[2:]:
         m, x = m * m, 2 * x
         if bit == "1":
-            m, x = m * base, x - bits
+            m, x = m * base, x - shift
         cut = m.bit_length() - bits
         if cut > 0:
             m, x = m >> cut, x + cut
@@ -532,31 +537,25 @@ def empirical_positions(roots, e0: Fraction, einf: Fraction, t0) -> list:
     return sorted(out)
 
 
-def oracle_compare(f: FamilyPair, t_list=(1e-3, 1e-5, 1e-7)) -> OracleReport:
+def oracle_compare(f: FamilyPair, t_list=DEFAULT_T_SAMPLES) -> OracleReport:
     """Track the discriminant roots at each t sample and compare the sorted
     empirical positions with the exact ones.
 
     Deviations must not increase along the (strictly decreasing) t samples
     and the last one must land within the tolerance 0.2; otherwise the exact
     pipeline and the numerics disagree and this raises OracleMismatchError.
-    A non-minimal pair raises NotMinimalError and a zero g8 or g12
-    ZeroFormError, as in analyze.
+    The family's data and refusals are analyze's, from report.derive; where
+    analyze would take the cusp-quartic route, this raises CuspidalFamilyError.
     """
     samples = [float(t) for t in t_list]
     check_t_samples(samples)
 
-    f = f.normalized()
-    minimality_check(f)
-    delta = f.discriminant24()
-    if not delta:
+    f, _, _, ends, trop_d = derive(f)
+    if trop_d is None:
         raise CuspidalFamilyError(
             "discriminant vanishes identically; use the cusp-quartic route"
         )
-    polygons = pair_polygons(f)
-    ends = end_exponents(*polygons)
-    if None in polygons:  # a zero form passes the end exponents, as in analyze
-        raise ZeroFormError("Newton polygon of the zero form")
-    cut = cut_positions(newton_polygon(delta), ends)
+    cut = cut_positions(trop_d, ends)
     per_sample = []
     deviations = []
     recon_errors = []

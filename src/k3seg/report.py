@@ -20,7 +20,7 @@ from .density import (
     density_from_positions,
     density_profile,
 )
-from .errors import InternalError
+from .errors import InternalError, ZeroFormError
 from .lattices import Lattice, root_lattice, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
 from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
@@ -80,38 +80,40 @@ class AnalysisReport:
         }
 
 
-def analyze(f: FamilyPair) -> AnalysisReport:
-    """Run the full pipeline on a (possibly unnormalized) family.
-
-    Every per-family quantity is derived here once and handed to the stages
-    that read it: the end exponents, the Newton polygons of g8, g12 and the
-    discriminant, and, when the discriminant vanishes identically, the cusp
-    quartic G.
-    """
+def derive(f: FamilyPair) -> tuple:
+    """What analyze and oracle_compare read off a family, derived once and
+    refused in one order: the normalized pair (NotMinimalError), the Newton
+    polygons of g8 and g12, the end exponents (UnrecognizedCuspError), a zero
+    g8 or g12 (ZeroFormError), and the discriminant's polygon, None when the
+    discriminant vanishes identically. Returned as (pair, trop8, trop12,
+    ends, trop_d)."""
     g = f.normalized()
     minimality_check(g)
-    trop8, trop12 = pair_polygons(g)
-    ends_exp = end_exponents(trop8, trop12)
-    # a zero form passes the end exponents; the density needs its polygon
-    trop8 = trop8 or newton_polygon(g.g8)
-    trop12 = trop12 or newton_polygon(g.g12)
-    polygons = {"g8": trop8.hull, "g12": trop12.hull}
-
+    polygons = pair_polygons(g)
+    ends = end_exponents(*polygons)
+    if None in polygons:  # a zero form passes the end exponents
+        raise ZeroFormError("Newton polygon of the zero form")
     delta = g.discriminant24()
-    if not delta:
+    return g, *polygons, ends, newton_polygon(delta) if delta else None
+
+
+def analyze(f: FamilyPair) -> AnalysisReport:
+    """Run the full pipeline on a (possibly unnormalized) family: derive's
+    data, and the cusp quartic G once when the discriminant vanishes
+    identically."""
+    g, trop8, trop12, ends_exp, trop_d = derive(f)
+    if trop_d is None:
         quartic = extract_cusp_quartic(g)
         # density_cuspidal takes only root valuations (f0, f0, -finf, -finf) with
         # f0, finf > 0; G has valuation 0, so its limit c*s^2 has degree 2 < 4
         kind = CuspKind.CUSPIDAL_TO_MAXIMAL
         fn = density_cuspidal(quartic)
-        polygons["delta"] = None
     else:
         # e0, einf > 0: the g8 and g12 polygons fall strictly to index 4 and 6
         # and then rise, so the t = 0 limits are c1*s^4 and c2*s^6. V is concave
         # and >= 0 with V(0) = val(delta) / e0, so c1^3 != 27*c2^2 gives V = 0:
         # E9 ends, refused by stable_type. So a report's cusp is maximal.
         kind = CuspKind.MAXIMAL
-        trop_d = newton_polygon(delta)
         fn = density_profile(trop_d, trop8, trop12, ends_exp)
         other = density_from_positions(cut_positions(trop_d, ends_exp))
         if other.slope_profile() != fn.slope_profile():
@@ -119,7 +121,6 @@ def analyze(f: FamilyPair) -> AnalysisReport:
                 "density routes disagree on the slope profile: %r vs %r"
                 % (fn, other)
             )
-        polygons["delta"] = trop_d.hull
 
     st = stable_type(fn)
     lat = stable_type_lattice(st)
@@ -143,7 +144,7 @@ def analyze(f: FamilyPair) -> AnalysisReport:
         ramification=g.ramification(),
         cusp=kind,
         ends_exp=ends_exp,
-        polygons=polygons,
+        polygons={"g8": trop8.hull, "g12": trop12.hull, "delta": trop_d and trop_d.hull},
         density=fn,
         stable=st,
         lattice=lat,

@@ -6,7 +6,6 @@ import pytest
 
 from k3seg.report import analyze
 from k3seg.symalg import SForm, TLaurent, parse_family
-from k3seg.tropics import end_exponents, newton_polygon, pair_polygons
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FAMILY_DIR = REPO / "families"
@@ -45,17 +44,6 @@ def count_calls(run, *functions):
     finally:
         sys.setprofile(None)
     return counts
-
-
-def tropical_data(pair):
-    """What analyze derives once per family and hands to the tropical stages:
-    the Newton polygons of the discriminant, g8 and g12 and the end exponents."""
-    return (
-        newton_polygon(pair.discriminant24()),
-        newton_polygon(pair.g8),
-        newton_polygon(pair.g12),
-        end_exponents(*pair_polygons(pair)),
-    )
 
 
 def random_form(rng, degree):

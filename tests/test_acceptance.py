@@ -29,10 +29,10 @@ from k3seg.moduli import (
     normalization_preimage_count,
 )
 from k3seg.oracle import oracle_compare
-from k3seg.report import analyze
+from k3seg.report import analyze, derive
 from k3seg.symalg import SForm
 from k3seg.tropics import newton_polygon
-from tests.conftest import stretched, tropical_data
+from tests.conftest import stretched
 
 
 @contextmanager
@@ -79,7 +79,7 @@ def test_criterion_2_circle_family_triangle(named):
         assert same_up_to_scale(
             DensityFunction(report.density.unit_breakpoints()), UNIT_TRIANGLE
         )
-        trop_d, _, _, ends = tropical_data(named["ds_circle"].normalized())
+        _, _, _, ends, trop_d = derive(named["ds_circle"])
         cut = cut_positions(trop_d, ends)
         interior = [x for x in cut.positions if -1 < x < cut.w_plus]
         assert len(interior) == 18
@@ -124,10 +124,9 @@ def test_criterion_6_property_suite(corpus_data):
         started = time.perf_counter()
         assert len(families) == 100
         for f, report in zip(families, reports):
-            g = f.normalized()
-            assert g.discriminant24().s_degree() >= 0  # corpus avoids nn-families
+            _, trop8, trop12, ends, trop_d = derive(f)
+            assert trop_d is not None  # corpus avoids nn-families
             # (a) the two density routes agree slope for slope
-            trop_d, trop8, trop12, ends = tropical_data(g)
             direct = density_profile(trop_d, trop8, trop12, ends)
             via_cut = density_from_positions(cut_positions(trop_d, ends))
             assert direct.slope_profile() == via_cut.slope_profile()

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface through main(argv)."""
 
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 import k3seg
 from k3seg import oracle
 from k3seg.classify import CuspKind, cusp_type, end_surface_data
-from k3seg.cli import main
+from k3seg.cli import _build_parser, main
 from k3seg.corpus import _sparse_form, generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import InternalError, K3SegError, NotMinimalError, UnrecognizedCuspError
@@ -231,6 +232,37 @@ def test_oracle_on_a_zero_form_exits_3_as_analyze_does(tmp_path, capsys):
         assert capsys.readouterr().err == "E_ZERO_FORM: Newton polygon of the zero form\n"
 
 
+def test_oracle_refuses_a_stationary_cusp_as_analyze_does(tmp_path, capsys):
+    # the discriminant vanishes identically, but the end exponents, both 0,
+    # are checked first, in both commands
+    f = tmp_path / "cusp.family"
+    f.write_text("g8 = 3*(s^4 + 1)^2\ng12 = (s^4 + 1)^3\n")
+    for command in ("analyze", "oracle"):
+        assert main([command, str(f)]) == 4
+        assert capsys.readouterr().err == (
+            "E_UNRECOGNIZED_CUSP: end exponents (0, 0) are not both positive; the family"
+            " does not degenerate toward the cusp\n"
+        )
+
+
+def test_oracle_samples_t_down_to_1e_100(capsys):
+    # t^24 at 1e-100 is far below a double: d_mixed deviates by its fitted C
+    # over |ln t|, 0.6934 / 230.26
+    assert main(["oracle", family_path("d_mixed"), "--t", "1e-100"]) == 0
+    assert capsys.readouterr().out == (
+        "t = 1e-100     max deviation 0.003011   reconstruction error 0.000264\n"
+        "fitted C = 0.6934; final deviation 0.003011 within tolerance 0.20\n"
+    )
+
+
+def test_oracle_default_samples_are_oracle_compares():
+    # bench/worker.py reads the default off oracle_compare's signature
+    args = _build_parser().parse_args(["oracle", family_path("tent")])
+    assert tuple(float(x) for x in args.t.split(",")) == oracle.DEFAULT_T_SAMPLES
+    t_list = inspect.signature(oracle.oracle_compare).parameters["t_list"]
+    assert t_list.default == oracle.DEFAULT_T_SAMPLES
+
+
 def test_oracle_leaves_its_checks_to_oracle_compare(capsys):
     # the pair is checked for minimality once, inside oracle_compare, and a
     # family that degenerates is never classified
@@ -393,7 +425,7 @@ def test_gm_weights(capsys):
 # process has not imported mpmath
 _MPMATH_PROBE = """
 import contextlib, io, json, sys
-from k3seg.cli import main
+from k3seg.cli import _build_parser, main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv

@@ -20,10 +20,11 @@ from k3seg.density import (
     same_up_to_scale,
 )
 from k3seg.errors import CuspidalInteriorError, NegativeDensityError
+from k3seg.report import derive
 from k3seg.symalg import SForm, TLaurent, extract_cusp_quartic
 from k3seg.tropics import EndExponents, newton_polygon
 from k3seg.corpus import generate_corpus
-from tests.conftest import random_form, tropical_data
+from tests.conftest import random_form
 
 
 def lin(a, b):
@@ -134,12 +135,13 @@ def test_slope_profile_is_the_shift_invariant():
 
 
 def positions_of(pair):
-    trop_d, _, _, ends = tropical_data(pair)
+    _, _, _, ends, trop_d = derive(pair)
     return cut_positions(trop_d, ends)
 
 
 def profile_of(pair):
-    return density_profile(*tropical_data(pair))
+    _, trop8, trop12, ends, trop_d = derive(pair)
+    return density_profile(trop_d, trop8, trop12, ends)
 
 
 def negatives(c):
@@ -174,7 +176,7 @@ def test_cut_positions_level_is_the_top_height():
     # the named families with a discriminant start and end at one height; the
     # first corpus family runs from height 16 at index 2 to height 3 at index
     # 18, and the level is the top one over e0 = 8/5
-    trop_d, _, _, ends = tropical_data(generate_corpus(1, 1729)[0].normalized())
+    _, _, _, ends, trop_d = derive(generate_corpus(1, 1729)[0])
     assert (trop_d.hull[0], trop_d.hull[-1], ends.at_zero) == ((2, 16), (18, 3), Fraction(8, 5))
     c = cut_positions(trop_d, ends)
     assert c.level == Fraction(15, 8)

@@ -223,6 +223,9 @@ def test_power_matches_mpmath(named):
     rng = random.Random(1729)
     samples = [1e-3, 1e-5, 1e-7, 0.9, 0.5, Fraction(1, 3)]
     samples += [rng.uniform(1e-9, 1) for _ in range(10)]
+    # a base scaled by a fixed 2^bits, not by t0's own size, lost t0's bits
+    # as t0 shrank and was 0 below about 1.5e-92
+    samples += [1e-100, 1e-200, 5e-324]
     exponents = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(20)]
     exponents += [Fraction(0), Fraction(1), Fraction(-1), Fraction(10**6 + 1, 7)]
     delta = _fractional_pair(named).discriminant24()
@@ -236,6 +239,27 @@ def test_power_matches_mpmath(named):
                 assert _relative_error(got, mp.power(_mpf(t0), _mpf(e))) < _CLOSE
     # a dyadic power that fits is exact
     assert oracle._power(Fraction(1, 4), Fraction(1, 2)) == oracle._norm(1, 0, -1)
+
+
+def test_div_cuts_a_long_numerator_before_it_divides():
+    # an unnormalized Horner value of about 300 bits over a derivative of a
+    # few: the quotient's mantissa would pass _WORK_BITS + 2 bits, so _div
+    # shifts the numerator right, not left
+    rng = random.Random(31)
+    worst = Fraction(0)
+    for _ in range(200):
+        a = (rng.getrandbits(300) | 1 << 299, rng.getrandbits(300) - (1 << 299), rng.randint(-99, 99))
+        b = (rng.getrandbits(8) | 1, rng.randint(-255, 255), rng.randint(-99, 99))
+        nrm = b[0] ** 2 + b[1] ** 2
+        num = (a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1])
+        assert max(x.bit_length() for x in num) > oracle._WORK_BITS + 2 + nrm.bit_length()
+        scale = Fraction(2) ** (a[2] - b[2])
+        want = (Fraction(num[0], nrm) * scale, Fraction(num[1], nrm) * scale)
+        qr, qi, qe = oracle._div(a, b)
+        got = (Fraction(qr) * Fraction(2) ** qe, Fraction(qi) * Fraction(2) ** qe)
+        error = (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2
+        worst = max(worst, error / (want[0] ** 2 + want[1] ** 2))
+    assert worst < Fraction(1, 2 ** 458)  # 2^-229 relative
 
 
 def test_evaluated_discriminant_matches_its_reference(named):
@@ -350,6 +374,17 @@ def test_oracle_compare_keeps_its_stop_point_on_d_mixed(named):
         0.060226949063273284,
         0.043019249330972405,
     )
+
+
+def test_oracle_compare_samples_down_to_the_smallest_double(named):
+    # d_mixed's deviations fall as C / |ln t| with one C; a sample of 1e-100
+    # or less raised E_NN when t0 to the discriminant's step underflowed to 0
+    report = oracle_compare(named["d_mixed"], (1e-3, 1e-100, 1e-200, 5e-324))
+    for dev, t in zip(report.deviations[1:], report.t_samples[1:]):
+        assert dev * abs(math.log(t)) == pytest.approx(report.fitted_c, rel=1e-6)
+    # a ramified pair took an integer root of 0 and divided by zero
+    ramified = oracle_compare(_fractional_pair(named), (1e-3, 1e-100))
+    assert ramified.deviations[-1] < 1e-50
 
 
 def test_oracle_compare_reports_no_convergence(named, monkeypatch):

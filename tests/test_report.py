@@ -1,6 +1,6 @@
-"""analyze as the one place that derives a family's data: how often it calls
-the deriving stages, and which check fires first on inputs that several
-checks refuse."""
+"""derive as the one place that derives a family's data for analyze and the
+oracle: how often analyze calls the deriving stages, and which check fires
+first, in both, on inputs that several checks refuse."""
 
 from fractions import Fraction
 
@@ -10,7 +10,12 @@ from conftest import count_calls, family_text
 from k3seg import emit_svg, lattices
 from k3seg.classify import CuspKind, cusp_type, cuspidal_kind, end_surface_data
 from k3seg.corpus import generate_corpus
-from k3seg.errors import CuspidalFamilyError, UnrecognizedCuspError, ZeroFormError
+from k3seg.errors import (
+    CuspidalFamilyError,
+    NotMinimalError,
+    UnrecognizedCuspError,
+    ZeroFormError,
+)
 from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
 from k3seg.symalg import FamilyPair, SForm, canonical_text, extract_cusp_quartic, parse_family
@@ -77,27 +82,55 @@ STATIONARY_CUSP = (
 )
 
 
-def test_first_failing_check_decides_the_error():
+# text, error, message: the refusals analyze and oracle_compare share
+REFUSED = {
     # the end exponents of tent's g12 alone are fine; the zero g8 is refused
-    # when its Newton polygon is built
-    zero_g8 = parse_family("g8 = 0\ng12 = s^6 + t*(1 + s^12)\n")
-    with pytest.raises(ZeroFormError, match="^Newton polygon of the zero form$"):
-        analyze(zero_g8)
-    # the oracle refuses it at the same point, before it samples any t
-    with pytest.raises(ZeroFormError, match="^Newton polygon of the zero form$"):
-        oracle_compare(zero_g8)
+    # when its Newton polygon is built, before the oracle samples any t
+    "zero g8": (
+        "g8 = 0\ng12 = s^6 + t*(1 + s^12)\n",
+        ZeroFormError, "^Newton polygon of the zero form$",
+    ),
     # a constant g12 does not degenerate, and that is found before the zero g8
-    constant_g12 = parse_family("g8 = 0\ng12 = s^6 + 1 + s^12\n")
-    for run in (analyze, oracle_compare):
-        with pytest.raises(UnrecognizedCuspError, match="^end exponents \\(0, 0\\) are not"):
-            run(constant_g12)
-    # the oracle refuses an identically zero discriminant before it looks at
-    # the end exponents, which are both zero here
+    "constant g12": (
+        "g8 = 0\ng12 = s^6 + 1 + s^12\n",
+        UnrecognizedCuspError, "^end exponents \\(0, 0\\) are not both positive",
+    ),
+    "non-minimal": (
+        "g8 = (s-1)^4*(3*s^4 + t + t*s^4)\ng12 = (s-1)^6*(s^6 + t + t*s^6)\n",
+        NotMinimalError, "^a nonconstant form P has P\\^4 \\| g8 and P\\^6 \\| g12$",
+    ),
+    # two identically cuspidal families: the end exponents, both zero, are
+    # checked before the discriminant
+    "stationary cusp": (
+        STATIONARY_CUSP,
+        UnrecognizedCuspError, "^end exponents \\(0, 0\\) are not both positive",
+    ),
+    "cusp of s^4 + 1": (
+        "g8 = 3*(s^4 + 1)^2\ng12 = (s^4 + 1)^3\n",
+        UnrecognizedCuspError, "^end exponents \\(0, 0\\) are not both positive",
+    ),
+}
+
+
+def test_first_failing_check_decides_the_error(named):
+    # analyze and oracle_compare derive a family's data in one order, so a
+    # refused text gets one error from both: the same type, tag and message
+    for name, (text, error, message) in REFUSED.items():
+        pair = parse_family(text)
+        raised = []
+        for run in (analyze, oracle_compare):
+            with pytest.raises(error, match=message) as info:
+                run(pair)
+            raised.append((type(info.value), info.value.tag, str(info.value)))
+        assert raised[0] == raised[1], name
+    # the one difference: an identically zero discriminant with both end
+    # exponents positive is analyze's cusp-quartic route and the oracle's E_NN
+    assert analyze(named["d_constant"]).cusp is CuspKind.CUSPIDAL_TO_MAXIMAL
     with pytest.raises(
         CuspidalFamilyError,
         match="^discriminant vanishes identically; use the cusp-quartic route$",
     ) as info:
-        oracle_compare(parse_family(STATIONARY_CUSP), t_list=(1e-3,))
+        oracle_compare(named["d_constant"], t_list=(1e-3,))
     assert info.value.tag == "E_NN"
 
 
