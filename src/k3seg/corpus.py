@@ -56,8 +56,9 @@ def random_nodal_end(rng: random.Random) -> FamilyPair:
         * _linear(-1, 0, c, 1)
         * _linear(-1, 0, d, 1)
     )
-    g8 = (q * q).scale(3)
-    g12 = q * q * q + _sparse_form(rng, 12, rng.randint(1, 2), 6, 12)
+    q2 = q * q
+    g8 = q2.scale(3)
+    g12 = q2 * q + _sparse_form(rng, 12, rng.randint(1, 2), 6, 12)
     return FamilyPair(g8, g12)
 
 

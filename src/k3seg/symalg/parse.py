@@ -14,18 +14,22 @@ with P, Q in Z[u][s] primitive (integer content 1, first nonzero entry
 positive) and free of factors s and u, and d the gcd of the gaps between its
 t-exponents (0 when there are none), so t^100000000 is a single entry. The
 kernel's shape/reduce pair normalizes it as it does a form: a value with
-Q = 1 is the SForm t^b * (n/e) * P(t^d, s), its s^a a leading empty rows. A
-monomial is P = Q = [[1]]: multiplying, dividing, negating or raising
-monomials adds or scales exponents and multiplies integers, and a sum of
-monomials is collected by exponent in one pass, like terms cancelling first.
-Other sums are added pairwise in a balanced tree. No evaluation builds an
-array of s- or u-degree past MAX_SPAN, or runs a product whose coefficients
-could pass MAX_BITS bits, no expression nests deeper than MAX_DEPTH, and no
-statement expands more than MAX_CALLS macro calls; an input that would is a
-ParseError. A result is accepted only if its reduced denominator is a single
-monomial c*s^a*t^b, i.e. Q divides P; the s-part must then be a true
-polynomial of degree at most the slot's formal degree, while negative (and
-only integer) t-powers are fine.
+Q = 1 is the SForm t^b * (n/e) * P(t^d, s), its s^a a leading empty rows, so
+_finalize wraps it as it stands. A monomial is P = Q = _ONE, the one shared
+[[1]] that every value with a P or Q of [[1]] holds, so an identity test
+tells it apart: _mul and _pow of monomials add or scale the exponents and
+multiply or raise n and e, after the size checks the array route would run,
+and a sum of monomials is collected by exponent in one pass, like terms
+cancelling first. A sum of terms c/e*t^b*s^a, such as a canonical text,
+thus builds no array before its sum. Other sums are added pairwise in a
+balanced tree. No evaluation builds an array of s- or u-degree past
+MAX_SPAN, or runs a product whose coefficients could pass MAX_BITS bits, no
+expression nests deeper than MAX_DEPTH, and no statement expands more than
+MAX_CALLS macro calls; an input that would is a ParseError. A result is
+accepted only if its reduced denominator is a single monomial c*s^a*t^b,
+i.e. Q divides P; the s-part must then be a true polynomial of degree at
+most the slot's formal degree, while negative (and only integer) t-powers
+are fine.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ MAX_DEPTH = 64  # deepest nesting of an expression, macro calls included
 MAX_CALLS = 1 << 10  # most macro calls one statement may expand
 
 # P and Q are primitive, first nonzero entry positive, with no factor s or
-# u, and gcd(n, e) = 1. A P or Q of one entry is [[1]], so the monomial
-# c*s^a*t^b is (a, b, 0, n, e, [[1]], [[1]]) with c = n/e; zero has n = 0 and
-# P = []. The size bounds are stated for the numerator n*P and the
-# denominator e*Q, the arrays with the scalars multiplied in.
+# u, and gcd(n, e) = 1. A P or Q of one entry is _ONE itself, so the monomial
+# c*s^a*t^b is (a, b, 0, n, e, _ONE, _ONE) with c = n/e; zero has n = 0 and
+# P = []; e may be negative. The size bounds are stated for the numerator
+# n*P and the denominator e*Q, the arrays with the scalars multiplied in.
 _ONE = [[1]]
 _ZERO = (0, 0, 0, 0, 1, [], _ONE)
 _S = (1, 0, 0, 1, 1, _ONE, _ONE)
@@ -82,17 +86,15 @@ def _value(a: int, b: int, d: int, n: int, e: int, num: list, den: list) -> tupl
     num = snorm(num)
     if not num or not n:
         return _ZERO
-    if num == _ONE and den == _ONE:
-        g = gcd(n, e)
-        return a, b, 0, n // g, e // g, _ONE, _ONE
     i, k = first(num), first(den)
     num, den = num[i:], den[k:]
     j, g, c = shape(num)
     l, g, f = shape(den, g)
     h = gcd(n * c, e * f)
+    num, den = reduce(num, j, g, c), reduce(den, l, g, f)
     return (
         a + i - k, b + (j - l) * d, d * g, n * c // h, e * f // h,
-        reduce(num, j, g, c), reduce(den, l, g, f),
+        _ONE if num == _ONE else num, _ONE if den == _ONE else den,
     )
 
 
@@ -107,12 +109,17 @@ def _align(x: tuple, a: int, b: int, d: int) -> tuple[list, list]:
     return [[]] * i + [uspread(c, j, k) for c in p], [uspread(c, 0, k) for c in q]
 
 
-def _product(c: int, p: list, k: int, q: list) -> list:
-    """p*q: the product of c*p and k*q, less its scalar c*k. Unless c*p or
-    k*q is [[1]], it is refused before it runs if it could pass MAX_SPAN or
-    MAX_BITS."""
+def _fit_product(c: int, p: list, k: int, q: list) -> None:
+    """Unless c*p or k*q is [[1]], refuses their product if it could pass
+    MAX_SPAN or MAX_BITS."""
     if not (c == 1 and p == _ONE or k == 1 and q == _ONE):
         _fit(len(p) + len(q) - 2, _uspan(p) + _uspan(q), bits=_bits(c, p) + _bits(k, q))
+
+
+def _product(c: int, p: list, k: int, q: list) -> list:
+    """p*q: the product of c*p and k*q, less its scalar c*k, refused by
+    _fit_product before it runs."""
+    _fit_product(c, p, k, q)
     return q if p == _ONE else p if q == _ONE else smul(p, q)
 
 
@@ -139,6 +146,12 @@ def _neg(x: tuple) -> tuple:
 def _mul(x: tuple, y: tuple) -> tuple:
     if not x[3] or not y[3]:
         return _ZERO
+    if x[5] is x[6] is y[5] is y[6] is _ONE:  # monomials: the exponents add
+        _fit_product(x[3], _ONE, y[3], _ONE)
+        _fit_product(x[4], _ONE, y[4], _ONE)
+        n, e = x[3] * y[3], x[4] * y[4]
+        g = gcd(n, e)
+        return x[0] + y[0], x[1] + y[1], 0, n // g, e // g, _ONE, _ONE
     d = gcd(x[2], y[2])
     (p1, q1), (p2, q2) = _align(x, x[0], x[1], d), _align(y, y[0], y[1], d)
     return _value(
@@ -158,6 +171,9 @@ def _pow(x: tuple, k: int) -> tuple:
     if k < 0:
         x, k = _inverse(x), -k
     a, b, d, n, e, p, q = x
+    if p is q is _ONE:  # a monomial: the exponents scale, n^k and e^k stay coprime
+        _fit(0, bits=k * (max(abs(n), abs(e)) - 1).bit_length())
+        return a * k, b * k, 0, n**k, e**k, _ONE, _ONE
     _fit(
         k * (len(p) - 1), k * _uspan(p), k * (len(q) - 1), k * _uspan(q),
         bits=k * max(_bits(n, p), _bits(e, q)),
@@ -362,7 +378,7 @@ def _sum(terms: list) -> tuple:
     """The terms added: monomials (zero included) in one pass, any other sum
     pairwise, neighbours first, in a balanced tree, so n terms cost O(n log n)
     where a left-to-right sum re-aligns and copies its growing total n times."""
-    if all(x[5] == _ONE and x[6] == _ONE or not x[3] for x in terms):
+    if all(x[5] is x[6] is _ONE or not x[3] for x in terms):
         return _monomial_sum(terms)
     while len(terms) > 1:
         pairs = [_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
@@ -411,9 +427,15 @@ def _eval(node, macros: dict, env: dict, calls, depth: int = 0) -> tuple:
 
 
 def _finalize(value: tuple, degree: int, slot: str) -> SForm:
+    """The slot's form. A value with Q = 1, every sum of monomials among
+    them, is already an SForm's canonical value: _value left P primitive
+    with its first entry positive and no factor u, and d the gcd of P's
+    gaps, so b is the lowest t-exponent and d the step. It is wrapped as it
+    stands, the sign of e moved into n and P padded to the formal degree;
+    only the quotient that sdiv_exact leaves is made canonical again."""
     a, b, d, n, e, num, den = value
     z, c = 0, 1
-    if den != _ONE:
+    if den is not _ONE:
         # den has no monomial factor, so value is Laurent only when den | num
         exact = sdiv_exact(num, den)
         if exact is None:
@@ -425,7 +447,12 @@ def _finalize(value: tuple, degree: int, slot: str) -> SForm:
         raise DegreeError(
             "%s has s-degree %d, limit is %d" % (slot, a + len(num) - 1, degree)
         )
-    return SForm._of(degree, Fraction(b - z * d), Fraction(d), n, e * c, [[]] * a + num)
+    if den is not _ONE:
+        return SForm._of(degree, Fraction(b - z * d), Fraction(d), n, e * c, [[]] * a + num)
+    if e < 0:
+        n, e = -n, -e
+    poly = [[]] * a + num + [[]] * (degree + 1 - a - len(num))
+    return SForm._new(degree, Fraction(b), Fraction(d), n, e, poly)
 
 
 def parse_family(text: str) -> FamilyPair:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k3seg.report import analyze
-from k3seg.symalg import SForm, TLaurent, parse_family
+from k3seg.symalg import FamilyPair, SForm, TLaurent, parse_family
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FAMILY_DIR = REPO / "families"
@@ -65,6 +65,16 @@ def stretched(f, a):
     """f in the coordinate sigma = s / t^a: the s^i coefficient times t^(i*a)."""
     parts = (SForm(f.degree, [0] * i + [c]).shift_t(i * a) for i, c in enumerate(f.coeffs))
     return sum(parts, SForm.zero(f.degree))
+
+
+def _flipped(form):
+    return SForm(form.degree, [x.scale((-1) ** i) for i, x in enumerate(form.coeffs)])
+
+
+def charts(f):
+    """f in the charts s, -s, 1/s and -1/s."""
+    flip = FamilyPair(_flipped(f.g8), _flipped(f.g12))
+    return (f, flip, f.inverted(), flip.inverted())
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from conftest import charts
 from k3seg.classify import end_surface_data
 from k3seg.corpus import generate_corpus
 from k3seg.density import (
@@ -252,16 +253,6 @@ def test_stretched_limit_matches_the_fraction_routine(f, e, level, degree):
 # ---------------------------------------------------------------------------
 # corpus-100 and the named families in four charts
 # ---------------------------------------------------------------------------
-
-
-def _flipped(form):
-    return SForm(form.degree, [x.scale((-1) ** i) for i, x in enumerate(form.coeffs)])
-
-
-def charts(f):
-    """f in the charts s, -s, 1/s and -1/s."""
-    flip = FamilyPair(_flipped(f.g8), _flipped(f.g12))
-    return (f, flip, f.inverted(), flip.inverted())
 
 
 def test_corpus_and_named_families_match_the_fraction_routines(named):

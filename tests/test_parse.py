@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import NAMED, family_text
 from k3seg.errors import DegreeError, NotPolynomialError, ParseError
 from k3seg.symalg import parse as parse_module
-from k3seg.symalg import parse_family
+from k3seg.symalg import SForm, parse_family
 from k3seg.symalg.parse import (
     _ONE, MAX_BITS, MAX_CALLS, MAX_DEPTH, MAX_SPAN, _add, _monomial_sum,
 )
@@ -48,6 +48,11 @@ def test_rational_constants_via_division():
     f = parse_family("g8 = 3/2*s^4\ng12 = s^6/4\n")
     assert coeff(f.g8, 4, 0) == Fraction(3, 2)
     assert coeff(f.g12, 6, 0) == Fraction(1, 4)
+    # products and powers of monomials: 1/(-3) carries its sign in the
+    # denominator until the form is built, and 0^0 is 1
+    f = parse_family("g8 = 3*s^4*1/(-3)*(-3)\ng12 = (2/4)^2*4\n")
+    assert f.g8 == SForm.monomial(8, 4, 3) and f.g12 == SForm.monomial(12, 0, 1)
+    assert parse_family("g8 = 0^0\ng12 = s^6\n").g8 == SForm.monomial(8, 0, 1)
 
 
 def test_negative_and_parenthesized_exponents():

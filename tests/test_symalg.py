@@ -15,7 +15,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, family_text, stretched
+from conftest import charts, count_calls, family_text, stretched
 from k3seg.corpus import generate_corpus
 from k3seg.errors import DegreeError, NotMinimalError, ParseError, ZeroFormError
 from k3seg.report import analyze
@@ -628,6 +628,14 @@ def test_parser_power_takes_two_products_for_a_cube():
     assert counts == {"smul": 2}
 
 
+def test_parser_takes_no_product_on_sums_of_monomials():
+    # a canonical text is a sum of terms c*t^b*s^a: its products and powers
+    # add and scale exponents, without a product or power of arrays
+    texts = [canonical_text(f) for f in generate_corpus(10, 1729)]
+    counts = count_calls(lambda: [parse_family(text) for text in texts], spow, smul)
+    assert counts == {"spow": 0, "smul": 0}
+
+
 def test_sform_stretched_limit_reads_the_shifted_coefficients():
     # the sigma^i coefficient of f(t^a * sigma) is f's s^i coefficient times
     # t^(i*a); stretched_limit reads the t^level term of each of them
@@ -984,8 +992,9 @@ def test_extract_cusp_quartic_needs_zero_discriminant(named):
 
 
 def test_canonical_text_round_trips(named):
-    for name in ("tent", "d_mixed", "d_constant"):
-        f = named[name]
+    families = [named[name] for name in ("tent", "d_mixed", "d_constant")]
+    families += [h for f in generate_corpus(100, 1729) for h in charts(f)]
+    for f in families:
         assert parse_family(canonical_text(f)) == f
 
 
