@@ -13,6 +13,8 @@ fraction-free symmetric elimination whose leading principal minors D_k give
 the determinant (D_n), the signature (the signs of D_k / D_(k-1)) and, with
 its reduced rows, the integer LDL^T form that the short-vector enumeration
 walks (Fincke-Pohst): each coordinate ranges over one integer interval.
+The determinant of one A, D or E lattice also has a closed form,
+root_determinant, which the report reads.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ def direct_sum(parts: list[Lattice], name: str | None = None) -> Lattice:
         pieces = [p.name for p in parts if p.rank]
         name = "+".join(pieces) if pieces else "0"
     return Lattice(name, tuple(tuple(row) for row in gram))
+
+
+def root_determinant(kind: str, n: int) -> int:
+    """det root_lattice(kind, n), in closed form: A(n) is n + 1, D(n) is 4
+    and E(n) is 9 - n for n >= 1, the empty lattice 1."""
+    if not n:
+        return 1
+    return n + 1 if kind == "A" else 4 if kind == "D" else 9 - n
 
 
 def stable_type_lattice(stype) -> Lattice:

@@ -21,7 +21,7 @@ from .density import (
     density_profile,
 )
 from .errors import InternalError, ZeroFormError
-from .lattices import Lattice, root_lattice, stable_type_lattice
+from .lattices import Lattice, root_determinant, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
 from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
@@ -68,7 +68,7 @@ class AnalysisReport:
                 "rank": self.lattice.rank,
                 # the lattice is the direct sum of the components' root lattices
                 "determinant": math.prod(
-                    root_lattice(c.kind, c.index).determinant() for c in self.stable.components
+                    root_determinant(c.kind, c.index) for c in self.stable.components
                 ),
             },
             "ends": {

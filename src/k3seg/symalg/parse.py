@@ -8,6 +8,16 @@ semicolons, `#` starts a line comment.
     g8  = g4(s/t) * g4(1/(t*s)) * s^4
     g12 = ...
 
+A g8 or g12 statement whose right side is a sum of monomials in the
+printer's grammar, such as every line of a canonical text, is read term by
+term: an optional leading '-', then terms joined by '+' or '-' (spaces
+allowed around them), each a nonempty '*'-product, in this order, of an
+ASCII integer c or c/d, t or t^b, and s or s^a. _read_terms matches one
+whole term at a time and builds the value _eval would give it, and the
+terms go to _monomial_sum as _eval's sum of them does. Every other
+statement, macros and parentheses among them, is tokenized, parsed to a
+tree by _Parser and evaluated by _eval.
+
 Expressions are evaluated exactly in the fraction field of Q[s, t], on the
 integer kernel of field.py: a value is s^a * t^b * (n/e) * P(t^d, s) / Q(t^d, s)
 with P, Q in Z[u][s] primitive (integer content 1, first nonzero entry
@@ -20,20 +30,20 @@ _finalize wraps it as it stands. A monomial is P = Q = _ONE, the one shared
 tells it apart: _mul and _pow of monomials add or scale the exponents and
 multiply or raise n and e, after the size checks the array route would run,
 and a sum of monomials is collected by exponent in one pass, like terms
-cancelling first. A sum of terms c/e*t^b*s^a, such as a canonical text,
-thus builds no array before its sum. Other sums are added pairwise in a
-balanced tree. No evaluation builds an array of s- or u-degree past
-MAX_SPAN, or runs a product whose coefficients could pass MAX_BITS bits, no
-expression nests deeper than MAX_DEPTH, and no statement expands more than
-MAX_CALLS macro calls; an input that would is a ParseError. A result is
-accepted only if its reduced denominator is a single monomial c*s^a*t^b,
-i.e. Q divides P; the s-part must then be a true polynomial of degree at
-most the slot's formal degree, while negative (and only integer) t-powers
-are fine.
+cancelling first, so a sum of monomials builds no array before its sum.
+Other sums are added pairwise in a balanced tree. No evaluation builds an
+array of s- or u-degree past MAX_SPAN, or runs a product whose coefficients
+could pass MAX_BITS bits, no expression nests deeper than MAX_DEPTH, and no
+statement expands more than MAX_CALLS macro calls; an input that would is a
+ParseError. A result is accepted only if its reduced denominator is a
+single monomial c*s^a*t^b, i.e. Q divides P; the s-part must then be a true
+polynomial of degree at most the slot's formal degree, while negative (and
+only integer) t-powers are fine.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -422,6 +432,58 @@ def _eval(node, macros: dict, env: dict, calls, depth: int = 0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the term reader: a g8/g12 statement that is a sum of monomials, one match
+# per term
+# ---------------------------------------------------------------------------
+
+_HEAD = re.compile(r" *(g8|g12) *= *")
+# a nonempty product c[/d]*t[^b]*s[^a], its factors in this order, each
+# followed by '*' and the next factor or by the end of the term, then the
+# next ' + ' / ' - ' or the end of the statement
+_TERM_END = r"(?= *(?:[-+]|\Z))"
+_TERM = re.compile(
+    r"([-+]?) *(?=[0-9st])"
+    r"(?:([0-9]+)(?:/([0-9]+))?(?:\*(?=[st])|" + _TERM_END + "))?"
+    r"(?:(t)(?:\^(-?[0-9]+))?(?:\*(?=s)|" + _TERM_END + "))?"
+    r"(?:(s)(?:\^([0-9]+))?)?" + _TERM_END + " *"
+)
+
+
+def _read_terms(stmt: str) -> tuple[str, list] | None:
+    """A statement `slot = ±term ± term ...` whose terms are monomials as
+    (slot, the terms' values), each exactly the value _eval gives it, with
+    '-' applied as _neg; None for any other statement, which the tokenizer
+    and _Parser then read. A zero denominator, and a literal int() refuses,
+    are left to them too, so the reader raises nothing."""
+    head = _HEAD.match(stmt)
+    if head is None:
+        return None
+    pos, end = head.end(), len(stmt.rstrip(" "))
+    terms: list[tuple] = []
+    while pos < end:
+        m = _TERM.match(stmt, pos, end)
+        # the first term may have a '-', every later one needs its operator
+        if m is None or (m[1] == "+" if not terms else not m[1]):
+            return None
+        sign, c, d, t, b, s, a = m.groups()
+        try:
+            c, d = int(c) if c else 1, int(d) if d else 1
+            b = (int(b) if b else 1) if t else 0
+            a = (int(a) if a else 1) if s else 0
+        except ValueError:  # past the interpreter's int-string limit
+            return None
+        if not d:
+            return None
+        if c:
+            g = gcd(c, d)
+            terms.append((a, b, 0, (-c if sign == "-" else c) // g, d // g, _ONE, _ONE))
+        else:
+            terms.append(_ZERO)
+        pos = m.end()
+    return (head[1], terms) if terms else None
+
+
+# ---------------------------------------------------------------------------
 # statements and finalization
 # ---------------------------------------------------------------------------
 
@@ -472,6 +534,14 @@ def parse_family(text: str) -> FamilyPair:
 
     for lineno, offset, stmt in statements:
         try:
+            read = _read_terms(stmt)
+            if read is not None:
+                head, terms = read
+                if head in slots:
+                    raise ParseError("%s assigned twice" % head)
+                slots[head] = terms[0] if len(terms) == 1 else _monomial_sum(terms)
+                slot_lines[head] = lineno
+                continue
             p = _Parser(_tokenize(stmt, offset), macros)
             head = p.take("name")
             if head == "let":
@@ -532,30 +602,39 @@ def parse_family(text: str) -> FamilyPair:
 
 
 def _print_form(form: SForm) -> str:
-    # s-exponent descending, t-exponent ascending (a stable sort keeps it)
-    monomials = sorted(form.terms(), key=lambda term: -term[0])
-    if not monomials:
-        return "0"
+    """The form in the file grammar: its terms by s-exponent descending,
+    then t-exponent ascending, each t-exponent (low + k*step) and
+    coefficient (num*x/den) read off the fields in integers."""
+    low, step, num, den = form.low, form.step, form.num, form.den
+    q = lcm(low.denominator, step.denominator)  # over which both are integers
+    low, step = low.numerator * (q // low.denominator), step.numerator * (q // step.denominator)
     parts: list[str] = []
-    for i, e, coef in monomials:
-        if e.denominator != 1:
-            raise ValueError(
-                "fractional t-exponent %s cannot be printed in the file grammar" % e
-            )
-        factors: list[str] = []
-        mag = abs(coef)
-        if e:
-            factors.append("t" if e == 1 else "t^%d" % e)
-        if i:
-            factors.append("s" if i == 1 else "s^%d" % i)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not parts:
-            parts.append(("-" if coef < 0 else "") + body)
-        else:
-            parts.append((" - " if coef < 0 else " + ") + body)
-    return "".join(parts)
+    for i in reversed(range(len(form.poly))):
+        for k, x in enumerate(form.poly[i]):
+            if not x:
+                continue
+            e, r = divmod(low + k * step, q)
+            if r:
+                raise ValueError(
+                    "fractional t-exponent %s cannot be printed in the file grammar"
+                    % Fraction(low + k * step, q)
+                )
+            c = num * x
+            g = gcd(c, den)
+            mag = "%d" % (abs(c) // g) if g == den else "%d/%d" % (abs(c) // g, den // g)
+            factors: list[str] = []
+            if e:
+                factors.append("t" if e == 1 else "t^%d" % e)
+            if i:
+                factors.append("s" if i == 1 else "s^%d" % i)
+            if mag != "1" or not factors:
+                factors.insert(0, mag)
+            body = "*".join(factors)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts) or "0"
 
 
 def canonical_text(pair: FamilyPair) -> str:

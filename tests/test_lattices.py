@@ -18,6 +18,7 @@ from k3seg.lattices import (
     direct_sum,
     gm_weights,
     inertia,
+    root_determinant,
     root_lattice,
     segment_lattice,
     stable_type_lattice,
@@ -41,6 +42,13 @@ def test_e_series_determinants():
     for n in range(1, 9):
         assert root_lattice("E", n).determinant() == 9 - n
     assert [root_lattice("E", n).determinant() for n in (6, 7, 8)] == [3, 2, 1]
+
+
+def test_closed_form_determinants_match_the_elimination():
+    # the report reads the closed form; every lattice root_lattice builds
+    for kind, top in (("A", 24), ("D", 24), ("E", 8)):
+        for n in range(top + 1):
+            assert root_determinant(kind, n) == determinant(root_lattice(kind, n).gram), (kind, n)
 
 
 def test_index_zero_is_the_empty_lattice():

@@ -13,10 +13,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import NAMED, family_text
-from k3seg.errors import DegreeError, NotPolynomialError, ParseError
+from conftest import NAMED, charts, count_calls, family_text
+from k3seg.corpus import generate_corpus
+from k3seg.errors import DegreeError, K3SegError, NotPolynomialError, ParseError
 from k3seg.symalg import parse as parse_module
-from k3seg.symalg import SForm, parse_family
+from k3seg.symalg import SForm, canonical_text, parse_family
 from k3seg.symalg.parse import (
     _ONE, MAX_BITS, MAX_CALLS, MAX_DEPTH, MAX_SPAN, _add, _monomial_sum,
 )
@@ -600,3 +601,139 @@ def test_monomial_sum_accepts_what_the_balanced_tree_accepts(terms, cancel):
         one_pass, tree = _outcome(_monomial_sum, terms), _outcome(_tree_sum, terms)
     if tree is not None:
         assert one_pass == tree
+
+
+# ---------------------------------------------------------------------------
+# the term reader against the tokenizer route
+# ---------------------------------------------------------------------------
+
+
+def _fields(text):
+    """Every field of both forms with its type, or the error's type and message."""
+    try:
+        pair = parse_family(text)
+    except K3SegError as err:
+        return type(err), str(err)
+    forms = (pair.g8, pair.g12)
+    return [(k, type(getattr(f, k)), getattr(f, k)) for f in forms for k in SForm.__slots__]
+
+
+def _tokenizer_fields(text):
+    with mock.patch.object(parse_module, "_read_terms", lambda stmt: None):
+        return _fields(text)
+
+
+def _int_refuses(digits):
+    try:
+        int(digits)
+    except ValueError:
+        return True
+    return False
+
+
+# a literal past the interpreter's int-string limit, where it has one
+_LONG = "7" * 5000
+_INT_LIMIT = pytest.mark.skipif(not _int_refuses(_LONG), reason="int() takes 5000 digits here")
+_COEFFS = st.one_of(st.integers(0, 24), st.sampled_from(_BIG))
+_SEPARATORS = st.sampled_from((" + ", " - ", "+", "-", "  -   "))
+
+
+@st.composite
+def _term_sums(draw, degree):
+    """Sums in the reader's grammar: c[/d]*t[^b]*s[^a], any factor left
+    out but not all, with zero and reducible coefficients, denominators near
+    MAX_BITS bits, t^0 and negative t-exponents, s-exponents past the degree
+    and, at random, every term repeated with the other sign."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = []
+        if draw(st.booleans()):
+            c = "%d" % draw(_COEFFS)
+            factors.append(c + ("/%d" % draw(_COEFFS.filter(bool)) if draw(st.booleans()) else ""))
+        if draw(st.booleans()):
+            b = draw(st.one_of(st.none(), st.integers(-12, 12)))
+            factors.append("t" if b is None else "t^%d" % b)
+        if draw(st.booleans()) or not factors:
+            a = draw(st.one_of(st.none(), st.integers(0, degree + 3)))
+            factors.append("s" if a is None else "s^%d" % a)
+        terms.append("*".join(factors))
+    if draw(st.booleans()):
+        terms += draw(st.permutations(terms))
+    text = "-" if draw(st.booleans()) else ""
+    for i, term in enumerate(terms):
+        text += (draw(_SEPARATORS) if i else "") + term
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(g8=_term_sums(8), g12=_term_sums(12))
+def test_term_reader_agrees_with_the_tokenizer(g8, g12):
+    for stmt in ("g8 = " + g8, "g12 = " + g12):
+        assert parse_module._read_terms(stmt) is not None, stmt
+    text = "g8 = %s\ng12 = %s\n" % (g8, g12)
+    assert _fields(text) == _tokenizer_fields(text)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("let f(u) = u + 1\ng8 = f(s^4)\ng12 = s^6", id="macro"),
+    pytest.param("g8 = 3*(s^4 + t)\ng12 = s^6", id="parentheses"),
+    pytest.param("g8 = s^4*3\ng12 = s^6", id="s-before-c"),
+    pytest.param("g8 = s*t\ng12 = s^6", id="s-before-t"),
+    pytest.param("g8 = 3*s^4 + -t\ng12 = s^6", id="plus-minus"),
+    pytest.param("g8 = +3*s^4\ng12 = s^6", id="leading-plus"),
+    pytest.param("g8 = \u0663*s^4\ng12 = s^6", id="arabic-indic-digit"),
+    pytest.param("g8 = 3*s^4\u00a0+ t\ng12 = s^6", id="no-break-space"),
+    pytest.param("g8 = 3*s^4 +\tt\ng12 = s^6", id="tab"),
+    pytest.param("g8 = 3 * s^4\ng12 = s^6", id="spaced-product"),
+    pytest.param("g8 = 3s^4\ng12 = s^6", id="no-star"),
+    pytest.param("g8 = 3/2/5*s^4\ng12 = s^6", id="two-divisions"),
+    pytest.param("g8 = 3*s^-1\ng12 = s^6", id="negative-s-exponent"),
+    pytest.param("g8 = 3*s^4 +\ng12 = s^6", id="trailing-plus"),
+    pytest.param("g8 = 3/0*s^4\ng12 = s^6", id="zero-denominator"),
+    pytest.param("g8 = 0/0\ng12 = s^6", id="zero-over-zero"),
+    pytest.param("g8 = %s*s^4\ng12 = s^6" % _LONG, id="long-coefficient", marks=_INT_LIMIT),
+    pytest.param("g8 = t^%s*s^4\ng12 = s^6" % _LONG, id="long-exponent", marks=_INT_LIMIT),
+])
+def test_term_reader_leaves_other_statements_to_the_tokenizer(text):
+    assert parse_module._read_terms(text.splitlines()[0]) is None
+    assert _fields(text) == _tokenizer_fields(text)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("g8 = s^4\ng8 = 3*t\ng12 = s^6", id="assigned-twice"),
+    # assigned twice is checked before the sum is refused
+    pytest.param(
+        "g8 = s^4\ng8 = 1/%d*t + 1/3*t^2\ng12 = s^6" % (2**520 + 1),
+        id="assigned-twice-too-large",
+    ),
+    pytest.param("g8 = 1/%d*t + 1/3*t^2\ng12 = s^6" % (2**520 + 1), id="too-large"),
+    # a zero term's denominator counts as the tokenizer route's 1 does
+    pytest.param(
+        "g8 = 0/%d + 1/%d*t + 1/%d*t^2\ng12 = s^6" % (2**600 + 1, 2**300 + 7, 2**260 + 1),
+        id="zero-term-denominator",
+    ),
+    pytest.param("g8 = t^100000000 + 1 - t^100000000 + t\ng12 = s^6", id="cancelled-span"),
+    pytest.param("g8 = s^9 - s^9 + 0*s^10\ng12 = s^6", id="cancelled-degree"),
+    pytest.param("g8 = s^9\ng12 = s^6", id="degree"),
+    pytest.param("g8 = -0\ng12 = 0", id="both-zero"),
+])
+def test_term_reader_keeps_the_shared_checks(text):
+    assert all(parse_module._read_terms(stmt) is not None for stmt in text.splitlines())
+    assert _fields(text) == _tokenizer_fields(text)
+
+
+def test_term_reader_agrees_with_the_tokenizer_on_the_corpus():
+    for seed in (1729, 7):
+        for f in generate_corpus(100, seed):
+            for h in charts(f):
+                text = canonical_text(h)
+                assert _fields(text) == _tokenizer_fields(text), text
+
+
+def test_canonical_texts_skip_the_tokenizer():
+    texts = [canonical_text(f) for f in generate_corpus(10, 1729)]
+    counts = count_calls(lambda: [parse_family(text) for text in texts], parse_module._tokenize)
+    assert counts == {"_tokenize": 0}
+    for name in NAMED:  # a family file has parentheses or macros
+        counts = count_calls(lambda: parse_family(family_text(name)), parse_module._tokenize)
+        assert counts["_tokenize"] > 0, name
