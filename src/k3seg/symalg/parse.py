@@ -49,7 +49,9 @@ from itertools import count
 from math import gcd, lcm
 
 from ..errors import DegreeError, NotPolynomialError, ParseError
-from .field import first, reduce, sadd, sdiv_exact, shape, smul, snorm, spow, sscale, uspread
+from .field import (
+    content, first, lead, reduce, sadd, sdiv_exact, shape, smul, snorm, spow, sscale, uspread,
+)
 from .forms import FamilyPair, SForm
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,11 @@ def _monomial_sum(terms: list) -> tuple:
         row, k = num[a - a0], (b - b0) // (step or 1)
         row.extend([0] * (k + 1 - len(row)))
         row[k] = n * (den // e)
-    return _value(a0, b0, step, 1, den, num, _ONE)
+    # s^a0 and t^b0 are the lowest powers and step the gap gcd, so only the
+    # content, signed like the first entry, remains to be taken out
+    c = content(num) if lead(num) > 0 else -content(num)
+    h = gcd(c, den)
+    return a0, b0, step, c // h, den // h, _ONE if len(live) == 1 else reduce(num, 0, 0, c), _ONE
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +238,12 @@ def _monomial_sum(terms: list) -> tuple:
 # _sum, a product's factors left to right
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()=")
 _RESERVED = ("s", "t", "g8", "g12", "let")  # neither macro names nor parameters
+# one token after optional space: a decimal literal, a word, an operator or
+# any other character. Unicode \s, \d and \w are str.isspace, isdecimal and
+# isalnum or '_'; a word that starts with neither a letter nor '_', such as
+# '²', is an unexpected character
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*/^()=])|(\S))")
 
 
 def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
@@ -241,35 +251,23 @@ def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
     offset by the statement's position after semicolon splitting. The last
     token is ("end", None, column just past the statement's last character)."""
     toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(stmt)
-    while i < n:
-        ch = stmt[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < n and stmt[j].isdecimal():
-                j += 1
+    for m in _TOKEN.finditer(stmt):
+        digits, word, op, other = m.groups()
+        col = offset + m.start(m.lastindex) + 1
+        if digits:
             try:
-                value = int(stmt[i:j])
+                value = int(digits)
             except ValueError:  # past the interpreter's int-string limit
                 raise ParseError(
-                    "column %d: integer literal of %d digits is too long"
-                    % (offset + i + 1, j - i)
+                    "column %d: integer literal of %d digits is too long" % (col, len(digits))
                 ) from None
-            toks.append(("int", value, offset + i + 1))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (stmt[j].isalnum() or stmt[j] == "_"):
-                j += 1
-            toks.append(("name", stmt[i:j], offset + i + 1))
-            i = j
-        elif ch in _OPS:
-            toks.append((ch, ch, offset + i + 1))
-            i += 1
+            toks.append(("int", value, col))
+        elif op:
+            toks.append((op, op, col))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            toks.append(("name", word, col))
         else:
-            raise ParseError("column %d: unexpected character %r" % (offset + i + 1, ch))
+            raise ParseError("column %d: unexpected character %r" % (col, (word or other)[0]))
     toks.append(("end", None, offset + len(stmt.rstrip()) + 1))
     return toks
 
@@ -490,11 +488,12 @@ def _read_terms(stmt: str) -> tuple[str, list] | None:
 
 def _finalize(value: tuple, degree: int, slot: str) -> SForm:
     """The slot's form. A value with Q = 1, every sum of monomials among
-    them, is already an SForm's canonical value: _value left P primitive
-    with its first entry positive and no factor u, and d the gcd of P's
-    gaps, so b is the lowest t-exponent and d the step. It is wrapped as it
-    stands, the sign of e moved into n and P padded to the formal degree;
-    only the quotient that sdiv_exact leaves is made canonical again."""
+    them, is already an SForm's canonical value: _value and _monomial_sum
+    leave P primitive with its first entry positive and no factor u, and d
+    the gcd of P's gaps, so b is the lowest t-exponent and d the step. It is
+    wrapped as it stands, the sign of e moved into n and P padded to the
+    formal degree; only the quotient that sdiv_exact leaves is made
+    canonical again."""
     a, b, d, n, e, num, den = value
     z, c = 0, 1
     if den is not _ONE:
@@ -539,7 +538,7 @@ def parse_family(text: str) -> FamilyPair:
                 head, terms = read
                 if head in slots:
                     raise ParseError("%s assigned twice" % head)
-                slots[head] = terms[0] if len(terms) == 1 else _monomial_sum(terms)
+                slots[head] = _monomial_sum(terms)
                 slot_lines[head] = lineno
                 continue
             p = _Parser(_tokenize(stmt, offset), macros)

@@ -12,11 +12,6 @@ FAMILY_DIR = REPO / "families"
 
 NAMED = ("ds_split", "ds_circle", "tent", "d_mixed", "d_constant")
 
-# tent regauged by 2t - 1: its discriminant, (2t - 1)^6 times tent's, vanishes
-# at t = 1/2 alone
-VANISHING_SAMPLE = "g8 = (2*t - 1)^2*3*s^4\ng12 = (2*t - 1)^3*(s^6 + t*(1 + s^12))\n"
-
-
 def family_path(name: str) -> str:
     return str(FAMILY_DIR / (name + ".family"))
 

@@ -1,4 +1,10 @@
-"""End-to-end runs of the command line interface through main(argv)."""
+"""End-to-end runs of the command line interface through main(argv).
+
+Each case that is one command, its exit code and its output is a row of
+tests/cli_contract.py; every row without a time bound runs here as the test
+test_<its name>. The tests below check more than a row can: JSON fields,
+written files, patched internals, call counts and library exceptions.
+"""
 
 import dataclasses
 import inspect
@@ -20,24 +26,44 @@ from k3seg.density import DensityFunction
 from k3seg.errors import InternalError, K3SegError, NotMinimalError, UnrecognizedCuspError
 from k3seg.report import analyze
 from k3seg.symalg import FamilyPair, SForm, minimality_check, parse_family
-from tests.conftest import VANISHING_SAMPLE, count_calls, family_path, family_text
-
-ANALYZE_DS_SPLIT = """\
-cusp kind:      maximal
-normalization:  t-shift 4, ramification 1
-end exponents:  1 at s=0, 1 at s=infinity
-density:        (-1, 0)  (0, 9)  (1, 0)
-slopes:         9 -9
-stable type:    E0 A17 E0
-charges:        3 + 18 + 3 = 24
-lattice:        A17 (rank 17, det 18)
-ends:           left nodal: no, right nodal: no
-"""
+from tests import cli_contract
+from tests.cli_contract import ANALYZE_DS_SPLIT, NON_MINIMAL, ROWS
+from tests.conftest import count_calls, family_path, family_text
 
 
-def test_analyze_text_report(capsys):
-    assert main(["analyze", family_path("ds_split")]) == 0
-    assert capsys.readouterr().out == ANALYZE_DS_SPLIT
+def _in_process(rows):
+    def test(tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(cli_contract.REPO)
+        for row in rows:
+            argv, path = cli_contract.prepare(row, tmp_path)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert cli_contract.check(row, path, code, out, err) == [], row.argv
+
+    return test
+
+
+for _name in dict.fromkeys(row.name for row in ROWS if row.seconds is None):
+    globals()["test_" + _name] = _in_process(
+        [row for row in ROWS if row.name == _name and row.seconds is None]
+    )
+
+# this k3seg's source ahead of the inherited PYTHONPATH, for child processes
+_SRC = str(pathlib.Path(k3seg.__file__).resolve().parent.parent)
+_SRC_PATH = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def test_the_contract_runs_rows_as_processes(tmp_path, monkeypatch):
+    # the path CI takes against the installed k3seg, here through the source
+    monkeypatch.setenv("PYTHONPATH", _SRC_PATH)
+    command = [sys.executable, "-m", "k3seg.cli"]
+    (row,) = (row for row in ROWS if row.name == "lattice_summary")
+    assert cli_contract.run(row, command, tmp_path) == []
+    wrong = dataclasses.replace(row, code=2)
+    assert cli_contract.run(wrong, command, tmp_path) == ["exit 0, not 2"]
 
 
 def test_analyze_json_report(capsys):
@@ -74,50 +100,6 @@ def test_analyze_svg_writes_file(tmp_path, capsys):
     assert data.startswith(b"<svg ")
     assert data.endswith(b"</svg>")
     assert data.count(b"<circle") == 3
-
-
-def test_analyze_missing_file(capsys):
-    assert main(["analyze", "no-such-file.family"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "no-such-file.family" in err
-
-
-def test_analyze_parse_error(tmp_path, capsys):
-    bad = tmp_path / "bad.family"
-    bad.write_text("g8 = 3 @ s\n")
-    assert main(["analyze", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err == "E_PARSE: line 1: column 8: unexpected character '@'\n"
-    # an expression past the parser's size bound
-    bad.write_text("g12 = s^6\ng8 = (1 + t)^100000\n")
-    assert main(["analyze", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err == "E_PARSE: line 2: expression too large\n"
-
-
-def test_analyze_deeply_nested_input(tmp_path, capsys):
-    deep = tmp_path / "deep.family"
-    deep.write_text("g8 = " + "(" * 3000 + "s^4" + ")" * 3000 + "\ng12 = s^6\n")
-    assert main(["analyze", str(deep)]) == 2
-    err = capsys.readouterr().err
-    assert err == "E_PARSE: line 1: expression nested too deeply\n"
-
-
-def test_analyze_overlong_integer_literal(tmp_path, capsys):
-    f = tmp_path / "long.family"
-    f.write_text("g12 = s^6\ng8 = " + "7" * 5000 + "*s^4\n")
-    assert main(["analyze", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err == "E_PARSE: line 2: column 6: integer literal of 5000 digits is too long\n"
-
-
-def test_analyze_non_utf8_file(tmp_path, capsys):
-    f = tmp_path / "latin1.family"
-    f.write_bytes(b"# caf\xe9\ng8 = s^4\ng12 = s^6\n")
-    assert main(["analyze", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err == "E_PARSE: %s is not UTF-8 text: invalid continuation byte\n" % f
 
 
 def test_analyze_file_with_byte_order_mark(tmp_path, capsys):
@@ -162,97 +144,10 @@ def test_end_dichotomy_disagreement_is_an_internal_error(monkeypatch, capsys):
         analyze(parse_family(family_text("tent")))
 
 
-def test_analyze_non_minimal_family(tmp_path, capsys):
-    f = tmp_path / "nonmin.family"
-    f.write_text("g8 = s^4*(s^4 + t)\ng12 = s^6*(s^6 + t)\n")
-    assert main(["analyze", str(f)]) == 3
-    assert capsys.readouterr().err.startswith("E_NOT_MINIMAL: ")
-
-
-def test_analyze_unrecognized_cusp(tmp_path, capsys):
-    f = tmp_path / "unrec.family"
-    f.write_text("g8 = 3*s^4\ng12 = t*(1 + s^12)\n")
-    assert main(["analyze", str(f)]) == 4
-    assert capsys.readouterr().err.startswith("E_UNRECOGNIZED_CUSP: ")
-
-
-def test_analyze_segment_family(tmp_path, capsys):
-    f = tmp_path / "seg.family"
-    f.write_text("g8 = 9*s^4 + t*(1 + s^8)\ng12 = s^6 + t*(1 + s^12)\n")
-    assert main(["analyze", str(f)]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("E_INCONSISTENT_TYPE: ")
-    assert "E9" in err
-
-
-def test_oracle_rejects_malformed_samples(capsys):
-    path = family_path("ds_split")
-    for t_arg in ("abc", "1e-3,1e-2", "2.0"):
-        assert main(["oracle", path, "--t", t_arg]) == 2
-        assert capsys.readouterr().err.startswith("usage error: ")
-
-
-def test_oracle_reports_missing_degeneration(tmp_path, capsys):
-    f = tmp_path / "nodeg.family"
-    f.write_text("g8 = s^8 + 1\ng12 = s^12 + 1\n")
-    assert main(["oracle", str(f)]) == 0
-    out = capsys.readouterr().out
-    assert out == "family has no degeneration at t = 0; nothing to track\n"
-
-
-NON_MINIMAL = "g8 = (s-1)^4*(3*s^4 + t + t*s^4)\ng12 = (s-1)^6*(s^6 + t + t*s^6)\n"
-
-
-def test_oracle_refuses_non_minimal_family(tmp_path, capsys):
-    # (s - 1)^4 | g8 and (s - 1)^6 | g12: both commands refuse it with exit 3
-    f = tmp_path / "nonmin.family"
-    f.write_text(NON_MINIMAL)
-    for command in ("analyze", "oracle"):
-        assert main([command, str(f)]) == 3
-        assert capsys.readouterr().err == (
-            "E_NOT_MINIMAL: a nonconstant form P has P^4 | g8 and P^6 | g12\n"
-        )
+def test_oracle_refuses_non_minimal_family():
+    # the non_minimal_family_exits_3 rows run both commands on it
     with pytest.raises(NotMinimalError):
         oracle.oracle_compare(parse_family(NON_MINIMAL))
-
-
-def test_oracle_sample_with_vanishing_discriminant_exits_4(tmp_path, capsys):
-    f = tmp_path / "vanishing.family"
-    f.write_text(VANISHING_SAMPLE)
-    assert main(["oracle", str(f), "--t", "0.5"]) == 4
-    err = capsys.readouterr().err
-    assert err == "E_NN: discriminant vanishes identically at t = 0.5\n"
-
-
-def test_oracle_on_a_zero_form_exits_3_as_analyze_does(tmp_path, capsys):
-    f = tmp_path / "zero.family"
-    f.write_text("g8 = 0\ng12 = s^6 + t*(1 + s^12)\n")
-    for command in ("analyze", "oracle"):
-        assert main([command, str(f)]) == 3
-        assert capsys.readouterr().err == "E_ZERO_FORM: Newton polygon of the zero form\n"
-
-
-def test_oracle_refuses_a_stationary_cusp_as_analyze_does(tmp_path, capsys):
-    # the discriminant vanishes identically, but the end exponents, both 0,
-    # are checked first, in both commands
-    f = tmp_path / "cusp.family"
-    f.write_text("g8 = 3*(s^4 + 1)^2\ng12 = (s^4 + 1)^3\n")
-    for command in ("analyze", "oracle"):
-        assert main([command, str(f)]) == 4
-        assert capsys.readouterr().err == (
-            "E_UNRECOGNIZED_CUSP: end exponents (0, 0) are not both positive; the family"
-            " does not degenerate toward the cusp\n"
-        )
-
-
-def test_oracle_samples_t_down_to_1e_100(capsys):
-    # t^24 at 1e-100 is far below a double: d_mixed deviates by its fitted C
-    # over |ln t|, 0.6934 / 230.26
-    assert main(["oracle", family_path("d_mixed"), "--t", "1e-100"]) == 0
-    assert capsys.readouterr().out == (
-        "t = 1e-100     max deviation 0.003011   reconstruction error 0.000264\n"
-        "fitted C = 0.6934; final deviation 0.003011 within tolerance 0.20\n"
-    )
 
 
 def test_oracle_default_samples_are_oracle_compares():
@@ -328,29 +223,6 @@ def test_oracle_exits_6_without_convergence(monkeypatch, capsys):
     )
 
 
-def test_oracle_exits_6_past_the_final_tolerance(capsys):
-    assert main(["oracle", family_path("d_mixed"), "--t", "0.5"]) == 6
-    assert capsys.readouterr().err == (
-        "E_ORACLE_MISMATCH: final deviation 1.01 exceeds tolerance 0.2\n"
-    )
-
-
-def test_oracle_exits_6_on_a_growing_deviation(capsys):
-    assert main(["oracle", family_path("ds_circle"), "--t", "0.9,0.5"]) == 6
-    assert capsys.readouterr().err == (
-        "E_ORACLE_MISMATCH: deviation grew from 0.543 to 0.932 as t decreased\n"
-    )
-
-
-def test_strata_summary(capsys):
-    assert main(["strata"]) == 0
-    assert capsys.readouterr().out == (
-        "codimension 1: 54 strata\n"
-        "codimension 2: 495 strata (10 non-normal loci, 20 preimage components)\n"
-        "maximal chambers: 9\n"
-    )
-
-
 def test_strata_divisor_listing(capsys):
     assert main(["strata", "--divisors"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -370,20 +242,6 @@ def test_strata_codim2_listing(capsys):
     assert len(starred) == 10
 
 
-def test_strata_flags_are_exclusive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["strata", "--divisors", "--codim2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_lattice_summary(capsys):
-    assert main(["lattice", "A", "2"]) == 0
-    assert capsys.readouterr().out == (
-        "A2: rank 2, det 3, signature (2, 0), even\nnorm-2 vectors: 6\n"
-    )
-
-
 def test_lattice_gram_matrix(capsys):
     assert main(["lattice", "E", "8", "--gram"]) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -392,33 +250,8 @@ def test_lattice_gram_matrix(capsys):
     matrix = [[int(x) for x in row.split()] for row in rows]
     assert all(matrix[i][i] == 2 for i in range(8))
     assert matrix == [list(col) for col in zip(*matrix)]
-
-
-def test_lattice_gram_of_empty_lattice(capsys):
-    assert main(["lattice", "A", "0", "--gram"]) == 0
-    assert capsys.readouterr().out == "A0: empty matrix (rank 0)\n"
-
-
-def test_lattice_bad_index(capsys):
-    assert main(["lattice", "E", "9"]) == 2
-    assert capsys.readouterr().err == "E_BAD_INDEX: E-series index 9 exceeds 8\n"
-    assert main(["lattice", "A", "25"]) == 2
-    assert capsys.readouterr().err == "E_BAD_INDEX: index 25 exceeds 24\n"
     assert main(["lattice", "D", "24", "--gram"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 24
-
-
-def test_lattice_wps_weights(capsys):
-    assert main(["lattice", "D", "12", "--wps"]) == 0
-    assert capsys.readouterr().out == "1 1 1 1 2 2 2 2 2 2 2 2 2\n"
-
-
-def test_gm_weights(capsys):
-    assert main(["gm-weights"]) == 0
-    assert capsys.readouterr().out == (
-        "degree-8 slice:  -4 -3 -2 2 3 4\n"
-        "degree-12 slice: -6 -5 -4 -3 -2 -1 1 2 3 4 5 6\n"
-    )
 
 
 # runs main on each argv of a JSON list and checks after each that the
@@ -440,11 +273,9 @@ def test_no_command_imports_mpmath():
         ["oracle", family_path("tent"), "--t", "1e-3"],
         ["lattice", "E", "8"],
     ]
-    src = str(pathlib.Path(k3seg.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     run = subprocess.run(
         [sys.executable, "-c", _MPMATH_PROBE, json.dumps(commands)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _SRC_PATH},
         capture_output=True,
         text=True,
         timeout=60,

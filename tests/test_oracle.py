@@ -17,7 +17,7 @@ from k3seg.errors import CuspidalFamilyError, NoConvergenceError, OracleMismatch
 from k3seg.oracle import empirical_positions, oracle_compare, OracleReport, roots_at
 from k3seg.symalg import FamilyPair, parse_family
 from k3seg.tropics import _lower_hull, end_exponents, pair_polygons
-from tests.conftest import VANISHING_SAMPLE
+from tests.cli_contract import VANISHING_SAMPLE
 
 # the precision the oracle ran on mpmath at: 60 digits, 203 bits
 _DPS = 60

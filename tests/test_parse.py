@@ -3,6 +3,7 @@
 import ast
 import math
 import operator
+import re
 import sys
 import time
 from fractions import Fraction
@@ -143,6 +144,9 @@ def test_unexpected_end_of_statement():
         ("let f x) = x", "line 1: column 7: expected ( but found 'x'"),
         ("g8 = *s", "line 1: column 6: unexpected '*'"),
         ("let f(x) = x x", "line 1: column 14: trailing input after 'f' definition"),
+        # a superscript continues a name but cannot start one
+        ("g8 = x\xb2", "line 1: unknown name 'x\xb2'"),
+        ("g8 = \xb2*s^4", "line 1: column 6: unexpected character '\xb2'"),
     ],
 )
 def test_statement_syntax_errors(statement, message):
@@ -737,3 +741,38 @@ def test_canonical_texts_skip_the_tokenizer():
     for name in NAMED:  # a family file has parentheses or macros
         counts = count_calls(lambda: parse_family(family_text(name)), parse_module._tokenize)
         assert counts["_tokenize"] > 0, name
+
+
+# Unicode \s, \d and \w, which _tokenize's pattern reads, are str.isspace,
+# isdecimal and isalnum or '_'
+@pytest.mark.parametrize("stmt, tokens", [
+    pytest.param(
+        "\u0663*s^4", [("int", 3, 1), ("*", "*", 2), ("name", "s", 3), ("^", "^", 4), ("int", 4, 5)],
+        id="arabic-indic-digit",
+    ),
+    pytest.param(
+        "\uff13\u3000+\xa0\tt", [("int", 3, 1), ("+", "+", 3), ("name", "t", 6)],
+        id="fullwidth-digit-and-spaces",
+    ),
+    pytest.param(
+        "x\xb2 - _\xe9\u03b1\u2167",
+        [("name", "x\xb2", 1), ("-", "-", 4), ("name", "_\xe9\u03b1\u2167", 6)],
+        id="names",
+    ),
+    pytest.param("12x3", [("int", 12, 1), ("name", "x3", 3)], id="literal-then-name"),
+    pytest.param("\xb2", "column 1: unexpected character '\xb2'", id="leading-superscript"),
+    pytest.param("3\xbd", "column 2: unexpected character '\xbd'", id="fraction-after-literal"),
+    pytest.param("s + \u2167", "column 5: unexpected character '\u2167'", id="roman-numeral"),
+    pytest.param("e\u0301", "column 2: unexpected character %r" % "\u0301", id="combining-accent"),
+    pytest.param(
+        "1 + " + "7" * 5000, "column 5: integer literal of 5000 digits is too long",
+        id="long-literal", marks=_INT_LIMIT,
+    ),
+])
+def test_tokenizer_corners(stmt, tokens):
+    if isinstance(tokens, str):
+        with pytest.raises(ParseError, match="^%s$" % re.escape(tokens)):
+            parse_module._tokenize(stmt)
+    else:
+        end = ("end", None, len(stmt.rstrip()) + 1)
+        assert parse_module._tokenize(stmt) == tokens + [end]
