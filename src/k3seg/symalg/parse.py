@@ -239,11 +239,11 @@ def _monomial_sum(terms: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 _RESERVED = ("s", "t", "g8", "g12", "let")  # neither macro names nor parameters
-# one token after optional space: a decimal literal, a word, an operator or
-# any other character. Unicode \s, \d and \w are str.isspace, isdecimal and
-# isalnum or '_'; a word that starts with neither a letter nor '_', such as
-# '²', is an unexpected character
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*/^()=])|(\S))")
+# a literal, word, operator or other non-space character; finditer steps over
+# space (a leading \s* would rescan a space run from each of its positions).
+# Unicode \s, \d, \w are isspace, isdecimal, isalnum or '_'; a word that
+# starts with neither a letter nor '_', such as '²', is an unexpected character
+_TOKEN = re.compile(r"(\d+)|(\w+)|([-+*/^()=])|(\S)")
 
 
 def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
@@ -253,7 +253,7 @@ def _tokenize(stmt: str, offset: int = 0) -> list[tuple[str, object, int]]:
     toks: list[tuple[str, object, int]] = []
     for m in _TOKEN.finditer(stmt):
         digits, word, op, other = m.groups()
-        col = offset + m.start(m.lastindex) + 1
+        col = offset + m.start() + 1
         if digits:
             try:
                 value = int(digits)

@@ -57,12 +57,14 @@ _SRC_PATH = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def test_the_contract_runs_rows_as_processes(tmp_path, monkeypatch):
-    # the path CI takes against the installed k3seg, here through the source
+    # the path CI takes against the installed k3seg, here through the source;
+    # trailing_space_run is the one bounded row fast enough for every run
     monkeypatch.setenv("PYTHONPATH", _SRC_PATH)
     command = [sys.executable, "-m", "k3seg.cli"]
-    (row,) = (row for row in ROWS if row.name == "lattice_summary")
-    assert cli_contract.run(row, command, tmp_path) == []
-    wrong = dataclasses.replace(row, code=2)
+    rows = {row.name: row for row in ROWS}
+    for name in ("lattice_summary", "trailing_space_run"):
+        assert cli_contract.run(rows[name], command, tmp_path) == [], name
+    wrong = dataclasses.replace(rows["lattice_summary"], code=2)
     assert cli_contract.run(wrong, command, tmp_path) == ["exit 0, not 2"]
 
 
@@ -250,8 +252,6 @@ def test_lattice_gram_matrix(capsys):
     matrix = [[int(x) for x in row.split()] for row in rows]
     assert all(matrix[i][i] == 2 for i in range(8))
     assert matrix == [list(col) for col in zip(*matrix)]
-    assert main(["lattice", "D", "24", "--gram"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 24
 
 
 # runs main on each argv of a JSON list and checks after each that the
