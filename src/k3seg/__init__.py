@@ -59,6 +59,7 @@ from .symalg import (
 from .tropics import (
     EndExponents,
     TropicalPolynomial,
+    discriminant_polygon,
     end_exponents,
     modified_polygon,
     newton_polygon,
@@ -95,6 +96,7 @@ __all__ = [
     "density_from_positions",
     "density_profile",
     "direct_sum",
+    "discriminant_polygon",
     "emit_csv",
     "emit_svg",
     "empirical_positions",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import CuspKind, cusp_type
@@ -230,7 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a buffered stdout may first meet a closed pipe here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a reader that stopped early, as `| head` does, is not a failure; the
+        # interpreter flushes stdout again on exit, so it goes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Exact integer polynomial kernel: every sum, product and exact division.
 
 Everything exact runs here on polynomials in Z[u][s], u a power of t: the
-parser's evaluation of family files, products of forms (the discriminant
-g8^3 - 27*g12^2 above all), and the divisibility tests, which are s-gcd or
-s-division questions over Q(u): minimality of a Weierstrass pair, the
-cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
+parser's evaluation of family files, products of forms, the discriminant
+g8^3 - 27*g12^2, and the divisibility tests, which are s-gcd or s-division
+questions over Q(u): minimality of a Weierstrass pair, the cusp-quartic
+shape (3*G^2, G^3) and squarefreeness of a limit quartic.
 
 * layout: an s-polynomial is a list indexed by s-degree (no trailing zeros,
   [] is zero) whose entries are integer arrays in u, each a list indexed by
@@ -19,13 +19,20 @@ cusp-quartic shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   degree, so reversed it is the form at s = infinity. Forms that meet are
   spread onto a common step with `uspread`; an s-gcd over Q(u^d) is the same
   over Q(u), so no decision depends on the step;
-* every product, pseudo-division's too, is `smul` over the nonzero terms
-  only (Johnson, "Sparse polynomial arithmetic", SIGSAM Bull. 8, 1974): the
-  forms met here are sparse, with fewer than half of their slots nonzero on
-  a typical corpus. Kronecker substitution into one integer product would
-  pack and unpack every slot of the rows-by-width rectangle, zero or not;
-  at these sizes that saves a few per cent over the schoolbook product,
-  while skipping the zeros saves more than half;
+* every product but the discriminant's, pseudo-division's too, is `smul`
+  over the nonzero terms only (Johnson, "Sparse polynomial arithmetic",
+  SIGSAM Bull. 8, 1974): the forms met here are sparse, with fewer than half
+  of their slots nonzero on a typical corpus. Kronecker substitution of
+  whole s-polynomials into one integer would pack and unpack every slot of
+  the rows-by-width rectangle, zero or not, and made the discriminant's
+  three products 2-3 times slower on the corpus;
+* the discriminant (`forms.FamilyPair.discriminant_rows`) substitutes
+  u = 2^bits one s-row at a time: `upack` turns each nonzero u-array into
+  one integer, `skmul` multiplies s-polynomials of such integers with one
+  integer product per pair of nonzero rows, and nothing is unpacked to read
+  its Newton polygon, since a nonzero row's u-valuation is its lowest set
+  bit over bits. `uunpack` decodes the coefficients for the callers that
+  read them;
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * every gcd, the contents in Z[u] included, comes from one subresultant
   sequence (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971): each
@@ -131,6 +138,58 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int] | None:
             a[d + i] -= c * cb
         snorm(a)
     return None if a else q
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: an array held as its value at u = 2^bits
+# ---------------------------------------------------------------------------
+
+
+def slot_bits(bound: int) -> int:
+    """Bits per slot, a multiple of 8, for entries of absolute value at most
+    bound: bound < 2^(bits - 1), so each entry fits one signed slot."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def upack(c: list[int], bits: int, stride: int = 1) -> int:
+    """c(2^(bits * stride)): c's entries in signed slots of bits bits,
+    stride slots apart."""
+    shift = bits * stride
+    return sum(x << shift * j for j, x in enumerate(c) if x)
+
+
+def uunpack(v: int, bits: int) -> list[int]:
+    """The array c with c(2^bits) = v, for entries below 2^(bits - 1) in
+    absolute value: v's two's-complement bytes read one signed slot at a
+    time, each slot one more when the slot below it is negative, since that
+    slot borrowed from it."""
+    n = bits // 8
+    data = v.to_bytes((v.bit_length() // bits + 1) * n, "little", signed=True)
+    out, borrow = [], 0
+    for i in range(0, len(data), n):
+        x = int.from_bytes(data[i : i + n], "little", signed=True)
+        out.append(x + borrow)
+        borrow = x < 0
+    return snorm(out)
+
+
+def skmul(a: list[int], b: list[int]) -> list[int]:
+    """Product of s-polynomials whose entries are packed arrays (`upack`, one
+    bits for both): one integer product per pair of nonzero rows, and about
+    half as many for a square (b is a). The result keeps its zero rows."""
+    out = [0] * (len(a) + len(b) - 1)
+    rows = [(k, y) for k, y in enumerate(b) if y]
+    if a is b:
+        for n, (i, x) in enumerate(rows):
+            out[2 * i] += x * x
+            for k, y in rows[n + 1 :]:
+                out[i + k] += x * y << 1
+        return out
+    for i, x in enumerate(a):
+        if x:
+            for k, y in rows:
+                out[i + k] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from ..errors import DegreeError, InternalError, NotMinimalError, ParseError, ZeroFormError
 from .field import (
-    first, lead, reduce, sadd, sderiv, sdiv_exact, sgcd, shape, smul, snorm, spow, sscale,
-    uspread,
+    first, lead, reduce, sadd, sderiv, sdiv_exact, sgcd, shape, skmul, slot_bits, smul, snorm,
+    spow, sscale, upack, uspread, uunpack,
 )
 
 Scalar = Union[int, Fraction]
@@ -309,7 +309,7 @@ class FamilyPair:
     is (t^(2c) g8_in, t^(3c) g12_in) relative to the parsed input.
     """
 
-    __slots__ = ("g8", "g12", "shift", "source_text", "_disc24")
+    __slots__ = ("g8", "g12", "shift", "source_text", "_rows", "_disc24")
 
     def __init__(self, g8: SForm, g12: SForm, shift: Scalar = 0, source_text: str = ""):
         if g8.degree != 8 or g12.degree != 12:
@@ -320,6 +320,7 @@ class FamilyPair:
         self.g12 = g12
         self.shift = Fraction(shift)
         self.source_text = source_text
+        self._rows: Discriminant | None = None
         self._disc24: SForm | None = None
 
     def __eq__(self, other) -> bool:
@@ -330,9 +331,20 @@ class FamilyPair:
     def __repr__(self):
         return "FamilyPair(g8=%r, g12=%r, shift=%s)" % (self.g8, self.g12, self.shift)
 
+    def discriminant_rows(self) -> "Discriminant":
+        """The discriminant g8^3 - 27*g12^2 as its rows at u = 2^bits,
+        computed once per pair."""
+        if self._rows is None:
+            self._rows = _discriminant_rows(self.g8, self.g12)
+        return self._rows
+
     def discriminant24(self) -> SForm:
+        """The discriminant g8^3 - 27*g12^2 as a form of degree 24, decoded
+        once per pair from discriminant_rows. Only the oracle, cusp_type and
+        the cusp-quartic route ask for it; analyze reads the polygon and the
+        zero test off the rows."""
         if self._disc24 is None:
-            self._disc24 = self.g8**3 - (self.g12 * self.g12).scale(27)
+            self._disc24 = self.discriminant_rows().form()
         return self._disc24
 
     def normalized(self) -> "FamilyPair":
@@ -357,6 +369,69 @@ class FamilyPair:
         """lcm of the t-exponent denominators: every exponent of a form is
         low + k * step, and the gaps have gcd step."""
         return math.lcm(*(x.denominator for g in (self.g8, self.g12) for x in (g.low, g.step)))
+
+
+class Discriminant(NamedTuple):
+    """The discriminant t^low / den * sum of s^k * D_k(t^step), each row D_k
+    in Z[u] held as the one integer D_k(2^bits). Every coefficient fits a
+    signed slot of bits bits, so a nonzero row's u-valuation is its lowest
+    set bit over bits, and `form` decodes the coefficients themselves."""
+
+    low: Fraction
+    step: Fraction
+    den: int
+    bits: int
+    rows: list[int]
+
+    def form(self) -> SForm:
+        poly = [uunpack(v, self.bits) for v in self.rows]
+        return SForm._of(24, self.low, self.step, 1, self.den, poly)
+
+
+def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:
+    """g8^3 - 27*g12^2 by Kronecker substitution (Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", JSC 44, 2009),
+    one s-row at a time.
+
+    Each nonzero power g^n, n = 3 for g8 and 2 for g12, has low n * g.low,
+    step g.step and top u-index n times g's: the extreme u-parts of a nonzero
+    P stay nonzero in P^n. So the powers meet on the grid (low, step) below
+    and are refused there, before anything is packed, exactly where their
+    difference would spread one past MAX_SPREAD; with one form zero nothing
+    is spread. Over one denominator each power is m * t^(low + j*step) *
+    P^n(t^(k*step), s) with m an integer, and its coefficients are at most
+    |m| * |P|_1^n, so slots of `slot_bits` of the sum of those bounds hold
+    every coefficient of the difference. The products run on each form's own
+    step, where its arrays are dense; only the power's rows are spread k
+    slots apart and shifted j slots up.
+    """
+    terms = [(g, n, c) for g, n, c in ((g8, 3, 1), (g12, 2, -27)) if g]
+    # exponents as integers over one denominator q
+    q, exps = _numerators([x for g, _, _ in terms for x in (g.low, g.step)])
+    lows = [n * e for (_, n, _), e in zip(terms, exps[::2])]
+    low = min(lows)
+    step = math.gcd(*exps[1::2], *(e - low for e in lows))
+    den = math.lcm(*(g.den**n for g, n, _ in terms))
+    placed, bound = [], 0
+    for (g, n, c), e, g_step in zip(terms, lows, exps[1::2]):
+        j = (e - low) // step if step else 0
+        k = g_step // step if g_step else 1
+        if (j, k) != (0, 1) and j + n * (max(map(len, g.poly)) - 1) * k > MAX_SPREAD:
+            raise ParseError("expression too large")
+        m = c * g.num**n * (den // g.den**n)
+        bound += abs(m) * sum(sum(map(abs, arr)) for arr in g.poly) ** n
+        placed.append((g.poly, n, m, j, k))
+    bits = slot_bits(bound)
+    rows = [0] * 25
+    for poly, n, m, j, k in placed:
+        p = [upack(arr, bits) if arr else 0 for arr in poly]
+        power = skmul(p, p) if n == 2 else skmul(skmul(p, p), p)
+        for i, x in enumerate(power):
+            if x:
+                if k > 1:
+                    x = upack(uunpack(x, bits), bits, k)
+                rows[i] += m * x << bits * j
+    return Discriminant(Fraction(low, q), Fraction(step, q), den, bits, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and every other quantity is read off the hull vertices (evaluation through
 eval_at, root valuations through the edges and the two end indices, the clamp
 through the two support lines of slopes -e0 and einf). The hull of a form is
 built on integer points (i, k), k the index of the first nonzero entry of the
-s^i array, and only its vertices are mapped once to the heights low + k*step.
+s^i array, and only its vertices are mapped once to the heights low + k*step;
+the discriminant's k comes from the lowest set bit of its packed row.
 
 Everything here is exact and runs on integers: heights are numerators over
 one denominator per polygon (a divisor of FamilyPair.ramification()), and
@@ -75,16 +76,31 @@ class TropicalPolynomial:
         return [Fraction(h2 - h1, (i2 - i1) * den) for (i1, h1), (i2, h2) in zip(pts, pts[1:])]
 
 
+def _polygon(degree: int, low, step, points: list) -> TropicalPolynomial:
+    """The polygon of the points (i, low + k * step) for the given (i, k).
+    step >= 0, so the height is an increasing affine image of k (constant
+    when step = 0, where every k is 0): the hull of the points (i, k) has the
+    vertices of the hull of the points (i, height)."""
+    den, (low, step) = _numerators((low, step))
+    hull = [(i, low + k * step) for i, k in _lower_hull(points)]
+    return TropicalPolynomial._of(degree, den, hull)
+
+
 def newton_polygon(p: SForm) -> TropicalPolynomial:
-    """step >= 0, so the height low + k * step is an increasing affine image
-    of k (constant when step = 0, where every k is 0): the hull of the
-    points (i, k) has the vertices of the hull of the points (i, height)."""
+    """The Newton polygon of a nonzero form, from its index points."""
     points = p.index_points()
     if not points:
         raise ZeroFormError("Newton polygon of the zero form")
-    den, (low, step) = _numerators((p.low, p.step))
-    hull = [(i, low + k * step) for i, k in _lower_hull(points)]
-    return TropicalPolynomial._of(p.degree, den, hull)
+    return _polygon(p.degree, p.low, p.step, points)
+
+
+def discriminant_polygon(f: FamilyPair) -> TropicalPolynomial | None:
+    """The Newton polygon of f's discriminant, None when it vanishes
+    identically, read off its rows at u = 2^bits without decoding them: the
+    lowest set bit of a nonzero row, over bits, is its u-valuation."""
+    d = f.discriminant_rows()
+    points = [(k, ((v & -v).bit_length() - 1) // d.bits) for k, v in enumerate(d.rows) if v]
+    return _polygon(24, d.low, d.step, points) if points else None
 
 
 def root_valuations(poly: TropicalPolynomial) -> tuple:

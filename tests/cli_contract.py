@@ -167,10 +167,17 @@ ROWS = [
         err="E_PARSE: expression too large\n", seconds=20),
     Row("doubling_macros", "analyze {file}", DOUBLING, code=2,
         err="E_PARSE: line 32: expression expands more than 1024 macro calls\n", seconds=10),
-    # dense 500-wide u-arrays with 500-bit coefficients: the product over
-    # nonzero terms must stay as fast as the schoolbook one here
+    # dense 500-wide u-arrays with 500-bit coefficients: each product of two
+    # discriminant rows is one integer product of about 760 kbit operands
     Row("dense_pair", "analyze {file}",
-        "g8 = 3*s^4 + t*(1+t)^500*(1 + s^8)\ng12 = s^6 + t*(1+t)^500*(1 + s^12)\n", seconds=30),
+        "g8 = 3*s^4 + t*(1+t)^500*(1 + s^8)\ng12 = s^6 + t*(1+t)^500*(1 + s^12)\n", seconds=10),
+    # steps 87381 and 87382 meet on step 1, where every row of the
+    # discriminant spreads over 3 * 87381 slots, just under the spread bound
+    Row("full_row_spread_pair", "analyze {file}",
+        "g8 = 3*s^4 + t^87381*(1 + s + s^2 + s^3 + s^4 + s^5 + s^6 + s^7 + s^8)\n"
+        "g12 = s^6 + t^87382*(1 + s + s^2 + s^3 + s^4 + s^5 + s^6 + s^7 + s^8 + s^9 + s^10"
+        " + s^11 + s^12)\n",
+        out=Line("stable type:    E3 A1 A7 A1 E3"), seconds=10),
     # g8 = 0 and a g12 that repeats a quadratic with wide t-exponents: g12 and
     # its derivative share the quadratic, so a gcd of the two alone needs the
     # PRS; the minimality gcd screens all ten parts at once and settles it

@@ -25,7 +25,7 @@ from k3seg.corpus import _sparse_form, generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import InternalError, K3SegError, NotMinimalError, UnrecognizedCuspError
 from k3seg.report import analyze
-from k3seg.symalg import FamilyPair, SForm, minimality_check, parse_family
+from k3seg.symalg import FamilyPair, SForm, forms, minimality_check, parse_family
 from tests import cli_contract
 from tests.cli_contract import ANALYZE_DS_SPLIT, NON_MINIMAL, ROWS
 from tests.conftest import count_calls, family_path, family_text
@@ -210,9 +210,10 @@ def test_oracle_normalizes_the_family_once(capsys):
     # ds_split sits at t-shift 4; a second normalization would build a second
     # pair and compute its discriminant, g8^3 - 27 g12^2, a second time
     counts = count_calls(
-        lambda: main(["oracle", family_path("ds_split"), "--t", "1e-3"]), SForm.__pow__
+        lambda: main(["oracle", family_path("ds_split"), "--t", "1e-3"]),
+        forms._discriminant_rows, forms.Discriminant.form,
     )
-    assert counts == {"__pow__": 1}
+    assert counts == {"_discriminant_rows": 1, "form": 1}
     assert capsys.readouterr().out.endswith("within tolerance 0.20\n")
 
 
@@ -252,6 +253,33 @@ def test_lattice_gram_matrix(capsys):
     matrix = [[int(x) for x in row.split()] for row in rows]
     assert all(matrix[i][i] == 2 for i in range(8))
     assert matrix == [list(col) for col in zip(*matrix)]
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_reader_that_stops_early_ends_the_command_quietly(failing, tmp_path, monkeypatch, capsys):
+    # `k3seg lattice D 24 --gram | head -5`: the write after head exits, or
+    # with a buffered stdout the flush, fails with EPIPE; the command exits 0
+    # with nothing on stderr, and stdout's descriptor leads to os.devnull, so
+    # the interpreter's exit flush fails no more
+    target = open(tmp_path / "stdout", "wb")
+
+    class ClosedPipe:
+        def write(self, text):
+            if failing == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return target.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["lattice", "D", "24", "--gram"]) == 0
+    assert capsys.readouterr().err == ""
+    os.write(target.fileno(), b"after the reader left")
+    target.close()
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 # runs main on each argv of a JSON list and checks after each that the

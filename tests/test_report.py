@@ -18,22 +18,35 @@ from k3seg.errors import (
 )
 from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
-from k3seg.symalg import FamilyPair, SForm, canonical_text, extract_cusp_quartic, parse_family
+from k3seg.symalg import (
+    FamilyPair, SForm, canonical_text, extract_cusp_quartic, forms, parse_family,
+)
 from k3seg.tropics import end_exponents, newton_polygon, root_valuations
 
 
-def test_analyze_derives_each_quantity_once(named):
+def test_analyze_derives_each_quantity_once():
+    # a fresh pair: the session's parsed families keep their discriminant
+    tent = parse_family(family_text("tent"))
     counts = count_calls(
-        lambda: analyze(named["tent"]),
+        lambda: analyze(tent),
         end_exponents, newton_polygon, root_valuations, SForm.index_points,
+        forms._discriminant_rows, FamilyPair.discriminant24,
     )
-    # one polygon each for g8, g12 and the discriminant, shared by the end
-    # exponents, the density routes and the end surfaces; three valuation
-    # reads: g8 and g12 for the end exponents, the discriminant for the
-    # positions
+    # one polygon each for g8 and g12, and the discriminant's from its rows,
+    # computed once and never decoded, all shared by the end exponents, the
+    # density routes and the end surfaces; three valuation reads: g8 and g12
+    # for the end exponents, the discriminant for the positions
     assert counts == {
-        "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "index_points": 3,
+        "end_exponents": 1, "newton_polygon": 2, "root_valuations": 3, "index_points": 2,
+        "_discriminant_rows": 1, "discriminant24": 0,
     }
+    # the oracle's polygon comes from the rows too, and its three t samples
+    # read the coefficients decoded once from the same rows
+    tent = parse_family(family_text("tent"))
+    counts = count_calls(
+        lambda: oracle_compare(tent), forms._discriminant_rows, forms.Discriminant.form
+    )
+    assert counts == {"_discriminant_rows": 1, "form": 1}
 
 
 def test_analyze_reads_both_end_surfaces_in_one_call(named):

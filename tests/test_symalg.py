@@ -32,6 +32,7 @@ from k3seg.symalg import (
 from k3seg.symalg import field
 from k3seg.symalg.field import sdiv_exact, sgcd, smul, spdivmod, spow
 from k3seg.symalg.forms import MAX_SPREAD, _canonical, _qgcd
+from k3seg.tropics import discriminant_polygon, newton_polygon
 
 S, T = sympy.symbols("s t")
 
@@ -687,6 +688,79 @@ def test_discriminant_matches_sympy(named):
 def test_discriminant_is_cached(named):
     f = named["tent"]
     assert f.discriminant24() is f.discriminant24()
+
+
+def _fields(f: SForm) -> list:
+    return [(type(v), v) for v in (getattr(f, k) for k in SForm.__slots__)]
+
+
+def _assert_rows_match_the_product(g8: SForm, g12: SForm) -> None:
+    """The discriminant decoded from its rows equals the product, field by
+    field and type by type, and its polygon read off the rows (on a fresh
+    pair, which decodes nothing) equals the product's."""
+    reference = g8**3 - (g12 * g12).scale(27)
+    assert _fields(FamilyPair(g8, g12).discriminant24()) == _fields(reference)
+    polygon = discriminant_polygon(FamilyPair(g8, g12))
+    assert polygon == (newton_polygon(reference) if reference else None)
+
+
+# small coefficients, whose slots borrow from each other, and ones past 64 bits
+_DISC_COEFF = (
+    st.integers(-3, 3) | st.integers(-(2**90), 2**90)
+    | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def _grid_pair_form(draw, degree: int) -> SForm:
+    """A form with exponents (offset + step*k) / m: a fractional or negative
+    low, and a step of 0 (one exponent), 1, or 2 and 3, which meet on 1."""
+    m = draw(st.sampled_from((1, 2, 3)))
+    offset = draw(st.integers(-4, 4))
+    step = draw(st.sampled_from((0, 1, 2, 3)))
+    terms = st.dictionaries(st.integers(0, 3), _DISC_COEFF, max_size=3)
+    rows = [draw(terms) if draw(st.booleans()) else {} for _ in range(degree + 1)]
+    return SForm(degree, [
+        laurent({Fraction(offset + step * k, m): c for k, c in row.items()}) for row in rows
+    ])
+
+
+@st.composite
+def _discriminant_pairs(draw) -> tuple:
+    """(g8, g12): a random pair; a tent-like pair whose s^12 coefficient
+    cancels at its lowest exponent (c1^3 = 27*c2^2); a pair (3G^2, G^3),
+    whose discriminant vanishes; any of them with one form zero."""
+    kind = draw(st.sampled_from(("random", "tent", "cusp")))
+    if kind == "cusp":
+        quartic = draw(_grid_pair_form(4))
+        g8, g12 = (quartic * quartic).scale(3), quartic**3
+    else:
+        g8, g12 = draw(_grid_pair_form(8)), draw(_grid_pair_form(12))
+        if kind == "tent":
+            a, e = draw(_SCALARS), draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+            g8 += SForm.monomial(8, 4, 3 * a * a, 2 * e)
+            g12 += SForm.monomial(12, 6, a**3, 3 * e)
+    zero = draw(st.sampled_from((None, None, None, "g8", "g12")))
+    if zero == "g8":
+        g8 = SForm.zero(8)
+    elif zero == "g12":
+        g12 = SForm.zero(12)
+    assume(g8 or g12)
+    return g8, g12
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_discriminant_pairs())
+# -s^12 - 243*s^12: the coefficient is the whole slot bound, 244, of 8 bits
+@example((SForm.monomial(8, 4, -1), SForm.monomial(12, 6, 3)))
+def test_discriminant_rows_match_the_product(pair):
+    _assert_rows_match_the_product(*pair)
+
+
+def test_discriminant_rows_match_the_product_on_corpus_and_families(named):
+    for f in generate_corpus(100, 1729) + list(named.values()):
+        for g in charts(f):
+            _assert_rows_match_the_product(g.g8, g.g12)
 
 
 def test_normalized_gauge(named):
