@@ -59,66 +59,16 @@ from .symalg import (
 from .tropics import (
     EndExponents,
     TropicalPolynomial,
-    discriminant_polygon,
     end_exponents,
     modified_polygon,
     newton_polygon,
     root_valuations,
 )
 
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "Component",
-    "CuspKind",
-    "CutData",
-    "DensityFunction",
-    "EndExponents",
-    "EndSurface",
-    "FamilyPair",
-    "K3SegError",
-    "Lattice",
-    "OracleReport",
-    "SForm",
-    "StableType",
-    "Stratum",
-    "TLaurent",
-    "TropicalPolynomial",
-    "analyze",
-    "canonical_text",
-    "chamber_count",
-    "component",
-    "count_norm_vectors",
-    "cusp_type",
-    "cut_positions",
-    "degeneration_check",
-    "density_cuspidal",
-    "density_from_positions",
-    "density_profile",
-    "direct_sum",
-    "discriminant_polygon",
-    "emit_csv",
-    "emit_svg",
-    "empirical_positions",
-    "end_exponents",
-    "end_surface_data",
-    "enumerate_codim2",
-    "enumerate_divisors",
-    "extract_cusp_quartic",
-    "generate_corpus",
-    "gm_weights",
-    "minimality_check",
-    "modified_polygon",
-    "newton_polygon",
-    "normalization_preimage_count",
-    "oracle_compare",
-    "parse_family",
-    "root_lattice",
-    "root_valuations",
-    "roots_at",
-    "same_up_to_scale",
-    "segment_lattice",
-    "stable_type",
-    "stable_type_lattice",
-    "wps_weights",
-]
+# the version and every class and function imported above from the package's
+# modules, so a name is listed where it is imported (bench/tracer.py wraps the
+# functions among them)
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

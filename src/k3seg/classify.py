@@ -50,7 +50,7 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     """Classify the t = 0 limit of a normalized pair. Inputs the decision tree
     cannot place come back as UNRECOGNIZED; only an InternalError, which means
     a bug, escapes."""
-    if not f.discriminant24():
+    if not f.discriminant_rows():
         return cuspidal_kind(extract_cusp_quartic(f))
 
     try:

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import hypot, isqrt, ldexp
+from math import gcd, hypot, isqrt, ldexp
 
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from .report import derive
 from .symalg import FamilyPair
+from .symalg.field import shape, uunpack
 from .tropics import _lower_hull
 
 _RESIDUAL_TARGET = 1e-12
@@ -458,16 +459,22 @@ def _reconstruction_error(coeffs, roots):
 
 
 def _evaluated_discriminant(f: FamilyPair, t0: Fraction):
-    """The discriminant's coefficients at t0 as real triples:
-    t0^low / den * (num * P)(t0^step), Horner's rule on the triples."""
-    delta = f.discriminant24()
-    scale = _div(_power(t0, delta.low), _norm(delta.den, 0, 0))
-    u = _power(t0, delta.step)
+    """The discriminant's coefficients at t0 as real triples, by Horner's
+    rule on its decoded rows. u^j, the gcd g of the u-exponent gaps and the
+    part h of the rows' content that den shares are taken out first, as the
+    canonical form of degree 24 takes them, so each triple is the one that
+    form's t0^low / den * (num * P)(t0^step) gives."""
+    d = f.discriminant_rows()
+    poly = [uunpack(v, d.bits) for v in d.rows]
+    j, g, c = shape(poly)
+    h = gcd(c, d.den)
+    scale = _div(_power(t0, d.low + j * d.step), _norm(d.den // h, 0, 0))
+    u = _power(t0, d.step * g)
     out = []
-    for arr in delta.poly:
+    for arr in poly:
         acc = _ZERO
-        for x in reversed(arr):
-            acc = _add(_mul(acc, u), _norm(delta.num * x, 0, 0))
+        for x in reversed(arr[j :: g or 1]):
+            acc = _add(_mul(acc, u), _norm(x // h, 0, 0))
         out.append(_mul(acc, scale))
     return out
 
@@ -503,7 +510,7 @@ def roots_at(f: FamilyPair, t0) -> list:
     for (re + i im) * 2^exp; roots at s = 0 are (0, 0, 0) and the degree drop
     gives None markers."""
     check_t_samples([t0])
-    if f.discriminant24().is_zero():
+    if not f.discriminant_rows():
         raise CuspidalFamilyError(
             "discriminant is identically zero; there are no roots to track"
         )

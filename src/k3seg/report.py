@@ -23,7 +23,7 @@ from .density import (
 from .errors import InternalError, ZeroFormError
 from .lattices import Lattice, root_determinant, stable_type_lattice
 from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality_check
-from .tropics import EndExponents, discriminant_polygon, end_exponents, pair_polygons
+from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def derive(f: FamilyPair) -> tuple:
     ends = end_exponents(*polygons)
     if None in polygons:  # a zero form passes the end exponents
         raise ZeroFormError("Newton polygon of the zero form")
-    return g, *polygons, ends, discriminant_polygon(g)
+    d = g.discriminant_rows()
+    return g, *polygons, ends, newton_polygon(d) if d else None
 
 
 def analyze(f: FamilyPair) -> AnalysisReport:

@@ -21,18 +21,13 @@ shape (3*G^2, G^3) and squarefreeness of a limit quartic.
   over Q(u), so no decision depends on the step;
 * every product but the discriminant's, pseudo-division's too, is `smul`
   over the nonzero terms only (Johnson, "Sparse polynomial arithmetic",
-  SIGSAM Bull. 8, 1974): the forms met here are sparse, with fewer than half
-  of their slots nonzero on a typical corpus. Kronecker substitution of
-  whole s-polynomials into one integer would pack and unpack every slot of
-  the rows-by-width rectangle, zero or not, and made the discriminant's
-  three products 2-3 times slower on the corpus;
-* the discriminant (`forms.FamilyPair.discriminant_rows`) substitutes
-  u = 2^bits one s-row at a time: `upack` turns each nonzero u-array into
-  one integer, `skmul` multiplies s-polynomials of such integers with one
-  integer product per pair of nonzero rows, and nothing is unpacked to read
-  its Newton polygon, since a nonzero row's u-valuation is its lowest set
-  bit over bits. `uunpack` decodes the coefficients for the callers that
-  read them;
+  SIGSAM Bull. 8, 1974): the forms met here are sparse, and Kronecker
+  substitution would pack every slot, zero or not;
+* the discriminant (`forms.Discriminant`) is held as its s-rows at
+  u = 2^bits, one integer each: `upack` packs a u-array, `skmul` takes one
+  integer product per pair of nonzero rows, and the zero test and Newton
+  polygon read the rows themselves. `uunpack` decodes a row by halving it,
+  so its cost follows the nonzero slots;
 * one exact division, `sdiv_exact`, serves the parser and the cusp quartic;
 * every gcd, the contents in Z[u] included, comes from one subresultant
   sequence (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971): each
@@ -160,17 +155,40 @@ def upack(c: list[int], bits: int, stride: int = 1) -> int:
 
 def uunpack(v: int, bits: int) -> list[int]:
     """The array c with c(2^bits) = v, for entries below 2^(bits - 1) in
-    absolute value: v's two's-complement bytes read one signed slot at a
-    time, each slot one more when the slot below it is negative, since that
-    slot borrowed from it."""
-    n = bits // 8
-    data = v.to_bytes((v.bit_length() // bits + 1) * n, "little", signed=True)
-    out, borrow = [], 0
-    for i in range(0, len(data), n):
-        x = int.from_bytes(data[i : i + n], "little", signed=True)
-        out.append(x + borrow)
-        borrow = x < 0
+    absolute value."""
+    out: list[int] = []
+    _unpack(v, bits, v.bit_length() // bits + 1, out)
     return snorm(out)
+
+
+# up to this many slots `_unpack` reads slot by slot: halving dense slots
+# further costs more than it skips (1504 slots of 1512 bits: 14 ms for 25 rows
+# read whole or halved to 256 slots, 19 ms halved to 64; CPython 3.11, x86_64)
+_UNPACK_SLOTS = 256
+
+
+def _unpack(v: int, bits: int, n: int, out: list[int]) -> None:
+    """Append the n slots of v, |v| < 2^(bits * n - 1), to out. Zero is n
+    zeros; a long v is halved at a slot boundary, the low half read signed
+    (a negative one borrowed one from the high half); a short one is read a
+    signed slot at a time, plus one when the slot below is negative."""
+    if not v:
+        out += [0] * n
+    elif n > _UNPACK_SLOTS:
+        shift = bits * (n // 2)
+        low, high = v & ((1 << shift) - 1), v >> shift
+        if low >> (shift - 1):
+            low, high = low - (1 << shift), high + 1
+        _unpack(low, bits, n // 2, out)
+        _unpack(high, bits, n - n // 2, out)
+    else:
+        k = bits // 8
+        data = v.to_bytes(n * k, "little", signed=True)
+        borrow = 0
+        for i in range(0, len(data), k):
+            x = int.from_bytes(data[i : i + k], "little", signed=True)
+            out.append(x + borrow)
+            borrow = x < 0
 
 
 def skmul(a: list[int], b: list[int]) -> list[int]:

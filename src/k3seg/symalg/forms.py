@@ -309,7 +309,7 @@ class FamilyPair:
     is (t^(2c) g8_in, t^(3c) g12_in) relative to the parsed input.
     """
 
-    __slots__ = ("g8", "g12", "shift", "source_text", "_rows", "_disc24")
+    __slots__ = ("g8", "g12", "shift", "source_text", "_rows")
 
     def __init__(self, g8: SForm, g12: SForm, shift: Scalar = 0, source_text: str = ""):
         if g8.degree != 8 or g12.degree != 12:
@@ -321,7 +321,6 @@ class FamilyPair:
         self.shift = Fraction(shift)
         self.source_text = source_text
         self._rows: Discriminant | None = None
-        self._disc24: SForm | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FamilyPair):
@@ -340,12 +339,10 @@ class FamilyPair:
 
     def discriminant24(self) -> SForm:
         """The discriminant g8^3 - 27*g12^2 as a form of degree 24, decoded
-        once per pair from discriminant_rows. Only the oracle, cusp_type and
-        the cusp-quartic route ask for it; analyze reads the polygon and the
-        zero test off the rows."""
-        if self._disc24 is None:
-            self._disc24 = self.discriminant_rows().form()
-        return self._disc24
+        from discriminant_rows on every call. No pipeline stage asks for it:
+        the zero test, the Newton polygon and the oracle's coefficients are
+        all read off the rows."""
+        return self.discriminant_rows().form()
 
     def normalized(self) -> "FamilyPair":
         """Gauge the pair so every coefficient valuation is >= 0 with one hitting 0."""
@@ -375,13 +372,26 @@ class Discriminant(NamedTuple):
     """The discriminant t^low / den * sum of s^k * D_k(t^step), each row D_k
     in Z[u] held as the one integer D_k(2^bits). Every coefficient fits a
     signed slot of bits bits, so a nonzero row's u-valuation is its lowest
-    set bit over bits, and `form` decodes the coefficients themselves."""
+    set bit over bits, and `form` decodes the coefficients themselves.
+    Like a form of degree 24 it has degree, low, step, a truth value and
+    index points, so a Newton polygon reads it where it is."""
 
     low: Fraction
     step: Fraction
     den: int
     bits: int
     rows: list[int]
+
+    degree = 24
+
+    def __bool__(self) -> bool:
+        return any(self.rows)
+
+    def index_points(self) -> list[tuple[int, int]]:
+        """(k, j) for every nonzero row: the s^k coefficient has valuation
+        low + j * step, j the row's lowest set bit over bits."""
+        bits = self.bits
+        return [(k, ((v & -v).bit_length() - 1) // bits) for k, v in enumerate(self.rows) if v]
 
     def form(self) -> SForm:
         poly = [uunpack(v, self.bits) for v in self.rows]
@@ -490,7 +500,7 @@ def extract_cusp_quartic(f: FamilyPair) -> SForm:
     (g8, g12) = (3 G^2, G^3) via G = 3 g12 / g8, verifying both identities
     exactly. The discriminant forces them (see minimality_check), so a failed
     identity is an InternalError."""
-    if f.discriminant24():
+    if f.discriminant_rows():
         raise ValueError("discriminant is not identically zero")
     g8, g12 = f.g8, f.g12
     step, p8, p12 = _on_common_step(g8, g12)

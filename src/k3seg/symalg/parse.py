@@ -516,12 +516,17 @@ def _finalize(value: tuple, degree: int, slot: str) -> SForm:
     return SForm._new(degree, Fraction(b), Fraction(d), n, e, poly)
 
 
+# the line breaks of text-mode open; str.splitlines also breaks at \v, \f,
+# \x1c-\x1e, \x85, \u2028 and \u2029, which the tokenizer skips as space
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
 def parse_family(text: str) -> FamilyPair:
     macros: dict[str, tuple[str, tuple]] = {}
     slots: dict[str, tuple] = {}
     slot_lines: dict[str, int] = {}
     statements: list[tuple[int, int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
         cut = line.find("#")
         if cut >= 0:
             line = line[:cut]

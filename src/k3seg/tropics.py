@@ -6,9 +6,9 @@ A polygon is stored as its lower hull alone: one _lower_hull pass builds it,
 and every other quantity is read off the hull vertices (evaluation through
 eval_at, root valuations through the edges and the two end indices, the clamp
 through the two support lines of slopes -e0 and einf). The hull of a form is
-built on integer points (i, k), k the index of the first nonzero entry of the
-s^i array, and only its vertices are mapped once to the heights low + k*step;
-the discriminant's k comes from the lowest set bit of its packed row.
+built on integer points (i, k) that the form or the discriminant gives
+(`index_points`), and only its vertices are mapped once to the heights
+low + k*step.
 
 Everything here is exact and runs on integers: heights are numerators over
 one denominator per polygon (a divisor of FamilyPair.ramification()), and
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import UnrecognizedCuspError, ZeroFormError
-from .symalg.forms import INF, NEG_INF, FamilyPair, SForm, _numerators
+from .symalg.forms import INF, NEG_INF, Discriminant, FamilyPair, SForm, _numerators
 
 def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
@@ -76,31 +76,18 @@ class TropicalPolynomial:
         return [Fraction(h2 - h1, (i2 - i1) * den) for (i1, h1), (i2, h2) in zip(pts, pts[1:])]
 
 
-def _polygon(degree: int, low, step, points: list) -> TropicalPolynomial:
-    """The polygon of the points (i, low + k * step) for the given (i, k).
-    step >= 0, so the height is an increasing affine image of k (constant
-    when step = 0, where every k is 0): the hull of the points (i, k) has the
-    vertices of the hull of the points (i, height)."""
-    den, (low, step) = _numerators((low, step))
-    hull = [(i, low + k * step) for i, k in _lower_hull(points)]
-    return TropicalPolynomial._of(degree, den, hull)
-
-
-def newton_polygon(p: SForm) -> TropicalPolynomial:
-    """The Newton polygon of a nonzero form, from its index points."""
+def newton_polygon(p: SForm | Discriminant) -> TropicalPolynomial:
+    """The Newton polygon of a nonzero form or discriminant, from its index
+    points (i, k), the s^i coefficient of valuation low + k * step. step >= 0,
+    so the height is an increasing affine image of k (constant when step = 0,
+    where every k is 0): the hull of the points (i, k) has the vertices of the
+    hull of the points (i, height)."""
     points = p.index_points()
     if not points:
         raise ZeroFormError("Newton polygon of the zero form")
-    return _polygon(p.degree, p.low, p.step, points)
-
-
-def discriminant_polygon(f: FamilyPair) -> TropicalPolynomial | None:
-    """The Newton polygon of f's discriminant, None when it vanishes
-    identically, read off its rows at u = 2^bits without decoding them: the
-    lowest set bit of a nonzero row, over bits, is its u-valuation."""
-    d = f.discriminant_rows()
-    points = [(k, ((v & -v).bit_length() - 1) // d.bits) for k, v in enumerate(d.rows) if v]
-    return _polygon(24, d.low, d.step, points) if points else None
+    den, (low, step) = _numerators((p.low, p.step))
+    hull = [(i, low + k * step) for i, k in _lower_hull(points)]
+    return TropicalPolynomial._of(p.degree, den, hull)
 
 
 def root_valuations(poly: TropicalPolynomial) -> tuple:

@@ -160,6 +160,14 @@ ROWS = [
     # some editors save UTF-8 with a leading U+FEFF
     Row("byte_order_mark", "analyze {file}",
         b"\xef\xbb\xbfg8 = 3*s^4 + t*(1 + s^8)\ng12 = s^6 + t*(1 + s^12)\n"),
+    # lines break at \n, \r\n and \r alone, as grep -n counts them: a form
+    # feed or a U+0085 is space inside a line
+    Row("form_feed_is_not_a_line_break", "analyze {file}",
+        "g8 = 3*s^4\f\ng12 = s^6 + t*(1 + s^12\n", code=2,
+        err="E_PARSE: line 2: column 24: unexpected end of statement\n"),
+    Row("next_line_character_is_not_a_line_break", "analyze {file}",
+        "g8 = 3*s^4 \x85 g12 = s^6 + t*(1 + s^12)\n", code=2,
+        err="E_PARSE: line 1: column 14: trailing input after g8 assignment\n"),
     # two forms on steps 10^6 and 10^6 + 1 meet on step 1: refused before
     # their arrays are spread to a million entries each
     Row("mismatched_t_grids", "analyze {file}",

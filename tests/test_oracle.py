@@ -12,10 +12,16 @@ import pytest
 from mpmath import mp, mpc
 from mpmath.libmp import dps_to_prec
 
+from conftest import charts
 from k3seg import oracle
 from k3seg.errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
-from k3seg.oracle import empirical_positions, oracle_compare, OracleReport, roots_at
+from k3seg.corpus import generate_corpus
+from k3seg.oracle import (
+    DEFAULT_T_SAMPLES, empirical_positions, oracle_compare, OracleReport, roots_at,
+)
 from k3seg.symalg import FamilyPair, parse_family
+from k3seg.symalg.field import upack
+from k3seg.symalg.forms import Discriminant
 from k3seg.tropics import _lower_hull, end_exponents, pair_polygons
 from tests.cli_contract import VANISHING_SAMPLE
 
@@ -278,6 +284,40 @@ def test_evaluated_discriminant_matches_its_reference(named):
                     else:
                         assert a[1] == 0
                         assert _relative_error(_value(a), b) < mp.mpf(2) ** -200
+
+
+def _evaluated_form(delta, t0):
+    """oracle._evaluated_discriminant as it ran on the decoded discriminant
+    delta: Horner's rule on the triples of t0^low / den * (num * P)(t0^step)."""
+    scale = oracle._div(oracle._power(t0, delta.low), oracle._norm(delta.den, 0, 0))
+    u = oracle._power(t0, delta.step)
+    out = []
+    for arr in delta.poly:
+        acc = oracle._ZERO
+        for x in reversed(arr):
+            acc = oracle._add(oracle._mul(acc, u), oracle._norm(delta.num * x, 0, 0))
+        out.append(oracle._mul(acc, scale))
+    return out
+
+
+def test_evaluated_discriminant_from_the_rows_is_the_forms(named):
+    pairs = [g for f in list(named.values()) + generate_corpus(10, 1729) for g in charts(f)]
+    pairs.append(_fractional_pair(named))
+    # rows whose form moves u^1 into low, the u-exponent gap 2 into step, and
+    # the factor 2 that their content 6 shares with the denominator 4 out of den
+    rows = [0] * 25
+    rows[0], rows[5] = upack([0, 6, 0, 18, 0, -12], 16), upack([0, 0, 0, 30], 16)
+    special = FamilyPair(named["tent"].g8, named["tent"].g12)
+    special._rows = Discriminant(Fraction(-2), Fraction(1, 3), 4, 16, rows)
+    delta = special.discriminant24()
+    assert (delta.low, delta.step, delta.num, delta.den) == (Fraction(-5, 3), Fraction(2, 3), 3, 2)
+    pairs.append(special)
+    for f in pairs:
+        if f.discriminant_rows():
+            for t0 in DEFAULT_T_SAMPLES:
+                t0 = Fraction(t0)
+                want = _evaluated_form(f.discriminant24(), t0)
+                assert oracle._evaluated_discriminant(f, t0) == want
 
 
 def _oracle_coefficients(named):

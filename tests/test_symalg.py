@@ -32,7 +32,7 @@ from k3seg.symalg import (
 from k3seg.symalg import field
 from k3seg.symalg.field import sdiv_exact, sgcd, smul, spdivmod, spow
 from k3seg.symalg.forms import MAX_SPREAD, _canonical, _qgcd
-from k3seg.tropics import discriminant_polygon, newton_polygon
+from k3seg.tropics import newton_polygon
 
 S, T = sympy.symbols("s t")
 
@@ -687,7 +687,7 @@ def test_discriminant_matches_sympy(named):
 
 def test_discriminant_is_cached(named):
     f = named["tent"]
-    assert f.discriminant24() is f.discriminant24()
+    assert f.discriminant_rows() is f.discriminant_rows()
 
 
 def _fields(f: SForm) -> list:
@@ -696,12 +696,17 @@ def _fields(f: SForm) -> list:
 
 def _assert_rows_match_the_product(g8: SForm, g12: SForm) -> None:
     """The discriminant decoded from its rows equals the product, field by
-    field and type by type, and its polygon read off the rows (on a fresh
-    pair, which decodes nothing) equals the product's."""
+    field and type by type, and its zero test, its points and its polygon
+    read off the rows (on a fresh pair, which decodes nothing) equal the
+    product's."""
     reference = g8**3 - (g12 * g12).scale(27)
     assert _fields(FamilyPair(g8, g12).discriminant24()) == _fields(reference)
-    polygon = discriminant_polygon(FamilyPair(g8, g12))
-    assert polygon == (newton_polygon(reference) if reference else None)
+    rows = FamilyPair(g8, g12).discriminant_rows()
+    assert bool(rows) == bool(reference)
+    points = [(i, rows.low + k * rows.step) for i, k in rows.index_points()]
+    assert points == reference.hull_points()
+    if reference:
+        assert newton_polygon(rows) == newton_polygon(reference)
 
 
 # small coefficients, whose slots borrow from each other, and ones past 64 bits
@@ -761,6 +766,43 @@ def test_discriminant_rows_match_the_product_on_corpus_and_families(named):
     for f in generate_corpus(100, 1729) + list(named.values()):
         for g in charts(f):
             _assert_rows_match_the_product(g.g8, g.g12)
+
+
+def _uunpack_slot_by_slot(v: int, bits: int) -> list[int]:
+    """field.uunpack as it read every slot: v's two's-complement bytes one
+    signed slot at a time, each slot one more when the slot below it is
+    negative."""
+    n = bits // 8
+    data = v.to_bytes((v.bit_length() // bits + 1) * n, "little", signed=True)
+    out, borrow = [], 0
+    for i in range(0, len(data), n):
+        x = int.from_bytes(data[i : i + n], "little", signed=True)
+        out.append(x + borrow)
+        borrow = x < 0
+    return field.snorm(out)
+
+
+def test_uunpack_matches_the_slot_by_slot_decoder():
+    rng = random.Random(35)
+    lengths = (1, field._UNPACK_SLOTS, field._UNPACK_SLOTS + 1, 5 * field._UNPACK_SLOTS + 3)
+    # 136-bit slots hold coefficients past 2^64
+    for bits in (8, 64, 136):
+        top = (1 << (bits - 1)) - 1
+        arrays = [[rng.randint(-top, top) for _ in range(n)] for n in lengths]
+        # mixed signs: runs of extreme, unit and zero entries, whose borrows
+        # run across slots and across the halves
+        pattern = (-top, top, -1, 1, 0, 0, -1)
+        arrays += [[rng.choice(pattern) for _ in range(n)] for n in lengths]
+        # sparse and wide: a few entries over 100000 slots, at both ends too
+        for signs in ((1, 1, 1), (-1, 1, -1), (-1, -1, -1)):
+            wide = [0] * 100_000
+            for k, sign in zip((0, rng.randrange(1, 99_999), 99_999), signs):
+                wide[k] = sign * rng.randint(1, top)
+            arrays.append(wide)
+        for c in arrays:
+            v = field.upack(c, bits)
+            assert field.uunpack(v, bits) == _uunpack_slot_by_slot(v, bits) == field.snorm(c)
+    assert field.uunpack(0, 8) == []
 
 
 def test_normalized_gauge(named):
