@@ -24,7 +24,6 @@ from .density import (
     density_profile,
     emit_csv,
     emit_svg,
-    same_up_to_scale,
 )
 from .errors import K3SegError
 from .lattices import (

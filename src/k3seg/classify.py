@@ -161,14 +161,8 @@ class StableType:
     def label(self) -> str:
         return " ".join("%s%d" % (c.kind, c.index) for c in self.components)
 
-    def rank(self) -> int:
-        return sum(c.index for c in self.components)
-
     def charges(self) -> list[int]:
         return [c.charge for c in self.components]
-
-    def reversed(self) -> "StableType":
-        return StableType(tuple(reversed(self.components)))
 
     def __str__(self):
         return self.label()

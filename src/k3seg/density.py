@@ -136,9 +136,6 @@ class DensityFunction:
                 return Fraction(v1 * d + s * (x - w1 * d), self._den * d)
         return self.breakpoints[-1][1]
 
-    def max_value(self) -> Fraction:
-        return Fraction(max(v for _, v in self._points), self._den)
-
     def min_value(self) -> Fraction:
         return Fraction(min(v for _, v in self._points), self._den)
 
@@ -300,18 +297,8 @@ def density_cuspidal(quartic: SForm) -> DensityFunction:
 
 
 # ---------------------------------------------------------------------------
-# comparison and output
+# output
 # ---------------------------------------------------------------------------
-
-
-def same_up_to_scale(a: DensityFunction, b: DensityFunction) -> bool:
-    """True iff the unit-domain graphs differ by a positive constant factor:
-    the same unit abscissas, and value numerators V with maxima M that are both
-    zero or satisfy Va * Mb = Vb * Ma at every point."""
-    ma, mb = (max(v for _, v in fn._points) for fn in (a, b))
-    same_x = [x for x, _ in a.unit_breakpoints()] == [x for x, _ in b.unit_breakpoints()]
-    proportional = all(va * mb == vb * ma for (_, va), (_, vb) in zip(a._points, b._points))
-    return same_x and (ma == mb == 0 or ma != 0 != mb and proportional)
 
 
 def emit_csv(fn: DensityFunction) -> bytes:

@@ -458,32 +458,34 @@ def _reconstruction_error(coeffs, roots):
     return ldexp(isqrt((num << shift) // den), (num_exp - den_exp - shift) // 2)
 
 
-def _evaluated_discriminant(f: FamilyPair, t0: Fraction):
-    """The discriminant's coefficients at t0 as real triples, by Horner's
-    rule on its decoded rows. u^j, the gcd g of the u-exponent gaps and the
-    part h of the rows' content that den shares are taken out first, as the
-    canonical form of degree 24 takes them, so each triple is the one that
-    form's t0^low / den * (num * P)(t0^step) gives."""
+def _evaluated_discriminant(f: FamilyPair, samples) -> list:
+    """The discriminant's coefficients at each t sample as real triples, by
+    Horner's rule on its rows, decoded once. u^j, the gcd g of the u-exponent
+    gaps and the part h of the rows' content that den shares are taken out
+    first, as the canonical form of degree 24 takes them, so each triple is
+    the one that form's t0^low / den * (num * P)(t0^step) gives."""
     d = f.discriminant_rows()
     poly = [uunpack(v, d.bits) for v in d.rows]
     j, g, c = shape(poly)
     h = gcd(c, d.den)
-    scale = _div(_power(t0, d.low + j * d.step), _norm(d.den // h, 0, 0))
-    u = _power(t0, d.step * g)
     out = []
-    for arr in poly:
-        acc = _ZERO
-        for x in reversed(arr[j :: g or 1]):
-            acc = _add(_mul(acc, u), _norm(x // h, 0, 0))
-        out.append(_mul(acc, scale))
+    for t0 in samples:
+        scale = _div(_power(t0, d.low + j * d.step), _norm(d.den // h, 0, 0))
+        u = _power(t0, d.step * g)
+        coeffs = []
+        for arr in poly:
+            acc = _ZERO
+            for x in reversed(arr[j :: g or 1]):
+                acc = _add(_mul(acc, u), _norm(x // h, 0, 0))
+            coeffs.append(_mul(acc, scale))
+        out.append(coeffs)
     return out
 
 
-def _root_data(f: FamilyPair, t0: Fraction):
-    """The 24 discriminant roots at t0, roots at s = 0 as zero triples and
-    the degree drop as None markers, and the reconstruction error of the
-    finite ones."""
-    coeffs = _evaluated_discriminant(f, t0)
+def _root_data(coeffs: list, t0):
+    """The 24 discriminant roots from its coefficients at t0, roots at s = 0
+    as zero triples and the degree drop as None markers, and the
+    reconstruction error of the finite ones."""
     support = [i for i, c in enumerate(coeffs) if c[0]]
     if not support:
         raise CuspidalFamilyError("discriminant vanishes identically at t = %s" % float(t0))
@@ -514,7 +516,8 @@ def roots_at(f: FamilyPair, t0) -> list:
         raise CuspidalFamilyError(
             "discriminant is identically zero; there are no roots to track"
         )
-    return _root_data(f, Fraction(t0))[0]
+    t0 = Fraction(t0)
+    return _root_data(_evaluated_discriminant(f, [t0])[0], t0)[0]
 
 
 def _ln_of(x: Fraction) -> int:
@@ -566,8 +569,8 @@ def oracle_compare(f: FamilyPair, t_list=DEFAULT_T_SAMPLES) -> OracleReport:
     per_sample = []
     deviations = []
     recon_errors = []
-    for t0 in samples:
-        roots, recon = _root_data(f, Fraction(t0))
+    for t0, coeffs in zip(samples, _evaluated_discriminant(f, map(Fraction, samples))):
+        roots, recon = _root_data(coeffs, t0)
         emp = empirical_positions(roots, ends.at_zero, ends.at_infinity, t0)
         dev = max(abs(a - b) for a, b in zip(emp, cut.positions))
         per_sample.append(tuple(float(x) for x in emp))

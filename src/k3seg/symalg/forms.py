@@ -50,6 +50,13 @@ _ZERO = Fraction(0)
 MAX_SPREAD = 1 << 18
 
 
+def _check_spread(j: int, span: int, k: int) -> None:
+    """Refuse a u-array of u-degree span spread k slots apart and shifted j
+    slots up, before it is built, when it would pass MAX_SPREAD."""
+    if j + span * k > MAX_SPREAD:
+        raise ParseError("expression too large")
+
+
 def _numerators(xs, *dens: int) -> tuple[int, list[int]]:
     """Rationals xs over one denominator m, the lcm of theirs and dens: (m, m * xs)."""
     m = math.lcm(*dens, *(x.denominator for x in xs))
@@ -120,9 +127,6 @@ class SForm:
     def __bool__(self) -> bool:
         return self.num != 0
 
-    def is_zero(self) -> bool:
-        return not self
-
     def s_degree(self) -> int:
         """Largest s-exponent with a nonzero coefficient; -1 for the zero form."""
         return self.degree - first(self.poly[::-1]) if self else -1
@@ -138,15 +142,6 @@ class SForm:
         """(i, k) for every nonzero coefficient: the s^i coefficient has
         valuation low + k * step."""
         return [(i, first(arr)) for i, arr in enumerate(self.poly) if arr]
-
-    def hull_points(self) -> list[tuple[int, Fraction]]:
-        """(i, valuation of the s^i coefficient) for every nonzero coefficient."""
-        low, step = self.low, self.step
-        return [(i, low + k * step) for i, k in self.index_points()]
-
-    def coeff(self, i: int, e: Scalar = 0) -> Fraction:
-        """The coefficient of s^i * t^e."""
-        return next((c for j, x, c in self.terms() if j == i and x == e), _ZERO)
 
     def terms(self):
         """(s-exponent, t-exponent, coefficient) of every nonzero term, by
@@ -185,8 +180,7 @@ class SForm:
         k = int(self.step / step) if self.step else 1
         if j == 0 and k == 1:
             return self.poly
-        if j + (max(map(len, self.poly)) - 1) * k > MAX_SPREAD:
-            raise ParseError("expression too large")
+        _check_spread(j, max(map(len, self.poly)) - 1, k)
         return [uspread(arr, j, k) for arr in self.poly]
 
     def __add__(self, other: "SForm") -> "SForm":
@@ -426,8 +420,8 @@ def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:
     for (g, n, c), e, g_step in zip(terms, lows, exps[1::2]):
         j = (e - low) // step if step else 0
         k = g_step // step if g_step else 1
-        if (j, k) != (0, 1) and j + n * (max(map(len, g.poly)) - 1) * k > MAX_SPREAD:
-            raise ParseError("expression too large")
+        if (j, k) != (0, 1):
+            _check_spread(j, n * (max(map(len, g.poly)) - 1), k)
         m = c * g.num**n * (den // g.den**n)
         bound += abs(m) * sum(sum(map(abs, arr)) for arr in g.poly) ** n
         placed.append((g.poly, n, m, j, k))

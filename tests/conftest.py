@@ -41,6 +41,22 @@ def count_calls(run, *functions):
     return counts
 
 
+def coeff(form, i, e=0):
+    """The coefficient of s^i * t^e in form: a lookup over its terms."""
+    return next((c for j, x, c in form.terms() if (j, x) == (i, e)), 0)
+
+
+def same_up_to_scale(a, b):
+    """True iff the unit-domain graphs of two DensityFunctions differ by a
+    positive constant factor: the same unit abscissas, and value numerators V
+    with maxima M that are both zero or satisfy Va * Mb = Vb * Ma at every
+    point."""
+    ma, mb = (max(v for _, v in fn._points) for fn in (a, b))
+    same_x = [x for x, _ in a.unit_breakpoints()] == [x for x, _ in b.unit_breakpoints()]
+    proportional = all(va * mb == vb * ma for (_, va), (_, vb) in zip(a._points, b._points))
+    return same_x and (ma == mb == 0 or ma != 0 != mb and proportional)
+
+
 def random_form(rng, degree):
     """A random sparse form: each coefficient is c*t^e with probability 0.3, e
     a small rational, and at least one is nonzero."""

@@ -9,7 +9,7 @@ Fraction routines as references for that rewrite: tests/test_integer_report.py
 compares the two on random polygons, on corpus-100 in four charts and on the
 named families. Tier-1 does not collect it (its name does not start with
 test_). A polygon here is a Polygon (degree, hull) with Fraction heights,
-built from SForm.hull_points by this module's own hull.
+built from hull_points by this module's own hull.
 """
 
 from __future__ import annotations
@@ -49,8 +49,13 @@ def lower_hull(points: list) -> list:
     return hull
 
 
+def hull_points(f: SForm) -> list:
+    """(i, valuation of the s^i coefficient) for every nonzero coefficient."""
+    return [(i, f.low + k * f.step) for i, k in f.index_points()]
+
+
 def newton_polygon(f: SForm) -> Polygon:
-    return Polygon(f.degree, tuple(lower_hull(f.hull_points())))
+    return Polygon(f.degree, tuple(lower_hull(hull_points(f))))
 
 
 def eval_at(poly: Polygon, a) -> Fraction:

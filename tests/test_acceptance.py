@@ -14,13 +14,13 @@ from fractions import Fraction
 
 import pytest
 
+from k3seg.classify import StableType
 from k3seg.corpus import generate_corpus
 from k3seg.density import (
     cut_positions,
     density_from_positions,
     density_profile,
     DensityFunction,
-    same_up_to_scale,
 )
 from k3seg.lattices import count_norm_vectors, root_lattice, wps_weights
 from k3seg.moduli import (
@@ -32,7 +32,7 @@ from k3seg.oracle import oracle_compare
 from k3seg.report import analyze, derive
 from k3seg.symalg import SForm
 from k3seg.tropics import newton_polygon
-from tests.conftest import stretched
+from tests.conftest import same_up_to_scale, stretched
 
 
 @contextmanager
@@ -89,7 +89,7 @@ def test_criterion_3_constant_family(named):
     with criterion(3):
         report = analyze(named["d_constant"])
         assert len(report.density.breakpoints) == 2
-        assert report.density.max_value() == report.density.min_value()
+        assert max(v for _, v in report.density.breakpoints) == report.density.min_value()
         assert report.stable.label() == "D8 D8"
         assert sum(report.stable.charges()) == 24
 
@@ -140,7 +140,7 @@ def test_criterion_6_property_suite(corpus_data):
             # (e) swapping the chart ends mirrors the whole analysis
             mirrored = analyze(f.inverted())
             assert mirrored.density.breakpoints == report.density.reflected().breakpoints
-            assert mirrored.stable == report.stable.reversed()
+            assert mirrored.stable == StableType(report.stable.components[::-1])
             # (f) nonnegative density (a negative value raises in analyze)
             assert report.density.min_value() >= 0
         assert elapsed + (time.perf_counter() - started) < 30.0
@@ -180,7 +180,7 @@ def test_criterion_9_min_plus_duality():
                 c = rng.choice((-5, -2, -1, 1, 3))
                 e = Fraction(rng.randint(-9, 12), rng.choice((1, 2, 3, 4)))
                 f = f + SForm.monomial(degree, i, c, e)
-            if f.is_zero():
+            if not f:
                 continue
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             assert newton_polygon(f).eval_at(a) == stretched(f, a).min_coeff_val()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from k3seg.classify import (
     CuspKind,
+    StableType,
     _is_nodal,
     component,
     cusp_type,
@@ -251,7 +252,7 @@ def test_stable_type_from_triangles():
     nine = stable_type(DensityFunction([(-1, 0), (0, 9), (1, 0)]))
     assert nine.label() == "E0 A17 E0"
     assert nine.charges() == [3, 18, 3]
-    assert nine.rank() == 17
+    assert sum(c.index for c in nine.components) == 17
     six = stable_type(DensityFunction([(-1, 0), (0, 6), (1, 0)]))
     assert six.label() == "E3 A11 E3"
     assert six.charges() == [6, 12, 6]
@@ -267,8 +268,9 @@ def test_stable_type_from_lines():
 
 def test_stable_type_reversal():
     mixed = stable_type(DensityFunction([(-1, 14), (1, 26)]))
-    assert mixed.reversed().label() == "D14 D2"
-    assert mixed.reversed().reversed() == mixed
+    flipped = StableType(mixed.components[::-1])
+    assert flipped.label() == "D14 D2"
+    assert StableType(flipped.components[::-1]) == mixed
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

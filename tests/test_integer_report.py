@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from conftest import charts
+from conftest import charts, same_up_to_scale
 from k3seg.classify import end_surface_data
 from k3seg.corpus import generate_corpus
 from k3seg.density import (
@@ -23,7 +23,6 @@ from k3seg.density import (
     density_from_positions,
     density_profile,
     emit_svg,
-    same_up_to_scale,
 )
 from k3seg.errors import K3SegError
 from k3seg.symalg import FamilyPair, SForm, TLaurent
@@ -220,7 +219,8 @@ def test_density_function_matches_the_fraction_checks(pts):
     if isinstance(fn[0], type):
         return
     fn, (bps, _) = DensityFunction(pts), fn
-    assert (fn.max_value(), fn.min_value()) == (max(v for _, v in bps), min(v for _, v in bps))
+    assert (max(v for _, v in fn.breakpoints), fn.min_value()) == (
+        max(v for _, v in bps), min(v for _, v in bps))
     same(fn.unit_breakpoints, lambda: ref.unit_breakpoints(bps))
     same(lambda: emit_svg(fn), lambda: ref.emit_svg(bps))
     # every breakpoint, the midpoints between them and one point past each end

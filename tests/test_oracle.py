@@ -275,7 +275,7 @@ def test_evaluated_discriminant_matches_its_reference(named):
     pairs.append(_fractional_pair(named))
     for f in pairs:
         for t0 in (1e-3, 1e-7, 0.9):
-            got = oracle._evaluated_discriminant(f, Fraction(t0))
+            got = oracle._evaluated_discriminant(f, [Fraction(t0)])[0]
             with mp.workdps(100):
                 want = _reference_evaluated_discriminant(f, _mpf(t0))
                 for a, b in zip(got, want, strict=True):
@@ -317,7 +317,7 @@ def test_evaluated_discriminant_from_the_rows_is_the_forms(named):
             for t0 in DEFAULT_T_SAMPLES:
                 t0 = Fraction(t0)
                 want = _evaluated_form(f.discriminant24(), t0)
-                assert oracle._evaluated_discriminant(f, t0) == want
+                assert oracle._evaluated_discriminant(f, [t0])[0] == want
 
 
 def _oracle_coefficients(named):
@@ -327,7 +327,7 @@ def _oracle_coefficients(named):
     for name in ("d_mixed", "ds_circle", "ds_split", "tent"):
         f = named[name].normalized()
         for t0 in (1e-3, 1e-5, 1e-7):
-            coeffs = oracle._evaluated_discriminant(f, Fraction(t0))
+            coeffs = oracle._evaluated_discriminant(f, [Fraction(t0)])[0]
             support = [i for i, c in enumerate(coeffs) if c[0]]
             out.append(coeffs[support[0] : support[-1] + 1])
     return out

@@ -19,7 +19,7 @@ from k3seg.errors import (
 from k3seg.oracle import oracle_compare
 from k3seg.report import analyze
 from k3seg.symalg import (
-    FamilyPair, SForm, canonical_text, extract_cusp_quartic, forms, parse_family,
+    FamilyPair, SForm, canonical_text, extract_cusp_quartic, field, forms, parse_family,
 )
 from k3seg.tropics import end_exponents, newton_polygon, root_valuations
 
@@ -51,6 +51,11 @@ def test_analyze_derives_each_quantity_once():
             forms.Discriminant.form,
         )
         assert counts == {"_discriminant_rows": 1, "index_points": 1, "form": 0}
+    # the oracle decodes the 25 rows for its Horner steps once per pair, not
+    # once per t sample
+    pair = parse_family(tent)
+    counts = count_calls(lambda: oracle_compare(pair), field.shape, field.uunpack)
+    assert counts == {"shape": 1, "uunpack": 25}
 
 
 def test_analyze_reads_both_end_surfaces_in_one_call(named):

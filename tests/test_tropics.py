@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_form, stretched
+from fraction_reference import hull_points
 from k3seg.errors import UnrecognizedCuspError, ZeroFormError
 from k3seg.symalg import INF, NEG_INF, SForm, TLaurent, parse_family
 from k3seg.tropics import (
@@ -24,7 +25,7 @@ def test_newton_polygon_of_tent_g12(named):
     poly = newton_polygon(named["tent"].g12)
     assert poly.degree == 12
     assert poly.hull == ((0, Fraction(1)), (6, Fraction(0)), (12, Fraction(1)))
-    assert list(poly.hull) == named["tent"].g12.hull_points()
+    assert list(poly.hull) == hull_points(named["tent"].g12)
     assert poly.slopes() == [Fraction(-1, 6), Fraction(1, 6)]
     assert poly.eval_at(0) == 0
     assert poly.eval_at(Fraction(1, 6)) == 1
@@ -35,7 +36,7 @@ def test_newton_polygon_drops_interior_points():
     f = SForm(4, [TLaurent.term(1, 3), TLaurent.term(1, 5), TLaurent.term(1, 0)])
     poly = newton_polygon(f)
     assert poly.hull == ((0, Fraction(3)), (2, Fraction(0)))
-    assert len(f.hull_points()) == 3
+    assert len(hull_points(f)) == 3
 
 
 def test_newton_polygon_on_index_points_has_the_height_hull():
@@ -52,7 +53,7 @@ def test_newton_polygon_on_index_points_has_the_height_hull():
     assert any(f.low < 0 and f.low.denominator > 1 for f in forms)
     assert any(f.step.denominator > 1 for f in forms)
     for f in forms:
-        assert newton_polygon(f).hull == tuple(_lower_hull(f.hull_points()))
+        assert newton_polygon(f).hull == tuple(_lower_hull(hull_points(f)))
 
 
 def test_newton_polygon_of_zero_form():
@@ -118,7 +119,7 @@ def test_polygon_evaluation_is_stretched_minimum():
             c = rng.choice((-3, -1, 1, 2))
             e = Fraction(rng.randint(-8, 12), rng.choice((1, 2, 3)))
             f = f + SForm.monomial(degree, i, c, e)
-        if f.is_zero():
+        if not f:
             continue
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         assert newton_polygon(f).eval_at(a) == stretched(f, a).min_coeff_val()
