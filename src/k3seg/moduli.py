@@ -108,12 +108,3 @@ def degeneration_check(parent: StableType, children: list[list[Component]]) -> b
                 return False
     return True
 
-
-__all__ = [
-    "Stratum",
-    "enumerate_divisors",
-    "enumerate_codim2",
-    "normalization_preimage_count",
-    "chamber_count",
-    "degeneration_check",
-]

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, hypot, isqrt, ldexp
+from math import hypot, isqrt, ldexp
 
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
 from .report import derive
 from .symalg import FamilyPair
-from .symalg.field import shape, uunpack
 from .tropics import _lower_hull
 
 _RESIDUAL_TARGET = 1e-12
@@ -459,24 +458,20 @@ def _reconstruction_error(coeffs, roots):
 
 
 def _evaluated_discriminant(f: FamilyPair, samples) -> list:
-    """The discriminant's coefficients at each t sample as real triples, by
-    Horner's rule on its rows, decoded once. u^j, the gcd g of the u-exponent
-    gaps and the part h of the rows' content that den shares are taken out
-    first, as the canonical form of degree 24 takes them, so each triple is
-    the one that form's t0^low / den * (num * P)(t0^step) gives."""
-    d = f.discriminant_rows()
-    poly = [uunpack(v, d.bits) for v in d.rows]
-    j, g, c = shape(poly)
-    h = gcd(c, d.den)
+    """The discriminant's coefficients at each t sample as real triples:
+    Horner's rule on the form of degree 24, t0^low / den * (num * P)(t0^step),
+    with each entry's triple made once per pair."""
+    delta = f.discriminant24()
+    rows = [[_norm(delta.num * x, 0, 0) for x in reversed(arr)] for arr in delta.poly]
     out = []
     for t0 in samples:
-        scale = _div(_power(t0, d.low + j * d.step), _norm(d.den // h, 0, 0))
-        u = _power(t0, d.step * g)
+        scale = _div(_power(t0, delta.low), _norm(delta.den, 0, 0))
+        u = _power(t0, delta.step)
         coeffs = []
-        for arr in poly:
+        for row in rows:
             acc = _ZERO
-            for x in reversed(arr[j :: g or 1]):
-                acc = _add(_mul(acc, u), _norm(x // h, 0, 0))
+            for x in row:
+                acc = _add(_mul(acc, u), x)
             coeffs.append(_mul(acc, scale))
         out.append(coeffs)
     return out

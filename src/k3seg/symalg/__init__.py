@@ -11,15 +11,3 @@ from .forms import (
     minimality_check,
 )
 from .parse import canonical_text, parse_family
-
-__all__ = [
-    "INF",
-    "NEG_INF",
-    "TLaurent",
-    "FamilyPair",
-    "SForm",
-    "extract_cusp_quartic",
-    "minimality_check",
-    "canonical_text",
-    "parse_family",
-]

@@ -161,34 +161,22 @@ def uunpack(v: int, bits: int) -> list[int]:
     return snorm(out)
 
 
-# up to this many slots `_unpack` reads slot by slot: halving dense slots
-# further costs more than it skips (1504 slots of 1512 bits: 14 ms for 25 rows
-# read whole or halved to 256 slots, 19 ms halved to 64; CPython 3.11, x86_64)
-_UNPACK_SLOTS = 256
-
-
 def _unpack(v: int, bits: int, n: int, out: list[int]) -> None:
     """Append the n slots of v, |v| < 2^(bits * n - 1), to out. Zero is n
-    zeros; a long v is halved at a slot boundary, the low half read signed
-    (a negative one borrowed one from the high half); a short one is read a
-    signed slot at a time, plus one when the slot below is negative."""
+    zeros and one slot is v itself; otherwise v is halved at a slot boundary,
+    the low half read signed (a negative one borrowed one from the high
+    half)."""
     if not v:
         out += [0] * n
-    elif n > _UNPACK_SLOTS:
+    elif n == 1:
+        out.append(v)
+    else:
         shift = bits * (n // 2)
         low, high = v & ((1 << shift) - 1), v >> shift
         if low >> (shift - 1):
             low, high = low - (1 << shift), high + 1
         _unpack(low, bits, n // 2, out)
         _unpack(high, bits, n - n // 2, out)
-    else:
-        k = bits // 8
-        data = v.to_bytes(n * k, "little", signed=True)
-        borrow = 0
-        for i in range(0, len(data), k):
-            x = int.from_bytes(data[i : i + k], "little", signed=True)
-            out.append(x + borrow)
-            borrow = x < 0
 
 
 def skmul(a: list[int], b: list[int]) -> list[int]:

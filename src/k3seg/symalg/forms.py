@@ -333,10 +333,10 @@ class FamilyPair:
 
     def discriminant24(self) -> SForm:
         """The discriminant g8^3 - 27*g12^2 as a form of degree 24, decoded
-        from discriminant_rows on every call. No pipeline stage asks for it:
-        the zero test, the Newton polygon and the oracle's coefficients are
-        all read off the rows."""
-        return self.discriminant_rows().form()
+        from discriminant_rows on every call: the oracle's view of it. The
+        zero test and the Newton polygon read the rows themselves."""
+        d = self.discriminant_rows()
+        return SForm._of(24, d.low, d.step, 1, d.den, [uunpack(v, d.bits) for v in d.rows])
 
     def normalized(self) -> "FamilyPair":
         """Gauge the pair so every coefficient valuation is >= 0 with one hitting 0."""
@@ -366,9 +366,9 @@ class Discriminant(NamedTuple):
     """The discriminant t^low / den * sum of s^k * D_k(t^step), each row D_k
     in Z[u] held as the one integer D_k(2^bits). Every coefficient fits a
     signed slot of bits bits, so a nonzero row's u-valuation is its lowest
-    set bit over bits, and `form` decodes the coefficients themselves.
-    Like a form of degree 24 it has degree, low, step, a truth value and
-    index points, so a Newton polygon reads it where it is."""
+    set bit over bits, and FamilyPair.discriminant24 decodes the coefficients
+    themselves. Like a form of degree 24 it has degree, low, step, a truth
+    value and index points, so a Newton polygon reads it where it is."""
 
     low: Fraction
     step: Fraction
@@ -386,10 +386,6 @@ class Discriminant(NamedTuple):
         low + j * step, j the row's lowest set bit over bits."""
         bits = self.bits
         return [(k, ((v & -v).bit_length() - 1) // bits) for k, v in enumerate(self.rows) if v]
-
-    def form(self) -> SForm:
-        poly = [uunpack(v, self.bits) for v in self.rows]
-        return SForm._of(24, self.low, self.step, 1, self.den, poly)
 
 
 def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:

@@ -1,9 +1,11 @@
 import pathlib
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from k3seg.corpus import generate_corpus
 from k3seg.report import analyze
 from k3seg.symalg import FamilyPair, SForm, TLaurent, parse_family
 
@@ -92,6 +94,22 @@ def charts(f):
 def named():
     """The checked-in families, parsed once per test run."""
     return {name: parse_family(family_text(name)) for name in NAMED}
+
+
+@pytest.fixture(scope="session")
+def corpus_build():
+    """generate_corpus(100, 1729), built once per test run, and the seconds
+    the build took. Its first ten are generate_corpus(10, 1729). A test that
+    counts calls on a pair parses its own: a pair keeps its discriminant."""
+    started = time.perf_counter()
+    families = generate_corpus(100, 1729)
+    return families, time.perf_counter() - started
+
+
+@pytest.fixture(scope="session")
+def corpus(corpus_build):
+    """generate_corpus(100, 1729), built once per test run."""
+    return corpus_build[0]
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,9 @@ over this input set:
     Tracer.install.
 
 It exits 1 and names each function, dunders aside, that is neither reached
-nor in KEPT, and each KEPT entry that no longer exists or is now reached:
+nor in KEPT, each KEPT entry that no longer exists or is now reached, and
+each KEPT entry kept for the README whose name no code in README.md
+mentions:
 
     PYTHONPATH=src python tests/reachability.py
 
@@ -28,6 +30,7 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -39,9 +42,6 @@ import cli_contract  # noqa: E402  (beside this file)
 # qualified name under k3seg -> the caller that needs the function although
 # no input above runs it
 KEPT = {
-    "symalg.forms.FamilyPair.discriminant24":
-        "bench/tracer.py wraps it and bench/run.py's PER_LAYER reads its span",
-    "symalg.forms.Discriminant.form": "FamilyPair.discriminant24 decodes through it",
     "moduli.degeneration_check": "ROADMAP item 2, stage d",
     "lattices.segment_lattice": "README, library",
     "symalg.forms.SForm.terms": "README, library",
@@ -51,6 +51,13 @@ KEPT = {
     "tropics.TropicalPolynomial.eval_at": "README, library",
     "tropics.TropicalPolynomial.slopes": "README, library",
 }
+
+
+def readme_names() -> set:
+    """Every identifier in README.md's code: fenced blocks and `spans`."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return {name for code in re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+            for name in re.findall(r"\w+", code)}
 
 
 def defined(package: pathlib.Path) -> dict:
@@ -142,11 +149,14 @@ def main() -> int:
     for name in sorted(set(functions.values()) - reached):
         if name not in KEPT and not name.rpartition(".")[2].startswith("__"):
             problems.append("unreached: %s" % name)
+    mentioned = readme_names()
     for name in sorted(KEPT):
         if name not in functions.values():
             problems.append("kept but gone: %s" % name)
         elif name in reached:
             problems.append("kept but reached: %s" % name)
+        if "README" in KEPT[name] and name.rpartition(".")[2] not in mentioned:
+            problems.append("kept for the README, which does not mention it: %s" % name)
     for line in problems:
         print(line)
     print("%d of %d functions reached, %d kept" % (len(reached - {None}), len(functions), len(KEPT)))

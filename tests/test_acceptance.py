@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from k3seg.classify import StableType
-from k3seg.corpus import generate_corpus
 from k3seg.density import (
     cut_positions,
     density_from_positions,
@@ -46,11 +45,11 @@ def criterion(number):
 
 
 @pytest.fixture(scope="module")
-def corpus_data():
+def corpus_data(corpus_build):
+    families, built = corpus_build
     started = time.perf_counter()
-    families = generate_corpus(100, seed=1729)
     reports = [analyze(f) for f in families]
-    return families, reports, time.perf_counter() - started
+    return families, reports, built + time.perf_counter() - started
 
 
 UNIT_TRIANGLE = DensityFunction(

@@ -17,7 +17,6 @@ from k3seg.classify import (
     end_surface_data,
     stable_type,
 )
-from k3seg.corpus import generate_corpus
 from k3seg.density import DensityFunction
 from k3seg.errors import (
     CuspidalInteriorError,
@@ -181,10 +180,10 @@ def test_d_mixed_left_end_is_a_square_cube_pair(named):
     assert left.is_nodal
 
 
-def test_right_end_is_the_left_end_of_the_inverted_family(named):
+def test_right_end_is_the_left_end_of_the_inverted_family(named, corpus):
     # the right end reads its gauge off f's own polygons; the inverted
     # family's left end reads it off the inverted polygons
-    for f in [*named.values(), *generate_corpus(10, 1729)]:
+    for f in [*named.values(), *corpus[:10]]:
         g = f.normalized()
         polygons = pair_polygons(g)
         ends = end_exponents(*polygons)

@@ -209,12 +209,12 @@ def test_oracle_run_on_tent(capsys):
 def test_oracle_normalizes_the_family_once(capsys):
     # ds_split sits at t-shift 4; a second normalization would build a second
     # pair and compute its discriminant, g8^3 - 27 g12^2, a second time. The
-    # oracle reads the discriminant's rows and never decodes them into a form
+    # oracle decodes the discriminant's rows into a form once
     counts = count_calls(
         lambda: main(["oracle", family_path("ds_split"), "--t", "1e-3"]),
-        forms._discriminant_rows, forms.Discriminant.form,
+        forms._discriminant_rows, FamilyPair.discriminant24,
     )
-    assert counts == {"_discriminant_rows": 1, "form": 0}
+    assert counts == {"_discriminant_rows": 1, "discriminant24": 1}
     assert capsys.readouterr().out.endswith("within tolerance 0.20\n")
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from conftest import charts, same_up_to_scale
 from k3seg.classify import end_surface_data
-from k3seg.corpus import generate_corpus
 from k3seg.density import (
     CutData,
     DensityFunction,
@@ -255,8 +254,8 @@ def test_stretched_limit_matches_the_fraction_routine(f, e, level, degree):
 # ---------------------------------------------------------------------------
 
 
-def test_corpus_and_named_families_match_the_fraction_routines(named):
-    families = [*generate_corpus(100, seed=1729), *named.values()]
+def test_corpus_and_named_families_match_the_fraction_routines(named, corpus):
+    families = [*corpus, *named.values()]
     compared = sum(compare_family(h.normalized()) for f in families for h in charts(f))
     # d_constant alone, in its four charts, has no discriminant polygon
     assert compared == 4 * (len(families) - 1)

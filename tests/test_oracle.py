@@ -4,6 +4,7 @@ These tests keep the sample lists short; the expensive three-sample runs
 live in the acceptance suite.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -630,9 +631,11 @@ def _reference_reconstruction_error(coeffs, roots):
 def recorded(named):
     """Every _horner and _reconstruction_error call with its result, made
     while oracle_compare runs on four named families and _find_roots on
-    seeded integer polynomials and on the 1e84 spread polynomial."""
+    seeded integer polynomials and on the 1e84 spread polynomial, and the
+    four families' reports by name."""
     horner_calls = []
     recon_calls = []
+    reports = {}
     horner, reconstruction_error = oracle._horner, oracle._reconstruction_error
 
     def recording_horner(poly, z):
@@ -649,7 +652,7 @@ def recorded(named):
         patch.setattr(oracle, "_horner", recording_horner)
         patch.setattr(oracle, "_reconstruction_error", recording_reconstruction_error)
         for name in ("d_mixed", "ds_circle", "ds_split", "tent"):
-            oracle_compare(named[name])
+            reports[name] = oracle_compare(named[name])
         rng = random.Random(1729)
         with mp.workdps(_DPS):
             cases = [_integer_polynomial(rng, d) for d in (1, 2, 3, 5, 8, 13)]
@@ -657,7 +660,59 @@ def recorded(named):
             for coeffs in cases:
                 triples = [_triple(c) for c in coeffs]
                 recording_reconstruction_error(triples, oracle._find_roots(triples))
-    return horner_calls, recon_calls
+    return horner_calls, recon_calls, reports
+
+
+# every OracleReport field at the default samples, bit for bit: exact
+# positions as (-1, 0, 1) counts, deviations, reconstruction errors, fitted C
+# and the sha256 of repr(positions). A change of the refinement's stop point,
+# of the samples or of the rounding of the coefficients at t0 moves these on
+# purpose and lists the old and new values in CHANGES.md
+_PINNED_REPORTS = {
+    "d_mixed": (
+        (6, 0, 18),
+        (0.10037824697078833, 0.060226949063273284, 0.043019249330972405),
+        (0.0002638418749513407, 0.0002638433109501437, 0.00026384331109374364),
+        0.693388375549038,
+        "f11d991ab74f7281e71aa1f2a0605df832e05055410adbfc94cb6a81d24cece8",
+    ),
+    "ds_circle": (
+        (3, 18, 3),
+        (0.03913163947344217, 0.02347883455567179, 0.016770596100542136),
+        (0.00856094878945552, 0.00855683957085924, 0.008556798936795871),
+        0.27031178914789594,
+        "cc0ef75b9f3144d45a76071b09e2e8dfab83902b142a4a43dd27e8e96eda7f81",
+    ),
+    "ds_split": (
+        (3, 18, 3),
+        (0.039131390901266175, 0.0234788345407575, 0.01677059610054107),
+        (1.3969613032662118e-13, 1.403813494734792e-13, 1.4038679164893478e-13),
+        0.270310072072135,
+        "865a674fa7e67c27b670f94510cdc1872fc7b19579c133e3be49fb5bfbbabe7c",
+    ),
+    "tent": (
+        (6, 12, 6),
+        (9.39206898866543e-16, 5.9129856716555785e-18, 1.1028465499409892e-19),
+        (1.505416874636031e-13, 7.70805750172831e-14, 2.2759117752515682e-14),
+        6.4878114137018045e-15,
+        "c30c20ac5b0a8e8a57df84ec64016a3eea2f3e1bf98cf55a714c875f5755a6b2",
+    ),
+}
+
+
+def test_oracle_reports_keep_every_bit_on_the_named_families(recorded):
+    reports = recorded[2]
+    assert list(reports) == list(_PINNED_REPORTS)
+    for name, (counts, deviations, recon, fitted, positions) in _PINNED_REPORTS.items():
+        report = reports[name]
+        low, mid, high = counts
+        assert report.t_samples == DEFAULT_T_SAMPLES
+        assert report.exact_positions == (-1,) * low + (0,) * mid + (1,) * high, name
+        assert report.deviations == deviations, name
+        assert report.reconstruction_errors == recon, name
+        assert report.fitted_c == fitted, name
+        assert hashlib.sha256(repr(report.positions).encode()).hexdigest() == positions, name
+        assert report.tolerance == 0.2
 
 
 def test_horner_matches_its_reference_on_every_call(recorded):

@@ -722,16 +722,16 @@ def test_term_reader_keeps_the_shared_checks(text):
     assert _fields(text) == _tokenizer_fields(text)
 
 
-def test_term_reader_agrees_with_the_tokenizer_on_the_corpus():
-    for seed in (1729, 7):
-        for f in generate_corpus(100, seed):
+def test_term_reader_agrees_with_the_tokenizer_on_the_corpus(corpus):
+    for families in (corpus, generate_corpus(100, 7)):
+        for f in families:
             for h in charts(f):
                 text = canonical_text(h)
                 assert _fields(text) == _tokenizer_fields(text), text
 
 
-def test_canonical_texts_skip_the_tokenizer():
-    texts = [canonical_text(f) for f in generate_corpus(10, 1729)]
+def test_canonical_texts_skip_the_tokenizer(corpus):
+    texts = [canonical_text(f) for f in corpus[:10]]
     counts = count_calls(lambda: [parse_family(text) for text in texts], parse_module._tokenize)
     assert counts == {"_tokenize": 0}
     for name in NAMED:  # a family file has parentheses or macros

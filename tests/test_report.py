@@ -42,17 +42,18 @@ def test_analyze_derives_each_quantity_once():
         "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "index_points": 2,
         "_discriminant_rows": 1, "discriminant24": 0,
     }
-    # neither analyze nor the oracle, whose polygon and three t samples read
-    # the same rows, decodes the discriminant into a form
-    for run in (analyze, oracle_compare):
+    # analyze reads the polygon off the rows and never decodes them into a
+    # form; the oracle reads the same polygon and decodes the form once for
+    # its three t samples
+    for run, decoded in ((analyze, 0), (oracle_compare, 1)):
         pair = parse_family(tent)
         counts = count_calls(
             lambda: run(pair), forms._discriminant_rows, forms.Discriminant.index_points,
-            forms.Discriminant.form,
+            FamilyPair.discriminant24,
         )
-        assert counts == {"_discriminant_rows": 1, "index_points": 1, "form": 0}
-    # the oracle decodes the 25 rows for its Horner steps once per pair, not
-    # once per t sample
+        assert counts == {"_discriminant_rows": 1, "index_points": 1, "discriminant24": decoded}
+    # that one decode takes the 25 rows apart once per pair, not once per t
+    # sample
     pair = parse_family(tent)
     counts = count_calls(lambda: oracle_compare(pair), field.shape, field.uunpack)
     assert counts == {"shape": 1, "uunpack": 25}
@@ -197,10 +198,8 @@ TRANSFORMS = (
 )
 
 
-def test_report_is_invariant_under_gauge_s_scaling_reprint_and_base_change(named):
-    families = list(named.items()) + [
-        ("corpus/%d" % i, f) for i, f in enumerate(generate_corpus(10, seed=1729))
-    ]
+def test_report_is_invariant_under_gauge_s_scaling_reprint_and_base_change(named, corpus):
+    families = list(named.items()) + [("corpus/%d" % i, f) for i, f in enumerate(corpus[:10])]
     for name, f in families:
         expected = _invariants(analyze(f))
         for label, transform in TRANSFORMS:
@@ -213,13 +212,13 @@ def test_report_is_invariant_under_gauge_s_scaling_reprint_and_base_change(named
 
 
 @pytest.fixture(scope="module")
-def chart_reports(named):
+def chart_reports(named, corpus):
     """corpus-100 (seed 1729) in the charts s, -s, 1/s and -1/s and the named
     families with their inversions, as (normalized pair, report), and the
     calls of cusp_type while analyze ran on them."""
     flip = _s_scaled(-1)
     families = [
-        h for f in generate_corpus(100, seed=1729)
+        h for f in corpus
         for h in (f, flip(f), f.inverted(), flip(f).inverted())
     ]
     families += [h for f in named.values() for h in (f, f.inverted())]

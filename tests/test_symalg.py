@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import charts, coeff, count_calls, family_text, stretched
 from fraction_reference import hull_points
-from k3seg.corpus import generate_corpus
 from k3seg.errors import DegreeError, NotMinimalError, ParseError, ZeroFormError
 from k3seg.report import analyze
 from k3seg.symalg import (
@@ -631,10 +630,10 @@ def test_parser_power_takes_two_products_for_a_cube():
     assert counts == {"smul": 2}
 
 
-def test_parser_takes_no_product_on_sums_of_monomials():
+def test_parser_takes_no_product_on_sums_of_monomials(corpus):
     # a canonical text is a sum of terms c*t^b*s^a: its products and powers
     # add and scale exponents, without a product or power of arrays
-    texts = [canonical_text(f) for f in generate_corpus(10, 1729)]
+    texts = [canonical_text(f) for f in corpus[:10]]
     counts = count_calls(lambda: [parse_family(text) for text in texts], spow, smul)
     assert counts == {"spow": 0, "smul": 0}
 
@@ -764,8 +763,8 @@ def test_discriminant_rows_match_the_product(pair):
     _assert_rows_match_the_product(*pair)
 
 
-def test_discriminant_rows_match_the_product_on_corpus_and_families(named):
-    for f in generate_corpus(100, 1729) + list(named.values()):
+def test_discriminant_rows_match_the_product_on_corpus_and_families(named, corpus):
+    for f in corpus + list(named.values()):
         for g in charts(f):
             _assert_rows_match_the_product(g.g8, g.g12)
 
@@ -786,7 +785,8 @@ def _uunpack_slot_by_slot(v: int, bits: int) -> list[int]:
 
 def test_uunpack_matches_the_slot_by_slot_decoder():
     rng = random.Random(35)
-    lengths = (1, field._UNPACK_SLOTS, field._UNPACK_SLOTS + 1, 5 * field._UNPACK_SLOTS + 3)
+    # one slot, the first halvings, and odd lengths whose halves differ
+    lengths = (1, 2, 3, 256, 257, 1283)
     # 136-bit slots hold coefficients past 2^64
     for bits in (8, 64, 136):
         top = (1 << (bits - 1)) - 1
@@ -970,11 +970,11 @@ def _rejected(pair: FamilyPair) -> bool:
     return False
 
 
-def test_minimal_pairs_run_no_pseudo_remainder_sequence():
+def test_minimal_pairs_run_no_pseudo_remainder_sequence(corpus):
     # the end orders and the modular screen over all ten parts settle every
     # corpus pair in both charts, and a minimal pair whose forms share a power
     # of p; a pair that shares p^4 and p^6 still reaches the PRS
-    pairs = [g for f in generate_corpus(10, seed=1729) for g in (f, f.inverted())]
+    pairs = [g for f in corpus[:10] for g in (f, f.inverted())]
     counts = count_calls(lambda: [minimality_check(f) for f in pairs], spdivmod)
     assert counts == {"spdivmod": 0}
     shared = "let p(x) = x^2 + t*x + 1\ng8 = p(s)^4\ng12 = %s\n"
@@ -1121,9 +1121,9 @@ def test_extract_cusp_quartic_needs_zero_discriminant(named):
 # ---------------------------------------------------------------------------
 
 
-def test_canonical_text_round_trips(named):
+def test_canonical_text_round_trips(named, corpus):
     families = [named[name] for name in ("tent", "d_mixed", "d_constant")]
-    families += [h for f in generate_corpus(100, 1729) for h in charts(f)]
+    families += [h for f in corpus for h in charts(f)]
     for f in families:
         assert parse_family(canonical_text(f)) == f
 
