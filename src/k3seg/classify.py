@@ -6,7 +6,6 @@ D/A/E components of the stable degenerate surface.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -74,8 +73,7 @@ def cusp_type(f: FamilyPair) -> CuspKind:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndSurface:
+class EndSurface(NamedTuple):
     """The limit Weierstrass data over one end of the density interval:
     forms of degrees (4, 6) in the stretched coordinate, and whether their
     own discriminant vanishes identically (a generically nodal limit)."""
@@ -154,8 +152,7 @@ def component(kind: str, index: int) -> Component:
     return Component(kind, index, index + CHARGE_OFFSET[kind])
 
 
-@dataclass(frozen=True)
-class StableType:
+class StableType(NamedTuple):
     components: tuple[Component, ...]
 
     def label(self) -> str:

@@ -163,9 +163,7 @@ def cmd_oracle(args) -> int:
             return 0
         raise
     for t, dev, rec in zip(rep.t_samples, rep.deviations, rep.reconstruction_errors):
-        print(
-            "t = %-10g max deviation %.6f   reconstruction error %.3g" % (t, dev, rec)
-        )
+        print("t = %-10r max deviation %.6f   reconstruction error %.3g" % (t, dev, rec))
     print(
         "fitted C = %.4f; final deviation %.6f within tolerance %.2f"
         % (rep.fitted_c, rep.deviations[-1], rep.tolerance)

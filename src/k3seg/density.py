@@ -38,9 +38,9 @@ is rescaled onto [0, 1], values are kept (V matters only up to scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import CuspidalInteriorError, NegativeDensityError
 from .symalg.forms import INF, NEG_INF, SForm, _numerators
@@ -175,8 +175,7 @@ class DensityFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutData:
+class CutData(NamedTuple):
     """The 24 discriminant-root positions after clamping to [-1, w_plus],
     sorted ascending, and the valuation level of the top discriminant
     coefficient divided by e0. Which positions are negative is read off the

@@ -20,7 +20,7 @@ root_determinant, which the report reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadIndexError
 
@@ -29,8 +29,7 @@ Gram = tuple[tuple[int, ...], ...]
 MAX_INDEX = 24
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     name: str
     gram: Gram
 

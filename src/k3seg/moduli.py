@@ -8,13 +8,12 @@ necessary arithmetic for one stratum to lie in the closure of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import Component, StableType, component
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     label: str
     codim: int
     is_nonnormal_locus: bool

@@ -35,9 +35,9 @@ same triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import hypot, isqrt, ldexp
+from typing import NamedTuple
 
 from .density import cut_positions
 from .errors import CuspidalFamilyError, NoConvergenceError, OracleMismatchError
@@ -75,8 +75,7 @@ _TAYLOR_TERMS = 32
 DEFAULT_T_SAMPLES = (1e-3, 1e-5, 1e-7)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     t_samples: tuple[float, ...]
     exact_positions: tuple[Fraction, ...]
     positions: tuple[tuple[float, ...], ...]

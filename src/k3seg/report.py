@@ -9,8 +9,8 @@ the stable type and its lattice, and compute both end surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import CuspKind, EndSurface, StableType, end_surface_data, stable_type
 from .density import (
@@ -26,8 +26,7 @@ from .symalg import FamilyPair, canonical_text, extract_cusp_quartic, minimality
 from .tropics import EndExponents, end_exponents, newton_polygon, pair_polygons
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     source: str
     normalization_shift: Fraction
     ramification: int

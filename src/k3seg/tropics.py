@@ -20,7 +20,6 @@ NEG_INF (math.inf floats, which compare correctly against Fractions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,8 +39,7 @@ def _lower_hull(points: list) -> list:
     return hull
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
+class TropicalPolynomial(NamedTuple):
     """Lower Newton polygon of a form: the vertex chain of the lower convex
     hull of its finite points (index, coefficient valuation). The chain keeps
     the first and last points, and every value of the min-plus polynomial is

@@ -19,6 +19,8 @@ given command and also fails a row whose stderr holds a traceback:
     python tests/cli_contract.py k3seg
     PYTHONPATH=src python tests/cli_contract.py python -m k3seg.cli
 
+A command that cannot be started ends the run with exit code 2.
+
 It imports the standard library alone, so it runs under an interpreter that
 has k3seg installed without its test extra.
 """
@@ -104,6 +106,9 @@ ROWS = [
     Row("oracle_samples_t_down_to_1e_100", "oracle families/d_mixed.family --t 1e-100",
         out="t = 1e-100     max deviation 0.003011   reconstruction error 0.000264\n"
         "fitted C = 0.6934; final deviation 0.003011 within tolerance 0.20\n"),
+    # each sample prints as given, not rounded to six digits
+    Row("oracle_prints_each_sample_as_given", "oracle families/tent.family --t 0.9999999,1e-320",
+        out=(Has("t = 0.9999999 "), Has("t = 1e-320 "))),
     *(Row("oracle_rejects_malformed_samples", "oracle families/ds_split.family --t " + t, code=2,
           err=Tag("usage error")) for t in ("abc", "1e-3,1e-2", "2.0")),
     # tent is E3 A11 E3: its determinant is the product of its blocks, 6 * 12 * 6;
@@ -266,6 +271,10 @@ def check(row: Row, path: str, code: int, out: str, err: str) -> list[str]:
     return missed
 
 
+class CannotRun(Exception):
+    """The command could not be started, so no row can run."""
+
+
 def run(row: Row, command: list[str], directory: pathlib.Path) -> list[str]:
     """What row missed as a process of command, run from the repo root."""
     argv, path = prepare(row, directory)
@@ -273,6 +282,8 @@ def run(row: Row, command: list[str], directory: pathlib.Path) -> list[str]:
         done = subprocess.run([*command, *argv], cwd=REPO, capture_output=True, timeout=row.seconds)
     except subprocess.TimeoutExpired:
         return ["no exit within %g s" % row.seconds]
+    except OSError as exc:
+        raise CannotRun("cannot run %s: %s" % (" ".join(command), exc.strerror)) from None
     err = done.stderr.decode("utf-8", "replace")
     missed = check(row, path, done.returncode, done.stdout.decode("utf-8", "replace"), err)
     return missed + ["printed a traceback"] * ("Traceback" in err)
@@ -284,11 +295,15 @@ def main(command: list[str]) -> int:
         return 2
     failed = 0
     with tempfile.TemporaryDirectory() as directory:
-        for row in ROWS:
-            missed = run(row, command, pathlib.Path(directory))
-            if missed:
-                failed += 1
-                print("FAIL %s: k3seg %s: %s" % (row.name, row.argv, "; ".join(missed)))
+        try:
+            for row in ROWS:
+                missed = run(row, command, pathlib.Path(directory))
+                if missed:
+                    failed += 1
+                    print("FAIL %s: k3seg %s: %s" % (row.name, row.argv, "; ".join(missed)))
+        except CannotRun as exc:
+            print(exc, file=sys.stderr)
+            return 2
     print("%d of %d rows passed" % (len(ROWS) - failed, len(ROWS)))
     return 1 if failed else 0
 

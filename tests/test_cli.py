@@ -68,6 +68,24 @@ def test_the_contract_runs_rows_as_processes(tmp_path, monkeypatch):
     assert cli_contract.run(wrong, command, tmp_path) == ["exit 0, not 2"]
 
 
+def test_the_contract_reports_a_command_it_cannot_start(capsys):
+    # the command given as one word, which names no program
+    assert cli_contract.main(["python -m k3seg.cli"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "cannot run python -m k3seg.cli: No such file or directory\n")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: a cold
+    # start pays for them; -S keeps the site hooks' imports out of the check
+    code = (
+        "import sys; sys.path.insert(0, %r); import k3seg.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % _SRC
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_analyze_json_report(capsys):
     assert main(["analyze", family_path("ds_split"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -126,9 +144,7 @@ def test_route_disagreement_is_an_internal_error(monkeypatch, capsys):
 
 def test_end_dichotomy_disagreement_is_an_internal_error(monkeypatch, capsys):
     def flipped(*args):
-        return tuple(
-            dataclasses.replace(end, is_nodal=not end.is_nodal) for end in end_surface_data(*args)
-        )
+        return tuple(end._replace(is_nodal=not end.is_nodal) for end in end_surface_data(*args))
 
     monkeypatch.setattr("k3seg.report.end_surface_data", flipped)
     message = "left end: density endpoint disagrees with the nodal test"

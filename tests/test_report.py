@@ -1,6 +1,7 @@
 """derive as the one place that derives a family's data for analyze and the
 oracle: how often analyze calls the deriving stages, and which check fires
-first, in both, on inputs that several checks refuse."""
+first, in both, on inputs that several checks refuse. Also: every record
+the package returns refuses assignment to its fields."""
 
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ from conftest import count_calls, family_text
 from k3seg import emit_svg, lattices
 from k3seg.classify import CuspKind, cusp_type, cuspidal_kind, end_surface_data
 from k3seg.corpus import generate_corpus
+from k3seg.density import cut_positions
 from k3seg.errors import (
     CuspidalFamilyError,
     NotMinimalError,
     UnrecognizedCuspError,
     ZeroFormError,
 )
+from k3seg.moduli import enumerate_divisors
 from k3seg.oracle import oracle_compare
-from k3seg.report import analyze
+from k3seg.report import analyze, derive
 from k3seg.symalg import (
     FamilyPair, SForm, canonical_text, extract_cusp_quartic, field, forms, parse_family,
 )
@@ -253,3 +256,31 @@ def test_to_dict_reads_determinants_without_elimination(chart_reports, monkeypat
     assert sizes == []
     monkeypatch.undo()
     assert dets == [rep.lattice.determinant() for _, rep in chart_reports[0]]
+
+
+# a record of each kind the package returns, other than Lattice, and a field
+_RECORD_FIELDS = {
+    "AnalysisReport": "source", "StableType": "components", "Component": "kind",
+    "EndSurface": "is_nodal", "OracleReport": "fitted_c", "Stratum": "label",
+    "CutData": "w_plus", "EndExponents": "at_zero", "TropicalPolynomial": "den",
+    "Discriminant": "rows",
+}
+
+
+@pytest.fixture(scope="module")
+def tent_records(named, named_reports):
+    report = named_reports["tent"]
+    g, _, _, ends, trop_d = derive(named["tent"])
+    records = (
+        report, report.stable, report.stable.components[0], report.left_end,
+        oracle_compare(named["tent"]), enumerate_divisors()[0], cut_positions(trop_d, ends),
+        ends, trop_d, g.discriminant_rows(),
+    )
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", _RECORD_FIELDS)
+def test_every_record_is_immutable(tent_records, name):
+    record, field = tent_records[name], _RECORD_FIELDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
