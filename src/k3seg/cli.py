@@ -10,7 +10,6 @@ unrecognized cusp, 5 inconsistent type, 6 oracle disagreement, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -48,6 +47,7 @@ def cmd_analyze(args) -> int:
             fh.write(emit_svg(rep.density))
     d = rep.to_dict()
     if args.json:
+        import json
         print(json.dumps(d, indent=2, sort_keys=True))
         return 0
     print("cusp kind:      %s" % d["cusp_kind"])

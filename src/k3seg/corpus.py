@@ -10,8 +10,6 @@ discarded and replaced.
 
 from __future__ import annotations
 
-import random
-
 from .errors import InternalError, K3SegError
 from .report import analyze
 from .symalg import FamilyPair, SForm
@@ -77,6 +75,7 @@ def _pipeline_ok(f: FamilyPair) -> bool:
 
 def generate_corpus(count: int = 100, seed: int = 1729) -> list[FamilyPair]:
     """Deterministic list of families that all complete the exact pipeline."""
+    import random
     rng = random.Random(seed)
     makers = (
         lambda r: random_perturbation(r, 1, 3, 4),

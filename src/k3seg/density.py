@@ -133,8 +133,8 @@ class DensityFunction:
         d, x, pts = w.denominator, w.numerator * self._den, self._points
         for (w1, v1), s, (w2, _) in zip(pts, self._slopes, pts[1:]):
             if x <= w2 * d:
-                return Fraction(v1 * d + s * (x - w1 * d), self._den * d)
-        return self.breakpoints[-1][1]
+                break
+        return Fraction(v1 * d + s * (x - w1 * d), self._den * d)
 
     def min_value(self) -> Fraction:
         return Fraction(min(v for _, v in self._points), self._den)

@@ -22,9 +22,6 @@ class InternalError(K3SegError):
     """Two independent computations inside the pipeline disagree: a bug, not a
     property of the input."""
 
-    tag = "E_INTERNAL"
-    exit_code = 1
-
 
 class ParseError(K3SegError):
     """Family file is syntactically malformed."""

@@ -95,17 +95,15 @@ def root_lattice(kind: str, n: int) -> Lattice:
 
 def direct_sum(parts: list[Lattice], name: str | None = None) -> Lattice:
     total = sum(p.rank for p in parts)
-    gram = [[0] * total for _ in range(total)]
-    offset = 0
+    gram, offset = [], 0
     for p in parts:
-        for i in range(p.rank):
-            for j in range(p.rank):
-                gram[offset + i][offset + j] = p.gram[i][j]
+        rest = total - offset - p.rank
+        gram += [(0,) * offset + tuple(row) + (0,) * rest for row in p.gram]
         offset += p.rank
     if name is None:
         pieces = [p.name for p in parts if p.rank]
         name = "+".join(pieces) if pieces else "0"
-    return Lattice(name, tuple(tuple(row) for row in gram))
+    return Lattice(name, tuple(gram))
 
 
 def root_determinant(kind: str, n: int) -> int:

@@ -45,17 +45,12 @@ def enumerate_codim2() -> list[Stratum]:
     strata whose D-index is 0 together with D0 D16.
     """
     out = []
-    seen = set()
     for k1 in range(9):
-        for k4 in range(9):
+        for k4 in range(k1, 9):
             for k2 in range(17 - k1 - k4):
                 k3 = 16 - k1 - k4 - k2
-                idx = (k1, k2, k3, k4)
-                canon = min(idx, idx[::-1])
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                out.append(_stratum("EAAE", canon, 2))
+                if k1 < k4 or k2 <= k3:
+                    out.append(_stratum("EAAE", (k1, k2, k3, k4), 2))
     for k1 in range(9):
         for k2 in range(17 - k1):
             k3 = 16 - k1 - k2

@@ -427,6 +427,10 @@ def _largest_square(triples):
     squares = [(re * re + im * im, 2 * exp) for re, im, exp in triples if re or im]
     if not squares:
         return 0, 0
+    # n * 2^e lies in [2^(top - 1), 2^top) for top = n.bit_length() + e, so a
+    # square of a lower top is below every square of the highest: align those
+    top = max(n.bit_length() + e for n, e in squares)
+    squares = [(n, e) for n, e in squares if n.bit_length() + e == top]
     low = min(e for _, e in squares)
     return max(n << (e - low) for n, e in squares), low
 

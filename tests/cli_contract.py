@@ -109,6 +109,11 @@ ROWS = [
     # each sample prints as given, not rounded to six digits
     Row("oracle_prints_each_sample_as_given", "oracle families/tent.family --t 0.9999999,1e-320",
         out=(Has("t = 0.9999999 "), Has("t = 1e-320 "))),
+    # Δ's terms in t^0 and t^(2 * 10^8) lie about 2 * 10^9 binary places apart
+    # at t = 1e-3: the reconstruction error aligns only its largest squares
+    Row("oracle_wide_exponent_spread", "oracle {file}",
+        "g8 = 3*s^4\ng12 = s^6 + t^100000000*(1 + s^12)\n",
+        out=Line("fitted C = 0.0000; final deviation 0.000000 within tolerance 0.20"), seconds=10),
     *(Row("oracle_rejects_malformed_samples", "oracle families/ds_split.family --t " + t, code=2,
           err=Tag("usage error")) for t in ("abc", "1e-3,1e-2", "2.0")),
     # tent is E3 A11 E3: its determinant is the product of its blocks, 6 * 12 * 6;

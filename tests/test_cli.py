@@ -77,10 +77,13 @@ def test_the_contract_reports_a_command_it_cannot_start(capsys):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, which imports ast, dis and tokenize: a cold
-    # start pays for them; -S keeps the site hooks' imports out of the check
+    # start pays for them; json serves only --json and random only the corpus;
+    # -S keeps the site hooks' imports out of the check
+    modules = {"dataclasses", "inspect", "json", "json.decoder", "json.encoder", "json.scanner",
+               "_json", "random", "_random", "bisect", "_bisect", "_sha512"}
     code = (
         "import sys; sys.path.insert(0, %r); import k3seg.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % _SRC
+        "print(sorted(%r & set(sys.modules)))" % (_SRC, modules)
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

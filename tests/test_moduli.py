@@ -1,6 +1,7 @@
 """Boundary strata bookkeeping: the counts are small enough to recount
 here by brute force, so that is what most of these tests do."""
 
+import hashlib
 from collections import Counter
 
 from k3seg.classify import component, StableType
@@ -88,6 +89,18 @@ def test_codim2_four_part_params_are_canonical():
 def test_codim2_labels_are_unique():
     labels = [s.label for s in enumerate_codim2()]
     assert len(set(labels)) == len(labels)
+
+
+def test_strata_keep_their_order():
+    # the counts and canonical forms above hold under any reordering; `k3seg
+    # strata --divisors` and `--codim2` print the strata in this order
+    text = "".join(
+        "%s %d\n" % (s.label, s.is_nonnormal_locus)
+        for s in enumerate_divisors() + enumerate_codim2()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af1c337fca66ba0a9fd0bcf7cf8a15d537cafca184ab610f938a0db8a5575f0b"
+    )
 
 
 def test_nonnormal_loci():

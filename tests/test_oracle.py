@@ -788,6 +788,34 @@ def test_reconstruction_error_matches_its_reference(recorded):
                 assert err < 1e-50
 
 
+def _odd_part(n, e):
+    """(n, e) with the trailing zeros of n moved into e, so equal values n * 2^e
+    compare equal."""
+    k = (n & -n).bit_length() - 1
+    return n >> k, e + k
+
+
+def test_largest_square_aligns_only_its_candidates():
+    # squares 2 * 10^7 binary places apart: the smaller one cannot be the
+    # largest, and aligning it would shift the result by 2 * 10^7 bits
+    n, e = oracle._largest_square([(3, -4, 0), (1, 1, 10**7)])
+    assert n.bit_length() < 1000
+    assert _odd_part(n, e) == (1, 2 * 10**7 + 1)
+
+
+def test_largest_square_is_the_exhaustive_maximum():
+    rng = random.Random(5)
+    assert oracle._largest_square([(0, 0, 3)]) == (0, 0)
+    for _ in range(500):
+        triples = [
+            (rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 6))
+        ]
+        n, e = oracle._largest_square(triples)
+        squares = [Fraction(re * re + im * im) * Fraction(4) ** exp for re, im, exp in triples]
+        assert n * Fraction(2) ** e == max(squares)
+
+
 def test_reconstruction_error_is_unchanged_on_d_mixed(named):
     report = oracle_compare(named["d_mixed"])
     assert report.reconstruction_errors == (
