@@ -11,8 +11,10 @@ from typing import NamedTuple
 
 from .density import DensityFunction
 from .errors import DegreeError, InconsistentTypeError, UnrecognizedCuspError
-from .symalg.field import sderiv, sgcd, spow
-from .symalg.forms import FamilyPair, SForm, _nonminimal, _numerators, extract_cusp_quartic
+from .symalg.field import sderiv, sgcd
+from .symalg.forms import (
+    FamilyPair, SForm, _discriminant_rows, _nonminimal, _numerators, extract_cusp_quartic,
+)
 from .tropics import EndExponents
 
 
@@ -47,7 +49,8 @@ def cuspidal_kind(quartic: SForm) -> CuspKind:
 
 def cusp_type(f: FamilyPair) -> CuspKind:
     """Classify the t = 0 limit of a normalized pair. Inputs the decision tree
-    cannot place come back as UNRECOGNIZED; only an InternalError, which means
+    cannot place come back as UNRECOGNIZED, among them a pair with a negative
+    t-valuation, which has no t = 0 limit; only an InternalError, which means
     a bug, escapes."""
     if not f.discriminant_rows():
         return cuspidal_kind(extract_cusp_quartic(f))
@@ -57,7 +60,7 @@ def cusp_type(f: FamilyPair) -> CuspKind:
     except ValueError:
         return CuspKind.UNRECOGNIZED
 
-    nodal = _is_nodal(lim8, lim12)
+    nodal = not _discriminant_rows(lim8, lim12)
     if not nodal and not _nonminimal(lim8, lim12):
         return CuspKind.NO_DEGENERATION
 
@@ -98,7 +101,9 @@ def end_surface_data(
     where the inverted form's points are (d - i, v), d*einf plus its value at
     -einf. The t = 0 limit of the sigma^i coefficient is the coefficient of
     s^i * t^(2c - i*e) (t^(3c - i*e) for g12). With valid end exponents the
-    surviving coefficients sit in degrees at most (4, 6).
+    surviving coefficients sit in degrees at most (4, 6), and the limit is
+    nodal when the rows of its discriminant, those of a pair of degrees
+    (2d, 3d) with d = 2, all vanish.
     """
     den, (a, b) = _numerators(ends, *(p.den for p in polygons))  # mu over den
     out = []
@@ -116,22 +121,8 @@ def end_surface_data(
                 "end-surface limit does not fit in degrees (4, 6); "
                 "the end exponents do not govern this family"
             ) from None
-        out.append(EndSurface(g4, g6, is_nodal=_is_nodal(g4, g6)))
+        out.append(EndSurface(g4, g6, is_nodal=not _discriminant_rows(g4, g6)))
     return tuple(out)
-
-
-def _is_nodal(g4: SForm, g6: SForm) -> bool:
-    """Whether g4^3 = 27*g6^2 for two limits with constant coefficients,
-    g4 = (n4/d4) P4 and g6 = (n6/d6) P6 with P4 and P6 primitive and their
-    first entries positive. By Gauss's lemma P4^3 and P6^2 are so too, so
-    the identity holds exactly when P4^3 = P6^2 in Z[s] and
-    n4^3 * d6^2 = 27 * n6^2 * d4^3: tested first, then the s-valuations and
-    s-degrees that P4^3 = P6^2 forces (past it g4 and g6 vanish together)."""
-    return g4.num**3 * g6.den**2 == 27 * g6.num**2 * g4.den**3 and (
-        not g4
-        or 3 * g4.s_valuation() == 2 * g6.s_valuation() and 3 * g4.s_degree() == 2 * g6.s_degree()
-        and spow(g4.poly, 3) == spow(g6.poly, 2)
-    )
 
 
 # ---------------------------------------------------------------------------

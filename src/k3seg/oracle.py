@@ -387,8 +387,6 @@ def _find_roots(coeffs):
     visit, lives in a dict made for this call (see _horner).
     """
     n = len(coeffs) - 1
-    if n == 0:
-        return []
     roots = _initial_points(coeffs)
     assert len(roots) == n
     mants = tuple(c[0] for c in coeffs)
@@ -490,7 +488,7 @@ def _root_data(coeffs: list, t0):
     lo, hi = support[0], support[-1]
     inner = coeffs[lo : hi + 1]
     finite = _find_roots(inner)
-    recon = _reconstruction_error(inner, finite) if finite else 0.0
+    recon = _reconstruction_error(inner, finite)
     return [_ZERO] * lo + finite + [None] * (24 - hi), recon
 
 

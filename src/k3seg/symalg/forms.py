@@ -363,12 +363,13 @@ class FamilyPair:
 
 
 class Discriminant(NamedTuple):
-    """The discriminant t^low / den * sum of s^k * D_k(t^step), each row D_k
-    in Z[u] held as the one integer D_k(2^bits). Every coefficient fits a
-    signed slot of bits bits, so a nonzero row's u-valuation is its lowest
-    set bit over bits, and FamilyPair.discriminant24 decodes the coefficients
-    themselves. Like a form of degree 24 it has degree, low, step, a truth
-    value and index points, so a Newton polygon reads it where it is."""
+    """The discriminant t^low / den * sum of s^k * D_k(t^step) of a pair of
+    degrees (2d, 3d), each row D_k in Z[u] held as the one integer D_k(2^bits).
+    Every coefficient fits a signed slot of bits bits, so a nonzero row's
+    u-valuation is its lowest set bit over bits, and FamilyPair.discriminant24
+    decodes the coefficients themselves. Like a form of degree 6d it has
+    degree, low, step, a truth value and index points, so a Newton polygon
+    reads it where it is."""
 
     low: Fraction
     step: Fraction
@@ -376,7 +377,9 @@ class Discriminant(NamedTuple):
     bits: int
     rows: list[int]
 
-    degree = 24
+    @property
+    def degree(self) -> int:
+        return len(self.rows) - 1
 
     def __bool__(self) -> bool:
         return any(self.rows)
@@ -389,9 +392,10 @@ class Discriminant(NamedTuple):
 
 
 def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:
-    """g8^3 - 27*g12^2 by Kronecker substitution (Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", JSC 44, 2009),
-    one s-row at a time.
+    """g8^3 - 27*g12^2 for a pair of degrees (2d, 3d), 6d + 1 rows, by
+    Kronecker substitution (Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", JSC 44, 2009), one s-row at a time.
+    A pair of two zero forms gives all-zero rows.
 
     Each nonzero power g^n, n = 3 for g8 and 2 for g12, has low n * g.low,
     step g.step and top u-index n times g's: the extreme u-parts of a nonzero
@@ -409,7 +413,7 @@ def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:
     # exponents as integers over one denominator q
     q, exps = _numerators([x for g, _, _ in terms for x in (g.low, g.step)])
     lows = [n * e for (_, n, _), e in zip(terms, exps[::2])]
-    low = min(lows)
+    low = min(lows, default=0)
     step = math.gcd(*exps[1::2], *(e - low for e in lows))
     den = math.lcm(*(g.den**n for g, n, _ in terms))
     placed, bound = [], 0
@@ -422,7 +426,7 @@ def _discriminant_rows(g8: SForm, g12: SForm) -> Discriminant:
         bound += abs(m) * sum(sum(map(abs, arr)) for arr in g.poly) ** n
         placed.append((g.poly, n, m, j, k))
     bits = slot_bits(bound)
-    rows = [0] * 25
+    rows = [0] * (3 * g8.degree + 1)
     for poly, n, m, j, k in placed:
         p = [upack(arr, bits) if arr else 0 for arr in poly]
         power = skmul(p, p) if n == 2 else skmul(skmul(p, p), p)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import charts
 from k3seg.classify import (
     CuspKind,
     StableType,
-    _is_nodal,
     component,
     cusp_type,
     end_surface_data,
@@ -91,6 +91,14 @@ def test_no_degeneration_kind():
     assert cusp_type(f.normalized()) is CuspKind.NO_DEGENERATION
     g = parse_family("g8 = s^8 + 1 + t*s\ng12 = s^12 + 1\n")
     assert cusp_type(g.normalized()) is CuspKind.NO_DEGENERATION
+
+
+def test_an_unnormalized_pair_is_unrecognized():
+    # g8 has t-valuation -1, so the pair has no t = 0 limit
+    f = parse_family("g8 = 3*t^-1*s^4\ng12 = s^6\n")
+    with pytest.raises(ValueError):
+        f.g8.limit0()
+    assert cusp_type(f) is CuspKind.UNRECOGNIZED
 
 
 def test_unrecognized_kind():
@@ -232,7 +240,28 @@ def test_integer_nodal_test_matches_the_limit_discriminant(named):
     assert any(g4 and g4.den != g6.den for g4, g6 in nodal)
     assert len(nodal) < len(pairs)
     for g4, g6 in pairs:
-        assert _is_nodal(g4, g6) == _nodal_by_forms(g4, g6)
+        assert (not forms._discriminant_rows(g4, g6)) == _nodal_by_forms(g4, g6)
+
+
+def test_nodal_test_matches_the_limit_discriminant_at_degrees_8_12(named, corpus):
+    # cusp_type asks the same question of the t = 0 limits (lim8, lim12)
+    pairs = []
+    for f in [*named.values(), *corpus]:
+        for g in charts(f):
+            g = g.normalized()
+            pairs.append((g.g8.limit0(), g.g12.limit0()))
+    rng = random.Random(43)
+    for _ in range(100):
+        q = SForm(4, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)])
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        pairs.append(((q * q).scale(3 * c**2), (q**3).scale(c**3)))
+        # off by a factor w: P8^3 = P12^2 but not nodal unless q = 0
+        w = rng.choice((2, -1, Fraction(1, 3)))
+        pairs.append(((q * q).scale(3 * c**2 * w), (q**3).scale(c**3)))
+    verdicts = [_nodal_by_forms(g8, g12) for g8, g12 in pairs]
+    assert any(verdicts) and not all(verdicts)
+    for (g8, g12), nodal in zip(pairs, verdicts):
+        assert (not forms._discriminant_rows(g8, g12)) == nodal
 
 
 # ---------------------------------------------------------------------------

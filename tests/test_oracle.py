@@ -136,6 +136,19 @@ def test_roots_at_refuses_identically_degenerate_family(named):
         roots_at(named["d_constant"], 1e-3)
 
 
+@pytest.mark.parametrize("text", [
+    "g8 = 0\ng12 = s^6\n", "g8 = 0\ng12 = t*s^6\n", "g8 = 3*s^4\ng12 = 0\n",
+])
+def test_a_one_term_discriminant_has_only_zero_and_infinite_roots(text):
+    # the discriminant is c * s^12: one coefficient, so the root refinement
+    # starts from no point and the product of no roots reconstructs it
+    f = parse_family(text)
+    t0 = Fraction(1e-3)
+    roots, recon = oracle._root_data(oracle._evaluated_discriminant(f, [t0])[0], t0)
+    assert roots == roots_at(f, 1e-3) == [(0, 0, 0)] * 12 + [None] * 12
+    assert recon == 0.0
+
+
 def test_empirical_positions_mapping():
     # e0 = 2, einf = 4, so the window is [-1, 2]; at t0 = 1e-2 a root of
     # modulus 10^k lands at -k/4 before clamping

@@ -40,21 +40,22 @@ def test_analyze_derives_each_quantity_once():
     # one polygon each for g8, g12 and the discriminant, which is computed
     # once and read where it is, as rows, all shared by the end exponents,
     # the density routes and the end surfaces; three valuation reads: g8 and
-    # g12 for the end exponents, the discriminant for the positions
+    # g12 for the end exponents, the discriminant for the positions. The
+    # family's rows, then one set per end pair for its nodal flag.
     assert counts == {
         "end_exponents": 1, "newton_polygon": 3, "root_valuations": 3, "index_points": 2,
-        "_discriminant_rows": 1, "discriminant24": 0,
+        "_discriminant_rows": 3, "discriminant24": 0,
     }
     # analyze reads the polygon off the rows and never decodes them into a
     # form; the oracle reads the same polygon and decodes the form once for
-    # its three t samples
-    for run, decoded in ((analyze, 0), (oracle_compare, 1)):
+    # its three t samples, and builds no end surface
+    for run, rows, decoded in ((analyze, 3, 0), (oracle_compare, 1, 1)):
         pair = parse_family(tent)
         counts = count_calls(
             lambda: run(pair), forms._discriminant_rows, forms.Discriminant.index_points,
             FamilyPair.discriminant24,
         )
-        assert counts == {"_discriminant_rows": 1, "index_points": 1, "discriminant24": decoded}
+        assert counts == {"_discriminant_rows": rows, "index_points": 1, "discriminant24": decoded}
     # that one decode takes the 25 rows apart once per pair, not once per t
     # sample
     pair = parse_family(tent)
